@@ -104,6 +104,9 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
 
   std::vector<std::uint8_t> reach(n, 0);
   reach[static_cast<std::size_t>(root.id)] = 1;
+  // By node id: the schedule position and bwd_inputs_ slot of its latest
+  // occurrence as an operand (duplicate detection in O(operands)).
+  std::vector<int> last_op(n, -1), last_pos(n, -1);
   bwd_input_offset_.push_back(0);
   for (int i = root.id; i >= 0; --i) {
     const auto idx = static_cast<std::size_t>(i);
@@ -116,24 +119,25 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
     // gradient tensor, the first accumulation of a replay can assign
     // `0.0 + x` instead of zero-then-accumulate (bit-identical, see
     // run_backward); kernels that touch a subset (relu, gather_rows,
-    // segment_max) — or an operand the op uses twice, e.g. mul(x, x) —
-    // fall back to an explicit zeroing just before the op runs.
+    // segment_max, gather_frontiers) — or an operand the op uses twice,
+    // e.g. mul(x, x) — fall back to an explicit zeroing just before the op
+    // runs.
     const auto code = tape_.ops_[idx].code;
     const bool covers_fully = code != Tape::OpCode::kRelu &&
                               code != Tape::OpCode::kGatherRows &&
-                              code != Tape::OpCode::kSegmentMax;
-    const std::size_t first_j = bwd_inputs_.size();
+                              code != Tape::OpCode::kSegmentMax &&
+                              code != Tape::OpCode::kGatherFrontiers;
+    const int op_k = static_cast<int>(backward_schedule_.size()) - 1;
     for (int a : ins) {
       const auto ai = static_cast<std::size_t>(a);
       if (needs_grad_[ai]) {
         reach[ai] = 1;
-        bool dup = false;
-        for (std::size_t j = first_j; j < bwd_inputs_.size(); ++j) {
-          if (bwd_inputs_[j] == a) {
-            dup = true;
-            bwd_fresh_ok_[j] = 0;
-          }
-        }
+        // A repeated operand: neither occurrence may take the fresh path
+        // (earlier repeats were already cleared when the second one came).
+        const bool dup = last_op[ai] == op_k;
+        if (dup) bwd_fresh_ok_[static_cast<std::size_t>(last_pos[ai])] = 0;
+        last_op[ai] = op_k;
+        last_pos[ai] = static_cast<int>(bwd_inputs_.size());
         bwd_inputs_.push_back(a);
         bwd_fresh_ok_.push_back(covers_fully && !dup ? 1 : 0);
       }
@@ -150,8 +154,7 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
   // operand is safe precisely because this op was its sole contributor. An
   // op whose needed operands are all forwarded vanishes from the replay
   // schedule entirely; one kept for a genuine multi-contribution sum still
-  // skips the copy halves. This is the dominant backward saving in the
-  // GNN's add-heavy arrival propagation. Chains collapse because consumers
+  // skips the copy halves. Chains collapse because consumers
   // (higher ids) are processed first, so `redirect_` entries are already
   // fully resolved when an operand looks one up.
   {

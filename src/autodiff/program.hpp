@@ -23,8 +23,7 @@
 //    destination), and identity pass-through ops — an add whose operands
 //    receive no other contribution — are dropped from the schedule
 //    entirely, their operands' gradients *forwarded* to the op's own slot
-//    instead of copied (the dominant backward cost in the GNN's
-//    add-heavy arrival propagation).
+//    instead of copied.
 //
 // replay_forward()/replay_backward() re-execute those schedules with the
 // *same* switch kernels the eager recording used, over the same

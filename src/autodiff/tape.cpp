@@ -333,6 +333,32 @@ Value Tape::segment_sum(Value a, std::vector<int> segments, std::size_t num_segm
   return scatter_add_rows(a, std::move(segments), num_segments);
 }
 
+Value Tape::gather_frontiers(const std::vector<Value>& sources, const std::vector<int>& slots,
+                             const std::vector<int>& rows) {
+  if (slots.size() != rows.size()) throw std::runtime_error("gather_frontiers: index count");
+  for (Value s : sources) {
+    if (value(s).cols() != 1) throw std::runtime_error("gather_frontiers: sources must be columns");
+  }
+  OpRecord op;
+  op.code = OpCode::kGatherFrontiers;
+  op.inputs.reserve(sources.size());
+  for (Value s : sources) op.inputs.push_back(s.id);
+  // (slot, row) pairs, interleaved so each output row reads one cache line.
+  op.indices.resize(2 * slots.size());
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    const int slot = slots[k];
+    if (slot >= static_cast<int>(sources.size()) ||
+        (slot >= 0 && (rows[k] < 0 ||
+                       static_cast<std::size_t>(rows[k]) >=
+                           value(sources[static_cast<std::size_t>(slot)]).rows()))) {
+      throw std::runtime_error("gather_frontiers: (slot, row) out of range");
+    }
+    op.indices[2 * k] = slot < 0 ? -1 : slot;
+    op.indices[2 * k + 1] = slot < 0 ? 0 : rows[k];
+  }
+  return push(slots.size(), 1, std::move(op));
+}
+
 Value Tape::sum_all(Value a) {
   OpRecord op;
   op.code = OpCode::kSumAll;
@@ -544,6 +570,22 @@ void Tape::run_forward(std::size_t i) {
               am[cell] = static_cast<int>(k);
             }
           }
+        }
+      });
+      return;
+    }
+    case OpCode::kGatherFrontiers: {
+      const std::vector<int>& sr = r.indices;
+      parallel_for(0, vo.rows(), row_grain(1), [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          const int slot = sr[2 * k];
+          if (slot < 0) {
+            vo[k] = 0.0;
+            continue;
+          }
+          const Tensor& src =
+              nodes_[static_cast<std::size_t>(r.inputs[static_cast<std::size_t>(slot)])].value;
+          vo[k] = 0.0 + src[static_cast<std::size_t>(sr[2 * k + 1])];
         }
       });
       return;
@@ -883,6 +925,22 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       });
       return;
     }
+    case OpCode::kGatherFrontiers: {
+      for (int id : r.inputs) {
+        if (needed(id)) ensure_grad(Value{id});
+      }
+      // A scatter with repeats into several sources: serial in row order,
+      // so every source row accumulates in the same order at any width.
+      const std::vector<int>& sr = r.indices;
+      for (std::size_t k = 0; k < g.rows(); ++k) {
+        const int slot = sr[2 * k];
+        if (slot < 0) continue;
+        const int id = r.inputs[static_cast<std::size_t>(slot)];
+        if (!needed(id)) continue;
+        nodes_[static_cast<std::size_t>(id)].grad[static_cast<std::size_t>(sr[2 * k + 1])] += g[k];
+      }
+      return;
+    }
     case OpCode::kSumAll: {
       if (!needed(r.a)) return;
       ensure_grad(va_v);
@@ -933,7 +991,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
 void Tape::append_inputs(std::size_t i, std::vector<int>& out) const {
   const OpRecord& r = ops_[i];
   if (r.code == OpCode::kLeaf) return;
-  if (r.code == OpCode::kConcatCols) {
+  if (r.code == OpCode::kConcatCols || r.code == OpCode::kGatherFrontiers) {
     out.insert(out.end(), r.inputs.begin(), r.inputs.end());
     return;
   }

@@ -6,8 +6,9 @@
 // case, the Steiner-point coordinate vectors (X_s, Y_s) and the model
 // weights. The op set is exactly what the customized GNN and the smoothed
 // WNS/TNS penalty need: dense linear algebra, pointwise nonlinearities,
-// gather/scatter for message passing, segment reductions for max-style
-// aggregation, and numerically stable Log-Sum-Exp (Eq. 5).
+// gather/scatter for message passing, frontier gathers for level-by-level
+// propagation, segment reductions for max-style aggregation, and
+// numerically stable Log-Sum-Exp (Eq. 5).
 //
 // Each recorded op is a compact OpRecord (opcode + operand ids + immediates)
 // executed by switch-based forward/backward kernels; the eager builders and
@@ -100,6 +101,15 @@ class Tape {
                     double empty_fill = 0.0);
   /// out.row(s) = sum over rows i with segment[i] == s.
   Value segment_sum(Value a, std::vector<int> segments, std::size_t num_segments);
+  /// Level-synchronous message passing over column (n x 1) sources: output
+  /// row k is +0.0 when slots[k] < 0, else 0.0 + sources[slots[k]][rows[k]]
+  /// (the `0.0 +` normalizes -0.0 the way accumulating onto a zeroed buffer
+  /// does). Backward adds row k's gradient into that source row, k
+  /// ascending. Each propagation level records only its frontier and reads
+  /// earlier levels' values through this op, so a graph with L levels costs
+  /// O(nodes) tape memory instead of O(L x nodes).
+  Value gather_frontiers(const std::vector<Value>& sources, const std::vector<int>& slots,
+                         const std::vector<int>& rows);
 
   // --- reductions -----------------------------------------------------------
   Value sum_all(Value a);  ///< 1x1
@@ -138,6 +148,7 @@ class Tape {
     kGatherRows,     // indices = source rows
     kScatterAddRows, // indices = destination rows, dim0 = out_rows
     kSegmentMax,     // indices = segments, dim0 = num_segments, s0 = empty_fill
+    kGatherFrontiers,  // inputs = sources, indices = (slot, row) pair per output row
     kSumAll,
     kLogSumExp,      // s0 = gamma; m/z recomputed by every forward
     kSoftMin0,       // s0 = gamma
@@ -151,7 +162,7 @@ class Tape {
     double s0 = 0.0;            ///< immediate (scale / gamma / delta / fill)
     std::size_t dim0 = 0;       ///< out_rows / num_segments
     std::vector<int> indices;   ///< gather / scatter / segment map
-    std::vector<int> inputs;    ///< concat operands
+    std::vector<int> inputs;    ///< concat operands / frontier sources
     Tensor constant;            ///< mse target
     // Value-dependent scratch, overwritten by every forward execution and
     // consumed by the matching backward (preallocated at first execution).

@@ -1,13 +1,98 @@
 #include "gnn/model.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace tsteiner {
+
+namespace {
+
+/// Elements [lo, hi) of a per-arc / per-edge cache array.
+template <class T>
+std::vector<T> slice(const std::vector<T>& v, int lo, int hi) {
+  return std::vector<T>(v.begin() + lo, v.begin() + hi);
+}
+
+/// Level-synchronous propagation state over a graph's nodes (pins or
+/// snodes): the frontier tensors recorded so far and, per node, the
+/// frontier slot and row holding its value. Each level reads its inputs
+/// through one gather_frontiers op and records only its own frontier, so the
+/// tape grows with the frontiers, not with levels x nodes.
+class FrontierMap {
+ public:
+  /// Nodes start unwritten (they read +0.0) or, given `base`, at
+  /// base.row(node).
+  explicit FrontierMap(std::size_t num_nodes, Value base = Value{})
+      : slot_(num_nodes, base.valid() ? 0 : -1), row_(num_nodes, 0) {
+    if (base.valid()) {
+      sources_.push_back(base);
+      std::iota(row_.begin(), row_.end(), 0);
+    }
+    first_frontier_ = static_cast<int>(sources_.size());
+  }
+
+  /// One row per entry of `nodes`: 0.0 + the node's current value.
+  Value read(Tape& tape, const std::vector<int>& nodes) {
+    // Only the frontiers this read touches become operands, renumbered in
+    // order of first use (the flat local_ table is reset afterwards).
+    local_.resize(sources_.size(), -1);
+    std::vector<Value> used;
+    std::vector<int> used_slot;
+    std::vector<int> slots(nodes.size()), rows(nodes.size());
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      const auto n = static_cast<std::size_t>(nodes[k]);
+      const int s = slot_[n];
+      if (s < 0) {
+        slots[k] = -1;
+        continue;
+      }
+      int& local = local_[static_cast<std::size_t>(s)];
+      if (local < 0) {
+        local = static_cast<int>(used.size());
+        used.push_back(sources_[static_cast<std::size_t>(s)]);
+        used_slot.push_back(s);
+      }
+      slots[k] = local;
+      rows[k] = row_[n];
+    }
+    for (int s : used_slot) local_[static_cast<std::size_t>(s)] = -1;
+    return tape.gather_frontiers(used, slots, rows);
+  }
+
+  /// Record `frontier` (one row per entry of `nodes`) as those nodes'
+  /// values. Every node is written by at most one frontier.
+  void write(Value frontier, const std::vector<int>& nodes) {
+    const int s = static_cast<int>(sources_.size());
+    sources_.push_back(frontier);
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      const auto n = static_cast<std::size_t>(nodes[k]);
+      if (slot_[n] >= first_frontier_) {
+        throw std::logic_error("FrontierMap: node written by two frontiers");
+      }
+      slot_[n] = s;
+      row_[n] = static_cast<int>(k);
+    }
+  }
+
+  /// The full (num_nodes x 1) tensor of current values.
+  Value assemble(Tape& tape) {
+    std::vector<int> all(slot_.size());
+    std::iota(all.begin(), all.end(), 0);
+    return read(tape, all);
+  }
+
+ private:
+  std::vector<Value> sources_;
+  std::vector<int> slot_, row_;  // by node; slot -1 = unwritten
+  std::vector<int> local_;       // by slot: operand index within one read
+  int first_frontier_ = 0;
+};
+
+}  // namespace
 
 TimingGnn::TimingGnn(const GnnConfig& config, int num_cell_types) : cfg_(config) {
   Rng rng(config.seed);
@@ -113,38 +198,28 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
     const Value len = tape.add(dx, dy);  // DBU
     len_norm = tape.scale(len, len_scale);
 
-    // Per-level index slices (edges sorted by depth in the cache). Levels
-    // stay sequential; within a level the edge slices are assembled with
-    // indexed parallel writes.
+    // Per-depth edge slices (edges sorted by depth in the cache).
     std::vector<std::vector<int>> lvl_idx, lvl_pa, lvl_ch;
     for (std::size_t l = 0; l + 1 < g.level_off.size(); ++l) {
       const int lo = g.level_off[l];
       const int hi = g.level_off[l + 1];
       if (lo == hi) continue;
-      const auto n = static_cast<std::size_t>(hi - lo);
-      std::vector<int> idx(n), pa(n), ch(n);
-      parallel_for(0, n, 512, [&](std::size_t blo, std::size_t bhi) {
-        for (std::size_t i = blo; i < bhi; ++i) {
-          const std::size_t e = static_cast<std::size_t>(lo) + i;
-          idx[i] = static_cast<int>(e);
-          pa[i] = g.edge_pa[e];
-          ch[i] = g.edge_ch[e];
-        }
-      });
+      std::vector<int> idx(static_cast<std::size_t>(hi - lo));
+      std::iota(idx.begin(), idx.end(), lo);
       lvl_idx.push_back(std::move(idx));
-      lvl_pa.push_back(std::move(pa));
-      lvl_ch.push_back(std::move(ch));
+      lvl_pa.push_back(slice(g.edge_pa, lo, hi));
+      lvl_ch.push_back(slice(g.edge_ch, lo, hi));
     }
 
-    // Exact path lengths, accumulated level-by-level (each node has exactly
-    // one parent edge, so a single scatter per level suffices).
-    Value plen = tape.leaf(Tensor::zeros(S, 1));
+    // Exact path lengths, depth by depth: each child's row of the depth's
+    // frontier is its parent's length plus the edge (every node has exactly
+    // one parent edge; drivers read +0.0).
+    FrontierMap plen_map(S);
     for (std::size_t l = 0; l < lvl_idx.size(); ++l) {
       const Value level_len = tape.gather_rows(len_norm, lvl_idx[l]);
-      const Value reach = tape.add(tape.gather_rows(plen, lvl_pa[l]), level_len);
-      plen = tape.add(plen, tape.scatter_add_rows(reach, lvl_ch[l], S));
+      plen_map.write(tape.add(plen_map.read(tape, lvl_pa[l]), level_len), lvl_ch[l]);
     }
-    plen_norm = plen;
+    plen_norm = plen_map.assemble(tape);
 
     // Geometric Elmore delay, fully on-tape (the physics that links Steiner
     // positions to sign-off net delay; routed-length quantization, detours
@@ -154,22 +229,35 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
     Value node_cap = tape.leaf(Tensor::column(g.snode_pin_cap));
     node_cap = tape.add(node_cap, tape.scatter_add_rows(half_cap, g.edge_pa, S));
     node_cap = tape.add(node_cap, tape.scatter_add_rows(half_cap, g.edge_ch, S));
-    // 2. subtree capacitance: deepest level first.
-    subtree = node_cap;
+    // 2. subtree capacitance, deepest depth first: the depth's frontier is
+    //    its distinct parents, node_cap + (0.0 + c1 + c2 ...) over their
+    //    children's subtrees in edge order. Leaves keep node_cap.
+    FrontierMap sub_map(S, node_cap);
+    std::vector<int> parent_row(S, -1);
     for (std::size_t l = lvl_idx.size(); l-- > 0;) {
-      subtree = tape.add(
-          subtree,
-          tape.scatter_add_rows(tape.gather_rows(subtree, lvl_ch[l]), lvl_pa[l], S));
+      std::vector<int> parents, local(lvl_pa[l].size());
+      for (std::size_t k = 0; k < lvl_pa[l].size(); ++k) {
+        int& row = parent_row[static_cast<std::size_t>(lvl_pa[l][k])];
+        if (row < 0) {
+          row = static_cast<int>(parents.size());
+          parents.push_back(lvl_pa[l][k]);
+        }
+        local[k] = row;
+      }
+      for (int p : parents) parent_row[static_cast<std::size_t>(p)] = -1;
+      const Value child_sum =
+          tape.scatter_add_rows(sub_map.read(tape, lvl_ch[l]), std::move(local), parents.size());
+      sub_map.write(tape.add(tape.gather_rows(node_cap, parents), child_sum), parents);
     }
+    subtree = sub_map.assemble(tape);
     // 3. Elmore: elm[child] = elm[parent] + R_edge * C_subtree(child).
-    Value elm = tape.leaf(Tensor::zeros(S, 1));
+    FrontierMap elm_map(S);
     for (std::size_t l = 0; l < lvl_idx.size(); ++l) {
       const Value r_edge = tape.scale(tape.gather_rows(len, lvl_idx[l]), g.wire_res);
       const Value contrib = tape.mul(r_edge, tape.gather_rows(subtree, lvl_ch[l]));
-      const Value reach = tape.add(tape.gather_rows(elm, lvl_pa[l]), contrib);
-      elm = tape.add(elm, tape.scatter_add_rows(reach, lvl_ch[l], S));
+      elm_map.write(tape.add(elm_map.read(tape, lvl_pa[l]), contrib), lvl_ch[l]);
     }
-    elm_norm = tape.scale(elm, 1.0 / g.clock);
+    elm_norm = tape.scale(elm_map.assemble(tape), 1.0 / g.clock);
   } else {
     len_norm = tape.leaf(Tensor::zeros(0, 1));
     plen_norm = tape.leaf(Tensor::zeros(S, 1));
@@ -216,8 +304,9 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
   }
 
   // ---- netlist propagation -----------------------------------------------------
-  const auto NP = static_cast<std::size_t>(g.num_pins);
-  Value arrival = tape.leaf(Tensor::zeros(NP, 1));
+  // Each stage records only its frontier (q, a level's cell-output arrivals,
+  // a level's sink arrivals) and reads earlier arrivals through the pin map.
+  FrontierMap arr_map(static_cast<std::size_t>(g.num_pins));
 
   // Startpoints: register CK->Q. Physical anchor (intrinsic + R * C_load,
   // both from the library / on-tape load) times a bounded learned correction
@@ -242,38 +331,33 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
     } else {
       q = tape.softplus(tape.add(tape.matmul(q_hidden, P(kWS2)), P(kBS2)));
     }
-    arrival = tape.add(arrival, tape.scatter_add_rows(q, g.regq_pins, NP));
+    arr_map.write(q, g.regq_pins);
   }
 
   // Level-by-level propagation: cell arcs into level l, then net arcs out of
   // drivers at level l.
   for (int l = 0; l <= g.num_levels; ++l) {
+    const auto lu = static_cast<std::size_t>(l);
     // Cell arcs whose output pin sits at level l.
-    if (l + 1 < static_cast<int>(g.cell_arc_off.size())) {
-      const int lo = g.cell_arc_off[static_cast<std::size_t>(l)];
-      const int hi = g.cell_arc_off[static_cast<std::size_t>(l) + 1];
+    if (lu + 1 < g.cell_arc_off.size()) {
+      const int lo = g.cell_arc_off[lu];
+      const int hi = g.cell_arc_off[lu + 1];
       if (lo < hi) {
         const auto n = static_cast<std::size_t>(hi - lo);
-        std::vector<int> in_pins(n), types(n), trees(n), segs(n);
-        std::vector<double> caps(n), ress(n), intrs(n);
-        parallel_for(0, n, 512, [&](std::size_t blo, std::size_t bhi) {
-          for (std::size_t i = blo; i < bhi; ++i) {
-            const GraphCache::CellArc& a = g.cell_arcs[static_cast<std::size_t>(lo) + i];
-            in_pins[i] = a.in_pin;
-            types[i] = a.type;
-            trees[i] = g.cell_arc_tree[static_cast<std::size_t>(lo) + i];
-            caps[i] = g.cell_arc_cap[static_cast<std::size_t>(lo) + i];
-            ress[i] = g.cell_arc_res[static_cast<std::size_t>(lo) + i];
-            intrs[i] = g.cell_arc_intrinsic[static_cast<std::size_t>(lo) + i];
-            segs[i] = g.cell_arc_seg[static_cast<std::size_t>(lo) + i];
-          }
-        });
+        std::vector<int> in_pins(n), types(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const GraphCache::CellArc& a = g.cell_arcs[static_cast<std::size_t>(lo) + i];
+          in_pins[i] = a.in_pin;
+          types[i] = a.type;
+        }
+        const std::vector<int> trees = slice(g.cell_arc_tree, lo, hi);
+        const std::vector<double> ress = slice(g.cell_arc_res, lo, hi);
         const Value emb = tape.gather_rows(P(kTypeEmb), types);
         const Value d_in = tape.concat_cols({
             emb,
             tape.gather_rows(tree_wl, trees),
             tape.gather_rows(tree_cap, trees),
-            tape.leaf(Tensor::column(caps)),
+            tape.leaf(Tensor::column(slice(g.cell_arc_cap, lo, hi))),
             tape.leaf(Tensor::column(ress)),
         });
         const Value c_hidden =
@@ -285,7 +369,7 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
           // Physical anchor: intrinsic + R_drive * C_load (Elmore-consistent
           // first-order gate model), bounded learned correction on top.
           const Value phys = tape.scale(
-              tape.add(tape.leaf(Tensor::column(intrs)),
+              tape.add(tape.leaf(Tensor::column(slice(g.cell_arc_intrinsic, lo, hi))),
                        tape.mul(tape.leaf(Tensor::column(ress)),
                                 tape.gather_rows(tree_cap_pf, trees))),
               1.0 / g.clock);
@@ -293,43 +377,36 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
         } else {
           delay = tape.softplus(tape.add(tape.matmul(c_hidden, P(kWC2)), P(kBC2)));
         }
-        const Value cand = tape.add(tape.gather_rows(arrival, in_pins), delay);
-        const int out_lo = g.cell_out_off[static_cast<std::size_t>(l)];
-        const int out_hi = g.cell_out_off[static_cast<std::size_t>(l) + 1];
-        const auto num_out = static_cast<std::size_t>(out_hi - out_lo);
-        const Value out_arr = tape.segment_max(cand, segs, num_out, 0.0);
-        std::vector<int> out_pins(num_out);
-        for (std::size_t i = 0; i < num_out; ++i) {
-          out_pins[i] = g.cell_out_pins[static_cast<std::size_t>(out_lo) + i];
-        }
-        arrival = tape.add(arrival, tape.scatter_add_rows(out_arr, out_pins, NP));
+        const Value cand = tape.add(arr_map.read(tape, in_pins), delay);
+        const int out_lo = g.cell_out_off[lu];
+        const int out_hi = g.cell_out_off[lu + 1];
+        const Value out_arr = tape.segment_max(cand, slice(g.cell_arc_seg, lo, hi),
+                                               static_cast<std::size_t>(out_hi - out_lo), 0.0);
+        arr_map.write(out_arr, slice(g.cell_out_pins, out_lo, out_hi));
       }
     }
     // Net arcs from drivers at level l.
-    if (l + 1 < static_cast<int>(g.net_arc_off.size())) {
-      const int lo = g.net_arc_off[static_cast<std::size_t>(l)];
-      const int hi = g.net_arc_off[static_cast<std::size_t>(l) + 1];
+    if (lu + 1 < g.net_arc_off.size()) {
+      const int lo = g.net_arc_off[lu];
+      const int hi = g.net_arc_off[lu + 1];
       if (lo < hi) {
         const auto n = static_cast<std::size_t>(hi - lo);
-        std::vector<int> drv(n), snk(n), s_snode(n), trees(n), d_snode(n);
-        parallel_for(0, n, 512, [&](std::size_t blo, std::size_t bhi) {
-          for (std::size_t i = blo; i < bhi; ++i) {
-            const GraphCache::NetArc& a = g.net_arcs[static_cast<std::size_t>(lo) + i];
-            drv[i] = a.driver_pin;
-            snk[i] = a.sink_pin;
-            s_snode[i] = g.net_arc_sink_snode[static_cast<std::size_t>(lo) + i];
-            trees[i] = g.net_arc_tree[static_cast<std::size_t>(lo) + i];
-            d_snode[i] = g.pin_snode[static_cast<std::size_t>(a.driver_pin)];
-            if (d_snode[i] < 0) throw std::runtime_error("driver pin missing snode");
-          }
-        });
+        std::vector<int> drv(n), snk(n), d_snode(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const GraphCache::NetArc& a = g.net_arcs[static_cast<std::size_t>(lo) + i];
+          drv[i] = a.driver_pin;
+          snk[i] = a.sink_pin;
+          d_snode[i] = g.pin_snode[static_cast<std::size_t>(a.driver_pin)];
+          if (d_snode[i] < 0) throw std::runtime_error("driver pin missing snode");
+        }
+        const std::vector<int> s_snode = slice(g.net_arc_sink_snode, lo, hi);
         const Value elm_s = tape.gather_rows(elm_norm, s_snode);
         const Value n_in = tape.concat_cols({
             tape.gather_rows(h, s_snode),
             tape.gather_rows(h, d_snode),
             tape.gather_rows(plen_norm, s_snode),
             elm_s,
-            tape.gather_rows(tree_wl, trees),
+            tape.gather_rows(tree_wl, slice(g.net_arc_tree, lo, hi)),
         });
         const Value hidden_n =
             tape.relu(tape.add(tape.matmul(n_in, P(kWN1)), P(kBN1)));
@@ -346,12 +423,12 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
         } else {
           ndelay = tape.softplus(tape.add(tape.matmul(hidden_n, P(kWN2)), P(kBN2)));
         }
-        const Value a_sink = tape.add(tape.gather_rows(arrival, drv), ndelay);
-        arrival = tape.add(arrival, tape.scatter_add_rows(a_sink, snk, NP));
+        arr_map.write(tape.add(arr_map.read(tape, drv), ndelay), snk);
       }
     }
   }
-  return arrival;
+  // The full per-pin arrival tensor, built once.
+  return arr_map.assemble(tape);
 }
 
 }  // namespace tsteiner

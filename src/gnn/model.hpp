@@ -63,6 +63,8 @@ class TimingGnn {
   /// per-level index assembly done here on the host — replays without being
   /// re-executed, so a retained program (tsteiner::GradientEvaluator) pays
   /// this construction cost exactly once per (design, forest-topology).
+  /// Each propagation level records only its frontier (Tape::gather_frontiers
+  /// reads earlier levels), so the tape is linear in the design size.
   Value forward(Tape& tape, const GraphCache& g, const Bound& bound, Value xs,
                 Value ys) const;
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "autodiff/program.hpp"
 #include "autodiff/tape.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace tsteiner {
 namespace {
@@ -307,6 +311,160 @@ TEST(Tape, ShapeMismatchThrows) {
   EXPECT_THROW(tape.sub(a, b), std::runtime_error);
   EXPECT_THROW(tape.mul(a, b), std::runtime_error);
   EXPECT_THROW(tape.matmul(a, b), std::runtime_error);
+}
+
+// --- gather_frontiers ---------------------------------------------------------
+
+TEST(TapeGrad, GatherFrontiers) {
+  Tensor x0(5, 1);
+  for (std::size_t i = 0; i < x0.size(); ++i) x0[i] = 0.3 * static_cast<double>(i) - 0.7;
+  check_gradient(
+      [](Tape& t, Value x) {
+        const Value a = t.tanh_op(x);                                  // source 0: 5 rows
+        const Value b = t.scale(t.gather_rows(x, {4, 1, 0}), 3.0);     // source 1: 3 rows
+        // (0, 2) repeats; slot -1 reads +0.0 and takes no gradient.
+        const Value f = t.gather_frontiers({a, b}, {0, 1, -1, 1, 0, 0}, {2, 0, 3, 2, 2, 4});
+        return t.sum_all(t.mul(f, f));
+      },
+      x0);
+}
+
+TEST(Tape, GatherFrontiersUnwrittenSlotReadsPositiveZero) {
+  Tape tape;
+  Tensor x(2, 1);
+  x[0] = 4.0;
+  x[1] = -3.0;
+  const Value v = tape.leaf(x, true);
+  const Value f = tape.gather_frontiers({v}, {-1, 0, -1}, {0, 1, 0});
+  const Tensor& out = tape.value(f);
+  ASSERT_EQ(out.rows(), 3u);
+  EXPECT_EQ(out[0], 0.0);
+  EXPECT_FALSE(std::signbit(out[0]));
+  EXPECT_EQ(out[1], -3.0);
+  EXPECT_FALSE(std::signbit(out[2]));
+  // Zero sources: a constant column of +0.0.
+  const Value z = tape.gather_frontiers({}, {-1, -1}, {0, 0});
+  EXPECT_EQ(tape.value(z).rows(), 2u);
+  EXPECT_FALSE(std::signbit(tape.value(z)[1]));
+  tape.backward(tape.sum_all(f));
+  EXPECT_EQ(tape.grad(v)[0], 0.0);
+  EXPECT_EQ(tape.grad(v)[1], 1.0);
+}
+
+TEST(Tape, GatherFrontiersRepeatedPairsAccumulate) {
+  Tape tape;
+  const Value a = tape.leaf(Tensor(3, 1, 1.0), true);
+  const Value b = tape.leaf(Tensor(2, 1, 2.0), true);
+  const Value f = tape.gather_frontiers({a, b}, {0, 1, 0, 0, 1, -1}, {1, 0, 1, 2, 0, 0});
+  tape.backward(tape.sum_all(tape.scale(f, 0.5)));
+  EXPECT_EQ(tape.grad(a)[0], 0.0);
+  EXPECT_EQ(tape.grad(a)[1], 1.0);  // (0, 1) twice
+  EXPECT_EQ(tape.grad(a)[2], 0.5);
+  EXPECT_EQ(tape.grad(b)[0], 1.0);  // (1, 0) twice
+  EXPECT_EQ(tape.grad(b)[1], 0.0);
+}
+
+TEST(Tape, GatherFrontiersNormalizesNegativeZero) {
+  Tape tape;
+  Tensor x(2, 1);
+  x[0] = -0.0;
+  x[1] = 1.5;
+  const Value v = tape.leaf(x);
+  ASSERT_TRUE(std::signbit(tape.value(tape.gather_rows(v, {0}))[0]));  // a plain copy keeps it
+  const Tensor& out = tape.value(tape.gather_frontiers({v}, {0, 0}, {0, 1}));
+  EXPECT_EQ(out[0], 0.0);
+  EXPECT_FALSE(std::signbit(out[0]));
+  EXPECT_EQ(out[1], 1.5);
+}
+
+TEST(Tape, GatherFrontiersRejectsBadIndices) {
+  Tape tape;
+  const Value col = tape.leaf(Tensor(3, 1, 1.0));
+  const Value wide = tape.leaf(Tensor(3, 2, 1.0));
+  EXPECT_THROW(tape.gather_frontiers({col}, {0, 0}, {0}), std::runtime_error);
+  EXPECT_THROW(tape.gather_frontiers({col}, {1}, {0}), std::runtime_error);
+  EXPECT_THROW(tape.gather_frontiers({col}, {0}, {3}), std::runtime_error);
+  EXPECT_THROW(tape.gather_frontiers({wide}, {0}, {0}), std::runtime_error);
+}
+
+// Level-synchronous propagation shaped like the timing GNN's: each level
+// records a frontier that reads earlier frontiers (or +0.0) plus a term of
+// x, and a final assembly reads every frontier. Large enough that the
+// forward kernel splits into several pool chunks.
+Value frontier_chain(Tape& t, Value x) {
+  const std::size_t n = t.value(x).rows();
+  Rng rng(17);
+  std::vector<Value> fr{t.tanh_op(x)};
+  auto random_read = [&](std::size_t rows) {
+    std::vector<int> slots(rows), idx(rows, 0);
+    for (std::size_t k = 0; k < rows; ++k) {
+      slots[k] = static_cast<int>(rng.uniform_int(-1, static_cast<std::int64_t>(fr.size()) - 1));
+      if (slots[k] >= 0) {
+        const auto src_rows = t.value(fr[static_cast<std::size_t>(slots[k])]).rows();
+        idx[k] = static_cast<int>(rng.index(src_rows));
+      }
+    }
+    return t.gather_frontiers(fr, slots, idx);
+  };
+  for (int l = 1; l <= 4; ++l) {
+    const Value read = random_read(n);
+    fr.push_back(t.tanh_op(t.add(read, t.scale(x, 0.1 * l))));
+  }
+  const Value out = random_read(n + n / 2);
+  return t.sum_all(t.mul(out, out));
+}
+
+Tensor chain_input(double shift) {
+  Rng rng(23);
+  Tensor x(20000, 1);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.normal() + shift;
+  return x;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Tape, GatherFrontiersReplayBitIdenticalToEagerAcrossWidths) {
+  for (std::size_t width : {1u, 4u}) {
+    set_parallel_threads(width);
+    TapeProgram program;
+    const Value px = program.tape().leaf(chain_input(0.0), true);
+    const Value proot = frontier_chain(program.tape(), px);
+    program.finalize(proot, {px}, {px});
+    for (double shift : {0.0, 0.25, -0.5}) {
+      Tape eager;
+      const Value ex = eager.leaf(chain_input(shift), true);
+      const Value eroot = frontier_chain(eager, ex);
+      eager.backward(eroot);
+      program.set_leaf(px, chain_input(shift));
+      program.replay_forward();
+      program.replay_backward();
+      EXPECT_TRUE(same_bits(program.value(proot), eager.value(eroot)))
+          << "width " << width << " shift " << shift;
+      EXPECT_TRUE(same_bits(program.grad(px), eager.grad(ex)))
+          << "width " << width << " shift " << shift;
+    }
+  }
+  set_parallel_threads(0);
+}
+
+TEST(Tape, GatherFrontiersWarmReplayDoesNotAllocate) {
+  TapeProgram program;
+  const Value px = program.tape().leaf(chain_input(0.0), true);
+  const Value proot = frontier_chain(program.tape(), px);
+  program.finalize(proot, {px}, {px});
+  program.set_leaf(px, chain_input(0.1));
+  program.replay_forward();
+  program.replay_backward();
+  const std::uint64_t warm = program.allocation_count();
+  for (int step = 0; step < 3; ++step) {
+    program.set_leaf(px, chain_input(0.2 * step));
+    program.replay_forward();
+    program.replay_backward();
+    EXPECT_EQ(program.allocation_count(), warm) << "step " << step;
+  }
 }
 
 TEST(TapeGrad, ComposedMlpBlock) {

@@ -11,6 +11,7 @@
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
 #include "steiner/rsmt.hpp"
+#include "tsteiner/gradient.hpp"
 
 namespace tsteiner {
 namespace {
@@ -224,6 +225,45 @@ TEST(Model, DeterministicForward) {
   const Tensor a = run();
   const Tensor b = run();
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
+}
+
+// The evaluator's tape must grow linearly with the design: each propagation
+// level records only its frontier, so deeper netlists (they deepen as they
+// grow) must not multiply the per-level cost by the pin count.
+TEST(Model, TapeGrowsLinearlyWithDesignSize) {
+  auto record = [](int comb) {
+    GeneratorParams p;
+    p.num_comb_cells = comb;
+    p.num_registers = comb / 8;
+    p.num_primary_inputs = 8;
+    p.num_primary_outputs = 8;
+    p.seed = 91;
+    Design design = generate_design(lib(), p);
+    place_design(design);
+    const SteinerForest forest = build_forest(design);
+    design.set_clock_period(1.0);
+    const auto cache = build_graph_cache(design, forest);
+    const TimingGnn model(GnnConfig{}, lib().num_types());
+    const GradientEvaluator ev(model, *cache, design, forest.gather_x(), forest.gather_y(),
+                               PenaltyWeights{});
+
+    // Only the final assembly of the arrival tensor spans every pin.
+    Tape tape;
+    const auto bound = model.bind(tape);
+    const Value xs = tape.leaf(Tensor::column(forest.gather_x()));
+    const Value ys = tape.leaf(Tensor::column(forest.gather_y()));
+    const Value arrival = model.forward(tape, *cache, bound, xs, ys);
+    for (std::size_t i = 0; i < tape.num_nodes(); ++i) {
+      if (static_cast<int>(i) == arrival.id) continue;
+      EXPECT_NE(tape.value(Value{static_cast<int>(i)}).rows(), design.pins().size())
+          << "node " << i << " of " << tape.num_nodes() << " at " << comb << " cells";
+    }
+    return ev.program().stats().value_doubles;
+  };
+  const std::size_t small = record(500);
+  const std::size_t large = record(2000);
+  EXPECT_LE(static_cast<double>(large), 5.0 * static_cast<double>(small))
+      << small << " -> " << large << " value doubles for 4x the cells";
 }
 
 TEST(GraphCache, NetArcsGroupedByDriverLevel) {
