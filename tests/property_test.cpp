@@ -66,10 +66,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RsmtProperty,
 // ---------------------------------------------------------------------------
 // STA invariants over generated designs.
 // ---------------------------------------------------------------------------
+// ctest names each case after gtest's print of it, which for these structs is
+// their raw bytes. Every byte is therefore a declared member: `name_tag` takes
+// the place of the padding, whose contents would otherwise change from run to
+// run, and holds the bytes under which each case has always been listed.
 struct StaCase {
   std::uint64_t seed;
   int cells;
+  std::uint32_t name_tag;
 };
+static_assert(sizeof(StaCase) == 16, "StaCase must have no padding");
 
 class StaProperty : public ::testing::TestWithParam<StaCase> {};
 
@@ -119,9 +125,12 @@ TEST_P(StaProperty, TimingInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, StaProperty,
-                         ::testing::Values(StaCase{11, 80}, StaCase{12, 150},
-                                           StaCase{13, 300}, StaCase{14, 500},
-                                           StaCase{15, 150}, StaCase{16, 300}));
+                         ::testing::Values(StaCase{11, 80, 0xFFFFFFFFu},
+                                           StaCase{12, 150, 0xCC47B133u},
+                                           StaCase{13, 300, 0xFFFFFFFFu},
+                                           StaCase{14, 500, 0x000055D9u},
+                                           StaCase{15, 150, 0x000055D9u},
+                                           StaCase{16, 300, 0x00007FF9u}));
 
 // ---------------------------------------------------------------------------
 // Global-router conservation over seeds.
@@ -206,10 +215,13 @@ INSTANTIATE_TEST_SUITE_P(Radii, DisturbProperty, ::testing::Values(0.5, 2.0, 8.0
 // ---------------------------------------------------------------------------
 // Flow end-to-end: metrics sane across seeds and with/without edge shifting.
 // ---------------------------------------------------------------------------
+// `name_tag` fills the padding for a stable ctest name; see StaCase.
 struct FlowCase {
   std::uint64_t seed;
   bool edge_shift;
+  unsigned char name_tag[7];
 };
+static_assert(sizeof(FlowCase) == 16, "FlowCase must have no padding");
 
 class FlowProperty : public ::testing::TestWithParam<FlowCase> {};
 
@@ -236,9 +248,12 @@ TEST_P(FlowProperty, SignoffMetricsSane) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, FlowProperty,
-                         ::testing::Values(FlowCase{201, true}, FlowCase{202, true},
-                                           FlowCase{203, false}, FlowCase{204, false},
-                                           FlowCase{205, true}));
+                         ::testing::Values(
+                             FlowCase{201, true, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
+                             FlowCase{202, true, {0xF5, 0xF1, 0x03, 0x33, 0xB1, 0x47, 0xCC}},
+                             FlowCase{203, false, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}},
+                             FlowCase{204, false, {0xA5, 0xC3, 0x50, 0xD9, 0x55, 0x00, 0x00}},
+                             FlowCase{205, true, {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}}));
 
 }  // namespace
 }  // namespace tsteiner
