@@ -1,14 +1,15 @@
 #include "route/global_router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 
 namespace tsteiner {
 
@@ -72,114 +73,39 @@ std::vector<GCell> pattern_path(GCell a, GCell b) {
   return path;
 }
 
-void rip_up(GridGraph& grid, const std::vector<GCell>& path) {
+/// Add `delta` wires along an already-known path. Usage counts are integers,
+/// so ripping (-1) and committing (+1) the same path are exact inverses.
+void add_usage(GridGraph& grid, const std::vector<GCell>& path, double delta) {
   for (std::size_t i = 1; i < path.size(); ++i) {
     const GCell& p = path[i - 1];
     const GCell& q = path[i];
     if (p.y == q.y) {
-      grid.add_h_usage(std::min(p.x, q.x), p.y, -1.0);
+      grid.add_h_usage(std::min(p.x, q.x), p.y, delta);
     } else {
-      grid.add_v_usage(p.x, std::min(p.y, q.y), -1.0);
+      grid.add_v_usage(p.x, std::min(p.y, q.y), delta);
     }
   }
 }
 
-/// Commit an already-known path's usage (the exact inverse of rip_up, and
-/// bit-identical to the commits pattern_route / maze_route would perform
-/// while producing the same path).
-void apply_usage(GridGraph& grid, const std::vector<GCell>& path) {
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    const GCell& p = path[i - 1];
-    const GCell& q = path[i];
-    if (p.y == q.y) {
-      grid.add_h_usage(std::min(p.x, q.x), p.y, 1.0);
-    } else {
-      grid.add_v_usage(p.x, std::min(p.y, q.y), 1.0);
-    }
-  }
+/// prev_ / heap position sentinel; no cell id reaches it (fit_kernel).
+constexpr std::uint32_t kNoCell = std::numeric_limits<std::uint32_t>::max();
+
+using HeapKey = unsigned __int128;
+
+/// Heap key of (dist, cell): the distance's bits mapped to an unsigned
+/// integer of the same order, above the cell id, so one integer compare
+/// orders entries by distance and breaks ties by row-major cell order. The
+/// map is monotone for every distance a search stores: finite or +inf, never
+/// NaN (a NaN never passes the relax test) and never -0.0 (a sum starting
+/// from +0.0 cannot round to it).
+HeapKey heap_key(double dist, std::uint32_t cell) {
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(dist);
+  bits ^= (bits >> 63) != 0 ? ~std::uint64_t{0} : std::uint64_t{1} << 63;
+  return static_cast<HeapKey>(bits) << 32 | cell;
 }
 
-/// Dijkstra maze route within a window; commits usage. Falls back to the
-/// pattern route if the window somehow excludes a path (cannot happen for a
-/// bbox window, kept for safety).
-std::vector<GCell> maze_route(GridGraph& grid, GCell a, GCell b, int margin) {
-  if (a == b) return {a};
-  const int x_lo = std::max(0, std::min(a.x, b.x) - margin);
-  const int x_hi = std::min(grid.nx() - 1, std::max(a.x, b.x) + margin);
-  const int y_lo = std::max(0, std::min(a.y, b.y) - margin);
-  const int y_hi = std::min(grid.ny() - 1, std::max(a.y, b.y) + margin);
-  const int w = x_hi - x_lo + 1;
-  const int h = y_hi - y_lo + 1;
-  const auto idx = [&](int x, int y) {
-    return static_cast<std::size_t>(y - y_lo) * static_cast<std::size_t>(w) +
-           static_cast<std::size_t>(x - x_lo);
-  };
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(w) * static_cast<std::size_t>(h), kInf);
-  std::vector<int> prev(dist.size(), -1);
-  using QE = std::pair<double, std::size_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  dist[idx(a.x, a.y)] = 0.0;
-  pq.push({0.0, idx(a.x, a.y)});
-  const std::size_t target = idx(b.x, b.y);
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == target) break;
-    const int ux = x_lo + static_cast<int>(u % static_cast<std::size_t>(w));
-    const int uy = y_lo + static_cast<int>(u / static_cast<std::size_t>(w));
-    const auto relax = [&](int vx, int vy, double edge_cost) {
-      const std::size_t v = idx(vx, vy);
-      if (dist[u] + edge_cost < dist[v]) {
-        dist[v] = dist[u] + edge_cost;
-        prev[v] = static_cast<int>(u);
-        pq.push({dist[v], v});
-      }
-    };
-    if (ux > x_lo) {
-      relax(ux - 1, uy,
-            1.0 + edge_penalty(grid.h_usage(ux - 1, uy), grid.h_capacity(),
-                               grid.h_history(ux - 1, uy)));
-    }
-    if (ux < x_hi) {
-      relax(ux + 1, uy,
-            1.0 + edge_penalty(grid.h_usage(ux, uy), grid.h_capacity(),
-                               grid.h_history(ux, uy)));
-    }
-    if (uy > y_lo) {
-      relax(ux, uy - 1,
-            1.0 + edge_penalty(grid.v_usage(ux, uy - 1), grid.v_capacity(),
-                               grid.v_history(ux, uy - 1)));
-    }
-    if (uy < y_hi) {
-      relax(ux, uy + 1,
-            1.0 + edge_penalty(grid.v_usage(ux, uy), grid.v_capacity(),
-                               grid.v_history(ux, uy)));
-    }
-  }
-  if (dist[target] == kInf) {
-    std::vector<GCell> fallback = pattern_path(a, b);
-    apply_usage(grid, fallback);
-    return fallback;
-  }
-  // Reconstruct, then commit.
-  std::vector<GCell> rev;
-  for (int v = static_cast<int>(target); v != -1; v = prev[static_cast<std::size_t>(v)]) {
-    rev.push_back({x_lo + static_cast<int>(static_cast<std::size_t>(v) % static_cast<std::size_t>(w)),
-                   y_lo + static_cast<int>(static_cast<std::size_t>(v) / static_cast<std::size_t>(w))});
-  }
-  std::reverse(rev.begin(), rev.end());
-  for (std::size_t i = 1; i < rev.size(); ++i) {
-    const GCell& p = rev[i - 1];
-    const GCell& q = rev[i];
-    if (p.y == q.y) {
-      grid.add_h_usage(std::min(p.x, q.x), p.y, 1.0);
-    } else {
-      grid.add_v_usage(p.x, std::min(p.y, q.y), 1.0);
-    }
-  }
-  return rev;
+std::uint32_t key_cell(HeapKey key) {
+  return static_cast<std::uint32_t>(key);
 }
 
 double p90(std::vector<double> xs) {
@@ -287,7 +213,182 @@ class FieldDelta {
 }  // namespace
 
 GlobalRouterState::GlobalRouterState(const Design* design, const RouterOptions& options)
-    : design_(design), options_(options) {}
+    : design_(design), options_(options) {
+  const auto bad = [](const char* what) {
+    throw std::invalid_argument(std::string("RouterOptions: ") + what);
+  };
+  if (options.maze_margin < 0) bad("maze_margin must be >= 0");
+  if (options.rrr_iterations < 0) bad("rrr_iterations must be >= 0");
+  if (!(options.capacity_factor > 0.0) || !std::isfinite(options.capacity_factor)) {
+    bad("capacity_factor must be positive and finite");
+  }
+  if (!(options.min_capacity > 0.0) || !std::isfinite(options.min_capacity)) {
+    bad("min_capacity must be positive and finite");
+  }
+  if (!std::isfinite(options.history_increment)) bad("history_increment must be finite");
+}
+
+void GlobalRouterState::fit_kernel() {
+  const GridGraph& grid = result_.grid;
+  shift_ = std::bit_width(static_cast<unsigned>(grid.nx() - 1));
+  const std::size_t cells = static_cast<std::size_t>(grid.ny()) << shift_;
+  if (cells >= kNoCell) throw std::length_error("global router: gcell grid too large");
+  if (cell_.size() == cells) return;
+  h_cost_.assign(cells, 0.0);
+  v_cost_.assign(cells, 0.0);
+  cell_.assign(cells, MazeCell{});
+  prev_.assign(cells, 0);
+  gen_ = 0;
+}
+
+void GlobalRouterState::refresh_h_cost(int x, int y) {
+  const GridGraph& grid = result_.grid;
+  h_cost_[static_cast<std::size_t>(y) << shift_ | static_cast<std::size_t>(x)] =
+      1.0 + edge_penalty(grid.h_usage(x, y), grid.h_capacity(), grid.h_history(x, y));
+}
+
+void GlobalRouterState::refresh_v_cost(int x, int y) {
+  const GridGraph& grid = result_.grid;
+  v_cost_[static_cast<std::size_t>(y) << shift_ | static_cast<std::size_t>(x)] =
+      1.0 + edge_penalty(grid.v_usage(x, y), grid.v_capacity(), grid.v_history(x, y));
+}
+
+void GlobalRouterState::rebuild_step_costs() {
+  const GridGraph& grid = result_.grid;
+  for (int y = 0; y < grid.ny(); ++y) {
+    for (int x = 0; x + 1 < grid.nx(); ++x) refresh_h_cost(x, y);
+    if (y + 1 < grid.ny()) {
+      for (int x = 0; x < grid.nx(); ++x) refresh_v_cost(x, y);
+    }
+  }
+}
+
+void GlobalRouterState::commit_usage(const std::vector<GCell>& path, double delta) {
+  GridGraph& grid = result_.grid;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    const GCell& p = path[i - 1];
+    const GCell& q = path[i];
+    if (p.y == q.y) {
+      const int x = std::min(p.x, q.x);
+      grid.add_h_usage(x, p.y, delta);
+      refresh_h_cost(x, p.y);
+    } else {
+      const int y = std::min(p.y, q.y);
+      grid.add_v_usage(p.x, y, delta);
+      refresh_v_cost(p.x, y);
+    }
+  }
+}
+
+GlobalRouterState::Window GlobalRouterState::maze_window(GCell a, GCell b) const {
+  // 64-bit so a huge margin saturates at the die instead of overflowing.
+  const long long m = options_.maze_margin;
+  const GridGraph& grid = result_.grid;
+  return {static_cast<int>(std::max(0LL, std::min(a.x, b.x) - m)),
+          static_cast<int>(std::max(0LL, std::min(a.y, b.y) - m)),
+          static_cast<int>(std::min<long long>(grid.nx() - 1, std::max(a.x, b.x) + m)),
+          static_cast<int>(std::min<long long>(grid.ny() - 1, std::max(a.y, b.y) + m))};
+}
+
+void GlobalRouterState::heap_sift_up(std::size_t pos) {
+  const HeapKey key = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    const HeapKey pk = heap_[parent];
+    if (!(key < pk)) break;
+    heap_[pos] = pk;
+    cell_[key_cell(pk)].heap_pos = static_cast<std::uint32_t>(pos);
+    pos = parent;
+  }
+  heap_[pos] = key;
+  cell_[key_cell(key)].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+void GlobalRouterState::heap_sift_down(std::size_t pos) {
+  const std::size_t n = heap_.size();
+  const HeapKey key = heap_[pos];
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    HeapKey ck = heap_[child];
+    if (child + 1 < n && heap_[child + 1] < ck) ck = heap_[++child];
+    if (!(ck < key)) break;
+    heap_[pos] = ck;
+    cell_[key_cell(ck)].heap_pos = static_cast<std::uint32_t>(pos);
+    pos = child;
+  }
+  heap_[pos] = key;
+  cell_[key_cell(key)].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+std::vector<GCell> GlobalRouterState::maze_route(GCell a, GCell b, long long& expansions) {
+  if (a == b) return {a};
+  const Window win = maze_window(a, b);
+  const std::uint32_t mask = (1U << shift_) - 1U;
+  const std::uint32_t stride = 1U << shift_;
+  const auto id = [&](GCell g) {
+    return static_cast<std::uint32_t>(g.y) << shift_ | static_cast<std::uint32_t>(g.x);
+  };
+  if (++gen_ == 0) {  // stamps wrapped: forget every old search once
+    for (MazeCell& c : cell_) c.stamp = 0;
+    gen_ = 1;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Relax v through u only on a strict improvement; a cell not in the heap
+  // (never reached, or already popped) is pushed, otherwise its key drops.
+  const auto relax = [&](std::uint32_t u, double du, std::uint32_t v, double step) {
+    MazeCell& c = cell_[v];
+    if (c.stamp != gen_) c = {kInf, gen_, kNoCell};
+    const double nd = du + step;
+    if (!(nd < c.dist)) return;
+    c.dist = nd;
+    prev_[v] = u;
+    if (c.heap_pos == kNoCell) {
+      heap_.push_back(heap_key(nd, v));
+      heap_sift_up(heap_.size() - 1);
+    } else {
+      heap_[c.heap_pos] = heap_key(nd, v);
+      heap_sift_up(c.heap_pos);
+    }
+  };
+  const std::uint32_t source = id(a);
+  const std::uint32_t target = id(b);
+  heap_.clear();
+  cell_[source] = {0.0, gen_, 0};
+  prev_[source] = kNoCell;
+  heap_.push_back(heap_key(0.0, source));
+  while (!heap_.empty()) {
+    const std::uint32_t u = key_cell(heap_.front());
+    cell_[u].heap_pos = kNoCell;
+    const HeapKey last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      heap_.front() = last;
+      heap_sift_down(0);
+    }
+    ++expansions;
+    if (u == target) break;
+    const double du = cell_[u].dist;
+    const int ux = static_cast<int>(u & mask);
+    const int uy = static_cast<int>(u >> shift_);
+    if (ux > win.x_lo) relax(u, du, u - 1, h_cost_[u - 1]);
+    if (ux < win.x_hi) relax(u, du, u + 1, h_cost_[u]);
+    if (uy > win.y_lo) relax(u, du, u - stride, v_cost_[u - stride]);
+    if (uy < win.y_hi) relax(u, du, u + stride, v_cost_[u]);
+  }
+  std::vector<GCell> path;
+  if (cell_[target].stamp != gen_ || cell_[target].dist == kInf) {
+    // Unreachable inside a bbox window only with non-finite costs.
+    path = pattern_path(a, b);
+  } else {
+    for (std::uint32_t v = target; v != kNoCell; v = prev_[v]) {
+      path.push_back({static_cast<int>(v & mask), static_cast<int>(v >> shift_)});
+    }
+    std::reverse(path.begin(), path.end());
+  }
+  commit_usage(path, 1.0);
+  return path;
+}
 
 void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>* tree_dirty) {
   TS_TRACE_SPAN_CAT("route.global", "route");
@@ -296,6 +397,7 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   static obs::Counter& m_rrr_rounds = obs::metrics().counter("route.rrr_rounds");
   static obs::Counter& m_replays = obs::metrics().counter("route.incremental_replays");
   static obs::Counter& m_mazes_reused = obs::metrics().counter("route.reused_mazes");
+  static obs::Counter& m_expansions = obs::metrics().counter("route.maze_expansions");
   static obs::Gauge& m_overflow = obs::metrics().gauge("route.total_overflow");
   const bool replay = tree_dirty != nullptr;
   if (replay) {
@@ -338,73 +440,76 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   std::vector<const std::vector<GCell>*> prev_final;
   std::vector<std::pair<std::size_t, std::vector<GCell>>> new_bases;
 
-  if (!replay) {
-    // Initial pattern routing of every tree edge, from a zeroed grid.
-    next.endpoints.resize(n);
-    next.base_paths.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      RoutedConnection& conn = result_.connections[i];
-      const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
-      const SteinerEdge& edge = tree.edges[static_cast<std::size_t>(conn.edge)];
-      next.endpoints[i] = {grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.a)].pos),
-                           grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.b)].pos)};
-      conn.path = pattern_path(next.endpoints[i].first, next.endpoints[i].second);
-      apply_usage(grid, conn.path);
-      next.base_paths[i] = conn.path;
-    }
-  } else {
-    // Patch, don't rebuild: the grid still holds the previous run's final
-    // state. Usage entries are integer wire counts (exact in a double), so
-    // ripping a previous path and committing a new one lands on the exact
-    // value a fresh pattern pass would compute, in any order. Three patches
-    // restore the exact post-pattern state of this run:
-    //   1. history back to all-zero (only the fresh-start value matters —
-    //      rounds recharge it honestly below);
-    //   2. every previously-mazed connection back from its negotiated final
-    //      path to its base path;
-    //   3. every connection whose gcell endpoints moved from its old base
-    //      to the new pattern path — the only connections that diverge from
-    //      the previous run, so only they seed the field delta.
-    // Untouched connections already hold their base path (their final path
-    // IS the base when no maze op rerouted them), so the whole pattern
-    // phase costs O(dirty + previously-mazed), not O(n).
-    delta.init(grid.nx(), grid.ny());
-    grid.clear_history();
-    prev_final.assign(n, nullptr);
-    for (const std::vector<MazeOp>& round : cache_.rounds) {
-      for (const MazeOp& op : round) {
-        prev_final[static_cast<std::size_t>(op.conn)] = &op.after;
-      }
-    }
-    touched.assign(n, 0);
-    next.endpoints = std::move(cache_.endpoints);
-    for (std::size_t i = 0; i < n; ++i) {
-      RoutedConnection& conn = result_.connections[i];
-      const std::vector<GCell>* pf = prev_final[i];
-      bool ep_changed = false;
-      if ((*tree_dirty)[static_cast<std::size_t>(conn.tree)]) {
+  {
+    TS_TRACE_SPAN_CAT("route.pattern", "route");
+    if (!replay) {
+      // Initial pattern routing of every tree edge, from a zeroed grid.
+      next.endpoints.resize(n);
+      next.base_paths.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        RoutedConnection& conn = result_.connections[i];
         const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
         const SteinerEdge& edge = tree.edges[static_cast<std::size_t>(conn.edge)];
-        const std::pair<GCell, GCell> ep = {
-            grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.a)].pos),
-            grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.b)].pos)};
-        ep_changed = !(ep == next.endpoints[i]);
-        next.endpoints[i] = ep;
+        next.endpoints[i] = {grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.a)].pos),
+                             grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.b)].pos)};
+        conn.path = pattern_path(next.endpoints[i].first, next.endpoints[i].second);
+        add_usage(grid, conn.path, 1.0);
+        next.base_paths[i] = conn.path;
       }
-      if (ep_changed) {
-        std::vector<GCell> base = pattern_path(next.endpoints[i].first, next.endpoints[i].second);
-        delta.add_path_usage(base, +1);
-        delta.add_path_usage(cache_.base_paths[i], -1);
-        rip_up(grid, pf != nullptr ? *pf : cache_.base_paths[i]);
-        apply_usage(grid, base);
-        conn.path = base;
-        new_bases.emplace_back(i, std::move(base));
-        touched[i] = 1;
-      } else if (pf != nullptr) {
-        rip_up(grid, *pf);
-        apply_usage(grid, cache_.base_paths[i]);
-        conn.path = cache_.base_paths[i];
-        touched[i] = 1;
+    } else {
+      // Patch, don't rebuild: the grid still holds the previous run's final
+      // state. Usage entries are integer wire counts (exact in a double), so
+      // ripping a previous path and committing a new one lands on the exact
+      // value a fresh pattern pass would compute, in any order. Three patches
+      // restore the exact post-pattern state of this run:
+      //   1. history back to all-zero (only the fresh-start value matters —
+      //      rounds recharge it honestly below);
+      //   2. every previously-mazed connection back from its negotiated final
+      //      path to its base path;
+      //   3. every connection whose gcell endpoints moved from its old base
+      //      to the new pattern path — the only connections that diverge from
+      //      the previous run, so only they seed the field delta.
+      // Untouched connections already hold their base path (their final path
+      // IS the base when no maze op rerouted them), so the whole pattern
+      // phase costs O(dirty + previously-mazed), not O(n).
+      delta.init(grid.nx(), grid.ny());
+      grid.clear_history();
+      prev_final.assign(n, nullptr);
+      for (const std::vector<MazeOp>& round : cache_.rounds) {
+        for (const MazeOp& op : round) {
+          prev_final[static_cast<std::size_t>(op.conn)] = &op.after;
+        }
+      }
+      touched.assign(n, 0);
+      next.endpoints = std::move(cache_.endpoints);
+      for (std::size_t i = 0; i < n; ++i) {
+        RoutedConnection& conn = result_.connections[i];
+        const std::vector<GCell>* pf = prev_final[i];
+        bool ep_changed = false;
+        if ((*tree_dirty)[static_cast<std::size_t>(conn.tree)]) {
+          const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
+          const SteinerEdge& edge = tree.edges[static_cast<std::size_t>(conn.edge)];
+          const std::pair<GCell, GCell> ep = {
+              grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.a)].pos),
+              grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.b)].pos)};
+          ep_changed = !(ep == next.endpoints[i]);
+          next.endpoints[i] = ep;
+        }
+        if (ep_changed) {
+          std::vector<GCell> base = pattern_path(next.endpoints[i].first, next.endpoints[i].second);
+          delta.add_path_usage(base, +1);
+          delta.add_path_usage(cache_.base_paths[i], -1);
+          add_usage(grid, pf != nullptr ? *pf : cache_.base_paths[i], -1.0);
+          add_usage(grid, base, 1.0);
+          conn.path = base;
+          new_bases.emplace_back(i, std::move(base));
+          touched[i] = 1;
+        } else if (pf != nullptr) {
+          add_usage(grid, *pf, -1.0);
+          add_usage(grid, cache_.base_paths[i], 1.0);
+          conn.path = cache_.base_paths[i];
+          touched[i] = 1;
+        }
       }
     }
   }
@@ -413,30 +518,10 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   if (options_.fixed_h_cap > 0.0 && options_.fixed_v_cap > 0.0) {
     grid.set_capacities(options_.fixed_h_cap, options_.fixed_v_cap);
   } else {
-    // Row-parallel usage snapshots (indexed writes, read-only grid).
-    const std::size_t h_per_row = static_cast<std::size_t>(std::max(0, grid.nx() - 1));
-    const std::size_t v_per_row = static_cast<std::size_t>(grid.nx());
-    std::vector<double> hu(static_cast<std::size_t>(grid.ny()) * h_per_row);
-    std::vector<double> vu(static_cast<std::size_t>(std::max(0, grid.ny() - 1)) * v_per_row);
-    parallel_for(0, static_cast<std::size_t>(grid.ny()), 4, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t y = lo; y < hi; ++y) {
-        for (int x = 0; x + 1 < grid.nx(); ++x) {
-          hu[y * h_per_row + static_cast<std::size_t>(x)] =
-              grid.h_usage(x, static_cast<int>(y));
-        }
-      }
-    });
-    parallel_for(0, static_cast<std::size_t>(std::max(0, grid.ny() - 1)), 4,
-                 [&](std::size_t lo, std::size_t hi) {
-                   for (std::size_t y = lo; y < hi; ++y) {
-                     for (int x = 0; x < grid.nx(); ++x) {
-                       vu[y * v_per_row + static_cast<std::size_t>(x)] =
-                           grid.v_usage(x, static_cast<int>(y));
-                     }
-                   }
-                 });
-    const double h_cap = std::max(options_.min_capacity, options_.capacity_factor * p90(hu));
-    const double v_cap = std::max(options_.min_capacity, options_.capacity_factor * p90(vu));
+    const double h_cap =
+        std::max(options_.min_capacity, options_.capacity_factor * p90(grid.h_usages()));
+    const double v_cap =
+        std::max(options_.min_capacity, options_.capacity_factor * p90(grid.v_usages()));
     grid.set_capacities(h_cap, v_cap);
   }
   result_.calibrated_h_cap = grid.h_capacity();
@@ -451,74 +536,61 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   last_reused_mazes_ = 0;
   for (int round = 0; round < options_.rrr_iterations; ++round) {
     if (grid.total_overflow() <= 0.0) break;
+    TS_TRACE_SPAN_CAT("route.rrr_round", "route");
     ++result_.rrr_rounds_used;
-    // Add history on overflowed edges: rows are disjoint, so row-parallel
-    // writes touch distinct grid cells. The replay's serial variant also
-    // settles the history charge-count delta — the previous run charged an
-    // edge exactly when its usage (current usage minus the usage delta)
-    // exceeded the same capacity, so both charge decisions come out of one
-    // pass without storing the previous run's grid.
-    if (!replay) {
-      parallel_for(0, static_cast<std::size_t>(grid.ny()), 4, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t yy = lo; yy < hi; ++yy) {
-          const int y = static_cast<int>(yy);
-          for (int x = 0; x + 1 < grid.nx(); ++x) {
-            if (grid.h_usage(x, y) > grid.h_capacity()) {
-              grid.add_h_history(x, y, options_.history_increment);
-            }
-          }
-          if (y + 1 < grid.ny()) {
-            for (int x = 0; x < grid.nx(); ++x) {
-              if (grid.v_usage(x, y) > grid.v_capacity()) {
-                grid.add_v_history(x, y, options_.history_increment);
-              }
-            }
-          }
+    if (round == 0) {
+      // Only mazes read the step-cost field, so a route that never
+      // negotiates neither sizes nor builds it.
+      fit_kernel();
+      rebuild_step_costs();
+    }
+    // Add history on overflowed edges and refresh their step costs. A replay
+    // also settles the history charge-count delta here: the previous run
+    // charged an edge exactly when its usage (current usage minus the usage
+    // delta) exceeded the same capacity, so both charge decisions come out
+    // of one pass without storing the previous run's grid.
+    for (int y = 0; y < grid.ny(); ++y) {
+      for (int x = 0; x + 1 < grid.nx(); ++x) {
+        const double u = grid.h_usage(x, y);
+        const bool charge = u > grid.h_capacity();
+        if (charge) {
+          grid.add_h_history(x, y, options_.history_increment);
+          refresh_h_cost(x, y);
         }
-      });
-    } else {
-      for (int y = 0; y < grid.ny(); ++y) {
-        for (int x = 0; x + 1 < grid.nx(); ++x) {
-          const double u = grid.h_usage(x, y);
-          const bool cur_charge = u > grid.h_capacity();
-          if (cur_charge) grid.add_h_history(x, y, options_.history_increment);
-          const bool prev_charge = u - delta.h_usage_delta(x, y) > grid.h_capacity();
-          if (cur_charge != prev_charge) delta.add_h_hist(x, y, cur_charge ? 1 : -1);
+        if (replay && charge != (u - delta.h_usage_delta(x, y) > grid.h_capacity())) {
+          delta.add_h_hist(x, y, charge ? 1 : -1);
         }
-        if (y + 1 < grid.ny()) {
-          for (int x = 0; x < grid.nx(); ++x) {
-            const double u = grid.v_usage(x, y);
-            const bool cur_charge = u > grid.v_capacity();
-            if (cur_charge) grid.add_v_history(x, y, options_.history_increment);
-            const bool prev_charge = u - delta.v_usage_delta(x, y) > grid.v_capacity();
-            if (cur_charge != prev_charge) delta.add_v_hist(x, y, cur_charge ? 1 : -1);
+      }
+      if (y + 1 < grid.ny()) {
+        for (int x = 0; x < grid.nx(); ++x) {
+          const double u = grid.v_usage(x, y);
+          const bool charge = u > grid.v_capacity();
+          if (charge) {
+            grid.add_v_history(x, y, options_.history_increment);
+            refresh_v_cost(x, y);
+          }
+          if (replay && charge != (u - delta.v_usage_delta(x, y) > grid.v_capacity())) {
+            delta.add_v_hist(x, y, charge ? 1 : -1);
           }
         }
       }
     }
-    // Collect connections through overflowed edges: parallel per-connection
-    // hit flags (read-only grid scan), then an in-order sweep so the victim
-    // list — and with it the reroute order — matches the serial router.
-    std::vector<char> hit_flags(result_.connections.size(), 0);
-    parallel_for(0, result_.connections.size(), 16, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t c = lo; c < hi; ++c) {
-        const auto& path = result_.connections[c].path;
-        bool hit = false;
-        for (std::size_t i = 1; i < path.size() && !hit; ++i) {
-          const GCell& p = path[i - 1];
-          const GCell& q = path[i];
-          if (p.y == q.y) {
-            hit = grid.h_usage(std::min(p.x, q.x), p.y) > grid.h_capacity();
-          } else {
-            hit = grid.v_usage(p.x, std::min(p.y, q.y)) > grid.v_capacity();
-          }
-        }
-        hit_flags[c] = hit ? 1 : 0;
-      }
-    });
+    // Victims: connections through an overflowed edge, in ascending order,
+    // which is also the reroute order.
     std::vector<int> victims;
     for (std::size_t c = 0; c < result_.connections.size(); ++c) {
-      if (hit_flags[c]) victims.push_back(static_cast<int>(c));
+      const std::vector<GCell>& path = result_.connections[c].path;
+      for (std::size_t i = 1; i < path.size(); ++i) {
+        const GCell& p = path[i - 1];
+        const GCell& q = path[i];
+        const bool over = p.y == q.y
+                              ? grid.h_usage(std::min(p.x, q.x), p.y) > grid.h_capacity()
+                              : grid.v_usage(p.x, std::min(p.y, q.y)) > grid.v_capacity();
+        if (over) {
+          victims.push_back(static_cast<int>(c));
+          break;
+        }
+      }
     }
     if (victims.empty()) break;
     m_ripups.add(victims.size());
@@ -537,6 +609,7 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
     // victim this time) still happened in the previous run — fold its rip +
     // commit into the field delta at exactly this point of the sequence.
     std::size_t pi = 0;
+    long long expansions = 0;
     const auto skip_cached_ops_below = [&](int c) {
       while (prev_round && pi < prev_round->size() && (*prev_round)[pi].conn < c) {
         const MazeOp& sk = (*prev_round)[pi];
@@ -561,29 +634,26 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
       op.conn = c;
       op.before = std::move(conn.path);
       const bool same_before = cached != nullptr && op.before == cached->before;
-      rip_up(grid, op.before);
+      commit_usage(op.before, -1.0);
       if (replay && !same_before) {
         delta.add_path_usage(op.before, -1);
         if (cached) delta.add_path_usage(cached->before, +1);
       }
       bool reuse = false;
       if (same_before && caps_match) {
-        const int x_lo = std::max(0, std::min(a.x, b.x) - options_.maze_margin);
-        const int x_hi = std::min(grid.nx() - 1, std::max(a.x, b.x) + options_.maze_margin);
-        const int y_lo = std::max(0, std::min(a.y, b.y) - options_.maze_margin);
-        const int y_hi = std::min(grid.ny() - 1, std::max(a.y, b.y) + options_.maze_margin);
-        reuse = delta.window_clean(x_lo, y_lo, x_hi, y_hi);
+        const Window win = maze_window(a, b);
+        reuse = delta.window_clean(win.x_lo, win.y_lo, win.x_hi, win.y_hi);
       }
       if (reuse) {
         // The maze is a pure function of the window's usage/history and the
         // endpoints; a clean window means it would reproduce the cached path
         // (and the rip/commit deltas cancel exactly).
         conn.path = cached->after;
-        apply_usage(grid, conn.path);
+        commit_usage(conn.path, 1.0);
         ++last_reused_mazes_;
         m_mazes_reused.add();
       } else {
-        conn.path = maze_route(grid, a, b, options_.maze_margin);
+        conn.path = maze_route(a, b, expansions);
         if (replay) {
           if (cached == nullptr || conn.path != cached->after) {
             delta.add_path_usage(conn.path, +1);
@@ -595,24 +665,23 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
       ops.push_back(std::move(op));
     }
     skip_cached_ops_below(std::numeric_limits<int>::max());
+    m_expansions.add(static_cast<std::uint64_t>(expansions));
     TS_DEBUG("GR round %d: %zu victims, overflow %.1f, reused %lld/%lld mazes", round,
              victims.size(), grid.total_overflow(), last_reused_mazes_, last_total_mazes_);
   }
 
-  // Final accounting: per-connection lengths in parallel, serial fold so the
-  // float sum matches the historical connection order bit for bit.
+  // Final accounting: per-connection lengths, folded in connection order so
+  // the float sum matches the historical order bit for bit.
   changed_conns_.clear();
   if (!replay) {
     conn_len_.assign(n, 0.0);
-    parallel_for(0, n, 32, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t c = lo; c < hi; ++c) {
-        const RoutedConnection& conn = result_.connections[c];
-        const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
-        const SteinerEdge& e = tree.edges[static_cast<std::size_t>(conn.edge)];
-        conn_len_[c] = conn.length_dbu(grid, tree.nodes[static_cast<std::size_t>(e.a)].pos,
-                                       tree.nodes[static_cast<std::size_t>(e.b)].pos);
-      }
-    });
+    for (std::size_t c = 0; c < n; ++c) {
+      const RoutedConnection& conn = result_.connections[c];
+      const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
+      const SteinerEdge& e = tree.edges[static_cast<std::size_t>(conn.edge)];
+      conn_len_[c] = conn.length_dbu(grid, tree.nodes[static_cast<std::size_t>(e.a)].pos,
+                                     tree.nodes[static_cast<std::size_t>(e.b)].pos);
+    }
   } else {
     // Only patched or this-run-mazed connections can differ from the
     // previous run's final path; everything else kept its path in place.

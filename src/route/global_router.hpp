@@ -8,6 +8,7 @@
 // TSteiner-refined forest is routed against identical resources.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "route/grid.hpp"
@@ -84,8 +85,21 @@ GlobalRouteResult global_route(const Design& design, const SteinerForest& forest
 /// connections in unflagged trees are reused from the cache, so an
 /// undeclared move is *not* healed — that property is what the
 /// `signoff-incremental` mutation self-check relies on.
+///
+/// Maze contract. Replay, the cache and every pinned result assume one exact
+/// search, so any maze kernel must keep all three of:
+///   - pops in (dist, cell) order, where cells order row-major, y then x
+///     (the kernel's cell id is y << shift | x);
+///   - relaxes a neighbour only on a strict improvement of its distance;
+///   - stops when the target is popped.
+/// Together these fix which of several equal-cost paths wins. Step costs are
+/// 1 + edge_penalty(usage, capacity, history) of the crossed edge, read from
+/// a per-edge field that mirrors the grid from the first negotiation round on.
 class GlobalRouterState {
  public:
+  /// Throws std::invalid_argument on options no route can use: a negative
+  /// maze margin or round count, a non-positive or non-finite capacity
+  /// factor or minimum capacity, or a non-finite history increment.
   GlobalRouterState(const Design* design, const RouterOptions& options);
 
   /// Full route of `forest`; rebuilds the replay cache from scratch.
@@ -124,7 +138,31 @@ class GlobalRouterState {
     std::vector<std::vector<MazeOp>> rounds;         ///< maze ops per RRR round
   };
 
+  struct MazeCell {
+    double dist = 0.0;
+    std::uint32_t stamp = 0;     ///< search generation that last wrote this cell
+    std::uint32_t heap_pos = 0;  ///< index into heap_, or none once popped
+  };
+  struct Window {
+    int x_lo, y_lo, x_hi, y_hi;
+  };
+
   void run(const SteinerForest& forest, const std::vector<char>* tree_dirty);
+  /// Size the maze buffers and the step-cost field to the grid.
+  void fit_kernel();
+  /// Recompute the whole step-cost field from the grid.
+  void rebuild_step_costs();
+  void refresh_h_cost(int x, int y);
+  void refresh_v_cost(int x, int y);
+  /// Add `delta` wires along `path` and refresh the step costs it crosses.
+  void commit_usage(const std::vector<GCell>& path, double delta);
+  /// The maze search window of connection a -> b.
+  Window maze_window(GCell a, GCell b) const;
+  /// Dijkstra maze route inside the window, honouring the maze contract;
+  /// commits usage. `expansions` counts heap pops.
+  std::vector<GCell> maze_route(GCell a, GCell b, long long& expansions);
+  void heap_sift_up(std::size_t pos);
+  void heap_sift_down(std::size_t pos);
 
   const Design* design_ = nullptr;
   RouterOptions options_;
@@ -135,6 +173,17 @@ class GlobalRouterState {
   long long last_reused_mazes_ = 0;
   long long last_total_mazes_ = 0;
   bool routed_ = false;
+
+  // Maze kernel state, reused by every search. A cell's id is
+  // y << shift_ | x; an edge's step cost sits at the id of its lower-left
+  // cell. A cell's MazeCell and prev_ entry hold only while its stamp equals
+  // gen_, so a new search starts by bumping gen_ instead of filling.
+  int shift_ = 0;
+  std::vector<double> h_cost_, v_cost_;
+  std::vector<MazeCell> cell_;
+  std::vector<std::uint32_t> prev_;
+  std::vector<unsigned __int128> heap_;  ///< (dist, cell) keys, see heap_key
+  std::uint32_t gen_ = 0;
 };
 
 }  // namespace tsteiner

@@ -1,7 +1,6 @@
 #include "route/grid.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -38,7 +37,9 @@ PointI GridGraph::gcell_center(GCell g) const {
 }
 
 void GridGraph::set_capacities(double h_cap, double v_cap) {
-  assert(h_cap > 0.0 && v_cap > 0.0);
+  if (!(h_cap > 0.0 && v_cap > 0.0) || !std::isfinite(h_cap) || !std::isfinite(v_cap)) {
+    throw std::invalid_argument("GridGraph::set_capacities: capacities must be positive and finite");
+  }
   h_cap_ = h_cap;
   v_cap_ = v_cap;
 }

@@ -54,6 +54,9 @@ class GridGraph {
   std::size_t num_h_edges() const { return h_usage_.size(); }
   std::size_t num_v_edges() const { return v_usage_.size(); }
 
+  /// Usage of every horizontal / vertical edge, in h_index / v_index order.
+  const std::vector<double>& h_usages() const { return h_usage_; }
+  const std::vector<double>& v_usages() const { return v_usage_; }
   double h_usage(int x, int y) const { return h_usage_[h_index(x, y)]; }
   double v_usage(int x, int y) const { return v_usage_[v_index(x, y)]; }
   double h_capacity() const { return h_cap_; }
@@ -72,6 +75,7 @@ class GridGraph {
   void set_v_history(int x, int y, double value) { v_hist_[v_index(x, y)] = value; }
 
   /// Set uniform capacities (resource calibration happens in the router).
+  /// Throws std::invalid_argument unless both are positive and finite.
   void set_capacities(double h_cap, double v_cap);
 
   void clear_usage();

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
 #include "route/global_router.hpp"
@@ -51,6 +58,16 @@ TEST(GridGraph, CongestionBetweenAdjacent) {
   EXPECT_DOUBLE_EQ(g.congestion_between({2, 2}, {1, 2}), 0.5);
   EXPECT_DOUBLE_EQ(g.congestion_between({1, 2}, {1, 2}), 0.0);
   EXPECT_THROW(g.congestion_between({0, 0}, {2, 2}), std::runtime_error);
+}
+
+TEST(GridGraph, SetCapacitiesRejectsNonPositiveOrNonFinite) {
+  GridGraph g({{0, 0}, {40, 40}}, 8);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(g.set_capacities(bad, 4.0), std::invalid_argument) << bad;
+    EXPECT_THROW(g.set_capacities(4.0, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(g.set_capacities(4.0, 4.0));
 }
 
 struct RoutedDesign {
@@ -199,6 +216,117 @@ TEST(GlobalRouter, HistoryAccumulatesOnOverflow) {
   }
   EXPECT_GT(hist, 0.0) << "negotiation must have charged history on hotspots";
   EXPECT_GT(rd.gr.rrr_rounds_used, 0);
+}
+
+TEST(GlobalRouter, RejectsInvalidOptions) {
+  const RoutedDesign rd = route_small(40);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  // A negative margin once made the maze window smaller than the
+  // connection's bbox, and the maze wrote out of bounds.
+  const std::vector<std::pair<const char*, void (*)(RouterOptions&)>> cases = {
+      {"negative maze_margin", [](RouterOptions& o) { o.maze_margin = -1; }},
+      {"negative rrr_iterations", [](RouterOptions& o) { o.rrr_iterations = -1; }},
+      {"zero capacity_factor", [](RouterOptions& o) { o.capacity_factor = 0.0; }},
+      {"negative capacity_factor", [](RouterOptions& o) { o.capacity_factor = -0.5; }},
+      {"infinite capacity_factor", [](RouterOptions& o) { o.capacity_factor = kInf; }},
+      {"NaN capacity_factor", [](RouterOptions& o) { o.capacity_factor = kNan; }},
+      {"zero min_capacity", [](RouterOptions& o) { o.min_capacity = 0.0; }},
+      {"infinite min_capacity", [](RouterOptions& o) { o.min_capacity = kInf; }},
+      {"NaN min_capacity", [](RouterOptions& o) { o.min_capacity = kNan; }},
+      {"infinite history_increment", [](RouterOptions& o) { o.history_increment = kInf; }},
+      {"NaN history_increment", [](RouterOptions& o) { o.history_increment = kNan; }},
+  };
+  for (const auto& [what, mutate] : cases) {
+    RouterOptions opts;
+    mutate(opts);
+    EXPECT_THROW(GlobalRouterState(&rd.design, opts), std::invalid_argument) << what;
+    EXPECT_THROW(global_route(rd.design, rd.forest, opts), std::invalid_argument) << what;
+  }
+}
+
+TEST(GlobalRouter, HugeMazeMarginSaturatesAtTheDie) {
+  RouterOptions wide;
+  wide.maze_margin = std::numeric_limits<int>::max();
+  RouterOptions die;
+  die.maze_margin = 100000;
+  const RoutedDesign a = route_small(42, wide);
+  const RoutedDesign b = route_small(42, die);
+  EXPECT_GT(a.gr.rrr_rounds_used, 0);
+  EXPECT_EQ(a.gr.wirelength_dbu, b.gr.wirelength_dbu);
+  EXPECT_EQ(a.gr.total_overflow, b.gr.total_overflow);
+}
+
+/// FNV-1a over every connection's gcell path plus the bit patterns of the
+/// wirelength, total overflow and round count: any change to which path the
+/// maze picks, tie-breaks included, moves it.
+std::uint64_t route_fingerprint(const GlobalRouteResult& gr) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const RoutedConnection& c : gr.connections) {
+    mix(c.path.size());
+    for (const GCell& g : c.path) {
+      mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.x)));
+      mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.y)));
+    }
+  }
+  mix(std::bit_cast<std::uint64_t>(gr.wirelength_dbu));
+  mix(std::bit_cast<std::uint64_t>(gr.total_overflow));
+  mix(static_cast<std::uint64_t>(gr.rrr_rounds_used));
+  return h;
+}
+
+TEST(GlobalRouter, PathFingerprintPinned) {
+  // Default (calibrated, congested) options at two seeds.
+  for (const auto& [seed, expected] :
+       {std::pair<std::uint64_t, std::uint64_t>{41, 0xba32866282968ce7ULL},
+        {42, 0x6656433af815efa5ULL}}) {
+    const RoutedDesign rd = route_small(seed);
+    EXPECT_GT(rd.gr.rrr_rounds_used, 0) << "seed " << seed << " must negotiate";
+    EXPECT_EQ(route_fingerprint(rd.gr), expected) << "seed " << seed;
+  }
+
+  // Starved fixed capacities without history: most step costs are equal
+  // integers, so equal-cost paths abound and the tie-break decides them.
+  {
+    RouterOptions opts;
+    opts.fixed_h_cap = 2.0;
+    opts.fixed_v_cap = 2.0;
+    opts.history_increment = 0.0;
+    opts.rrr_iterations = 3;
+    const RoutedDesign rd = route_small(43, opts);
+    EXPECT_GT(rd.gr.rrr_rounds_used, 0);
+    EXPECT_EQ(route_fingerprint(rd.gr), 0x5950c02eb9c315c1ULL);
+  }
+
+  // An incremental update sequence: each step nudges a different slice of
+  // the movable trees, flags them dirty and replays.
+  {
+    RoutedDesign rd = route_small(44);
+    GlobalRouterState state(&rd.design, RouterOptions{});
+    std::uint64_t h = route_fingerprint(state.route_full(rd.forest));
+    for (int step = 0; step < 4; ++step) {
+      std::vector<char> dirty(rd.forest.trees.size(), 0);
+      for (std::size_t t = 0; t < rd.forest.trees.size(); ++t) {
+        if (t % 5 != static_cast<std::size_t>(step)) continue;
+        for (SteinerNode& node : rd.forest.trees[t].nodes) {
+          if (!node.is_steiner()) continue;
+          node.pos.x += 3.0 * step - 5.0;
+          node.pos.y += 4.0 - 2.0 * step;
+          dirty[t] = 1;
+        }
+      }
+      const GlobalRouteResult& gr = state.update(rd.forest, dirty);
+      EXPECT_GT(gr.rrr_rounds_used, 0) << "step " << step;
+      h = h * 0x100000001b3ULL ^ route_fingerprint(gr);
+    }
+    EXPECT_EQ(h, 0xdf6466b17e3a1f4aULL);
+  }
 }
 
 TEST(RoutedConnection, BendCounting) {
