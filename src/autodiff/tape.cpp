@@ -15,21 +15,15 @@ namespace {
 // disjoint slots per parallel index (rows for matmul/gather, columns for
 // scatter-style accumulation), and within each slot iterates in the same
 // order as the serial code — so results are bit-identical for any pool
-// width. Scalar whole-tensor folds (sum_all, log_sum_exp, mse) stay serial:
-// they are O(n) with a tiny constant and exact parity with the historical
+// width. Each loop states its work per index (a row's columns, a column's
+// rows); util/parallel sizes the chunks and runs small tensors inline.
+// Scalar whole-tensor folds (sum_all, log_sum_exp, mse) stay serial: they
+// are O(n) with a tiny constant and exact parity with the historical
 // element order matters more than their share of the runtime.
-
-/// Elements per chunk for pointwise map kernels.
-constexpr std::size_t kPointwiseGrain = 4096;
-
-/// Rows per chunk for row-parallel kernels, targeting ~8k inner ops/chunk.
-std::size_t row_grain(std::size_t work_per_row) {
-  return std::max<std::size_t>(1, 8192 / std::max<std::size_t>(1, work_per_row));
-}
 
 template <class Fn>
 void pointwise(std::size_t n, Fn&& fn) {
-  parallel_for(0, n, kPointwiseGrain, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, n, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) fn(i);
   });
 }
@@ -422,7 +416,7 @@ void Tape::run_forward(std::size_t i) {
     case OpCode::kAddBroadcast: {
       const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
       const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
-      parallel_for(0, ta.rows(), row_grain(ta.cols()), [&](std::size_t lo, std::size_t hi) {
+      parallel_for(0, ta.rows(), ta.cols(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t row = lo; row < hi; ++row) {
           for (std::size_t c = 0; c < ta.cols(); ++c) vo.at(row, c) = ta.at(row, c) + tb.at(0, c);
         }
@@ -457,7 +451,7 @@ void Tape::run_forward(std::size_t i) {
       const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
       const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
       std::fill(vo.data().begin(), vo.data().end(), 0.0);
-      parallel_for(0, ta.rows(), row_grain(ta.cols() * tb.cols()),
+      parallel_for(0, ta.rows(), ta.cols() * tb.cols(),
                    [&](std::size_t lo, std::size_t hi) {
                      for (std::size_t row = lo; row < hi; ++row) {
                        for (std::size_t k = 0; k < ta.cols(); ++k) {
@@ -512,7 +506,7 @@ void Tape::run_forward(std::size_t i) {
       std::size_t off = 0;
       for (int pid : r.inputs) {
         const Tensor& tp = nodes_[static_cast<std::size_t>(pid)].value;
-        parallel_for(0, tp.rows(), row_grain(tp.cols()), [&](std::size_t lo, std::size_t hi) {
+        parallel_for(0, tp.rows(), tp.cols(), [&](std::size_t lo, std::size_t hi) {
           for (std::size_t row = lo; row < hi; ++row) {
             for (std::size_t c = 0; c < tp.cols(); ++c) vo.at(row, off + c) = tp.at(row, c);
           }
@@ -524,7 +518,7 @@ void Tape::run_forward(std::size_t i) {
     case OpCode::kGatherRows: {
       const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
       const std::vector<int>& idx = r.indices;
-      parallel_for(0, idx.size(), row_grain(ta.cols()), [&](std::size_t lo, std::size_t hi) {
+      parallel_for(0, idx.size(), ta.cols(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
           const auto src = static_cast<std::size_t>(idx[k]);
           for (std::size_t c = 0; c < ta.cols(); ++c) vo.at(k, c) = ta.at(src, c);
@@ -536,7 +530,7 @@ void Tape::run_forward(std::size_t i) {
       const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
       const std::vector<int>& idx = r.indices;
       std::fill(vo.data().begin(), vo.data().end(), 0.0);
-      parallel_for(0, ta.cols(), 1, [&](std::size_t clo, std::size_t chi) {
+      parallel_for(0, ta.cols(), idx.size(), [&](std::size_t clo, std::size_t chi) {
         for (std::size_t k = 0; k < idx.size(); ++k) {
           const auto dst = static_cast<std::size_t>(idx[k]);
           for (std::size_t c = clo; c < chi; ++c) vo.at(dst, c) += ta.at(k, c);
@@ -560,7 +554,7 @@ void Tape::run_forward(std::size_t i) {
       // visited in serial order, so ties resolve identically to the serial
       // code.
       std::vector<int>& am = r.argmax;
-      parallel_for(0, ta.cols(), 1, [&](std::size_t clo, std::size_t chi) {
+      parallel_for(0, ta.cols(), seg.size(), [&](std::size_t clo, std::size_t chi) {
         for (std::size_t k = 0; k < seg.size(); ++k) {
           const auto s = static_cast<std::size_t>(seg[k]);
           for (std::size_t c = clo; c < chi; ++c) {
@@ -576,7 +570,7 @@ void Tape::run_forward(std::size_t i) {
     }
     case OpCode::kGatherFrontiers: {
       const std::vector<int>& sr = r.indices;
-      parallel_for(0, vo.rows(), row_grain(1), [&](std::size_t lo, std::size_t hi) {
+      parallel_for(0, vo.rows(), 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
           const int slot = sr[2 * k];
           if (slot < 0) {
@@ -681,7 +675,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
         Tensor& gb = grad_ref(vb_v);
         const bool fb = fresh_dst(r.b);
         // Column-parallel so each gb slot accumulates rows in serial order.
-        parallel_for(0, g.cols(), 1, [&](std::size_t clo, std::size_t chi) {
+        parallel_for(0, g.cols(), g.rows(), [&](std::size_t clo, std::size_t chi) {
           for (std::size_t c = clo; c < chi; ++c) {
             if (fb) gb.at(0, c) = 0.0;
             for (std::size_t row = 0; row < g.rows(); ++row) gb.at(0, c) += g.at(row, c);
@@ -754,7 +748,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
         // combine order is fixed, so the result is deterministic (and
         // identical at every thread width — chunking is by row).
         const std::size_t nc = tb.cols();
-        parallel_for(0, ta.rows(), row_grain(ta.cols() * nc),
+        parallel_for(0, ta.rows(), ta.cols() * nc,
                      [&](std::size_t lo, std::size_t hi) {
                        for (std::size_t row = lo; row < hi; ++row) {
                          const double* gr = g.data().data() + row * nc;
@@ -780,7 +774,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
         Tensor& gb = grad_ref(vb_v);
         const bool fb = fresh_dst(r.b);
         // dB = A^T * dOut, row-parallel over B's rows.
-        parallel_for(0, tb.rows(), row_grain(ta.rows() * tb.cols()),
+        parallel_for(0, tb.rows(), ta.rows() * tb.cols(),
                      [&](std::size_t lo, std::size_t hi) {
                        for (std::size_t k = lo; k < hi; ++k) {
                          for (std::size_t c = 0; c < tb.cols(); ++c) {
@@ -863,7 +857,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
           ensure_grad(p);
           Tensor& gp = grad_ref(p);
           const bool fp = fresh_dst(pid);
-          parallel_for(0, gp.rows(), row_grain(pcols), [&](std::size_t lo, std::size_t hi) {
+          parallel_for(0, gp.rows(), pcols, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t row = lo; row < hi; ++row) {
               for (std::size_t c = 0; c < pcols; ++c) {
                 gp.at(row, c) = (fp ? 0.0 : gp.at(row, c)) + g.at(row, off + c);
@@ -883,7 +877,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       // Scatter with repeats: column-parallel, rows in serial order per
       // column, so each destination accumulates in the same order as the
       // serial code.
-      parallel_for(0, g.cols(), 1, [&](std::size_t clo, std::size_t chi) {
+      parallel_for(0, g.cols(), idx.size(), [&](std::size_t clo, std::size_t chi) {
         for (std::size_t k = 0; k < idx.size(); ++k) {
           const auto dst = static_cast<std::size_t>(idx[k]);
           for (std::size_t c = clo; c < chi; ++c) ga.at(dst, c) += g.at(k, c);
@@ -898,7 +892,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       const std::vector<int>& idx = r.indices;
       const bool fa = fresh_dst(r.a);
       // Gather semantics: row-parallel, each output row touched once.
-      parallel_for(0, idx.size(), row_grain(g.cols()), [&](std::size_t lo, std::size_t hi) {
+      parallel_for(0, idx.size(), g.cols(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
           const auto src = static_cast<std::size_t>(idx[k]);
           for (std::size_t c = 0; c < g.cols(); ++c) {
@@ -915,7 +909,7 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       const std::vector<int>& am = r.argmax;
       // Each argmax row belongs to exactly one segment, so distinct (s, c)
       // write distinct ga cells: segment-row-parallel is race-free.
-      parallel_for(0, g.rows(), row_grain(g.cols()), [&](std::size_t lo, std::size_t hi) {
+      parallel_for(0, g.rows(), g.cols(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
           for (std::size_t c = 0; c < g.cols(); ++c) {
             const int k = am[s * g.cols() + c];

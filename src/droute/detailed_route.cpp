@@ -313,7 +313,9 @@ const DetailedRouteResult& DetailedRouteState::update(const GlobalRouteResult& g
 
   // Recolor dirty rows in parallel: rows are independent (recolor reads one
   // row list, the result lands in that row's violation slot), so the
-  // deterministic pool reproduces the serial sweep bit for bit.
+  // deterministic pool reproduces the serial sweep bit for bit. A row costs
+  // a heap push and pop per run, ~48 inner operations each (measured ~60 ns
+  // per run, see docs/parallelism.md).
   std::vector<int> dirty_h, dirty_v;
   for (std::size_t y = 0; y < h_rows_.size(); ++y) {
     if (h_dirty[y]) dirty_h.push_back(static_cast<int>(y));
@@ -321,14 +323,16 @@ const DetailedRouteResult& DetailedRouteState::update(const GlobalRouteResult& g
   for (std::size_t x = 0; x < v_cols_.size(); ++x) {
     if (v_dirty[x]) dirty_v.push_back(static_cast<int>(x));
   }
-  parallel_for(0, dirty_h.size(), 4, [&](std::size_t lo, std::size_t hi) {
+  const std::size_t row_work =
+      48 * num_runs_ / std::max<std::size_t>(1, h_rows_.size() + v_cols_.size());
+  parallel_for(0, dirty_h.size(), row_work, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const int y = dirty_h[i];
       h_viol_[static_cast<std::size_t>(y)] =
           static_cast<int>(recolor(h_rows_[static_cast<std::size_t>(y)], h_tracks_));
     }
   });
-  parallel_for(0, dirty_v.size(), 4, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, dirty_v.size(), row_work, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const int x = dirty_v[i];
       v_viol_[static_cast<std::size_t>(x)] =

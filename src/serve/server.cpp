@@ -410,12 +410,13 @@ void Server::dispatch_loop() {
       serve_metrics().in_flight->set(static_cast<double>(in_flight_));
       serve_metrics().queue_depth->set(static_cast<double>(queue_.size()));
     }
-    // One pool job per batch: nested parallelism inside flow code runs
-    // serially, and the pool's determinism contract keeps every response
-    // bit-identical to a direct call at any thread width.
+    // One pool job per batch, one chunk per request (each request is a full
+    // chunk of work): nested parallelism inside flow code runs serially, and
+    // the pool's determinism contract keeps every response bit-identical to
+    // a direct call at any thread width.
     {
       TS_TRACE_SPAN_CAT("serve.dispatch_batch", "serve");
-      parallel_for(0, batch.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      parallel_for(0, batch.size(), kChunkWork, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) execute(batch[i]);
       });
     }

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 
 namespace tsteiner {
 
@@ -108,16 +107,9 @@ void IncrementalSta::refresh_endpoints() {
     if (slack < 0.0) ++result_.num_violations;
     result_.max_arrival = std::max(result_.max_arrival, arrival);
   }
-  result_.max_arrival = std::max(
-      result_.max_arrival,
-      parallel_reduce(
-          0, result_.arrival.size(), 4096, -std::numeric_limits<double>::infinity(),
-          [&](std::size_t lo, std::size_t hi) {
-            double m = -std::numeric_limits<double>::infinity();
-            for (std::size_t i = lo; i < hi; ++i) m = std::max(m, result_.arrival[i]);
-            return m;
-          },
-          [](double a, double b) { return std::max(a, b); }));
+  double max_pin_arrival = -std::numeric_limits<double>::infinity();
+  for (const double a : result_.arrival) max_pin_arrival = std::max(max_pin_arrival, a);
+  result_.max_arrival = std::max(result_.max_arrival, max_pin_arrival);
 }
 
 const StaResult& IncrementalSta::update(const SteinerForest& forest,
@@ -209,46 +201,23 @@ const StaResult& IncrementalSta::update(const SteinerForest& forest,
     for (int cell : touched) enqueue_cell(cell);
   }
 
-  // 3. Endpoint metrics + electrical checks over the final state. The
-  //    electrical aggregates are integer counts and max-folds — both exact
-  //    under any association — so a chunk-parallel reduce over the net list
-  //    matches the serial full-run fold bit for bit.
+  // 3. Endpoint metrics + electrical checks over the final state, in the
+  //    full run's net order.
   refresh_endpoints();
-  struct Elec {
-    long long slew_vios = 0;
-    long long cap_vios = 0;
-    double worst_slew = 0.0;
-    double worst_cap = 0.0;
-  };
-  const std::vector<Net>& nets = design_->nets();
-  const Elec elec = parallel_reduce(
-      0, nets.size(), 512, Elec{},
-      [&](std::size_t lo, std::size_t hi) {
-        Elec e;
-        for (std::size_t i = lo; i < hi; ++i) {
-          const Net& n = nets[i];
-          const double load = net_timing_[static_cast<std::size_t>(n.id)].total_cap_pf;
-          e.worst_cap = std::max(e.worst_cap, load);
-          if (load > options_.max_cap_pf) ++e.cap_vios;
-          for (int s : n.sink_pins) {
-            const double slew = result_.slew[static_cast<std::size_t>(s)];
-            e.worst_slew = std::max(e.worst_slew, slew);
-            if (slew > options_.max_slew_ns) ++e.slew_vios;
-          }
-        }
-        return e;
-      },
-      [](Elec a, const Elec& b) {
-        a.slew_vios += b.slew_vios;
-        a.cap_vios += b.cap_vios;
-        a.worst_slew = std::max(a.worst_slew, b.worst_slew);
-        a.worst_cap = std::max(a.worst_cap, b.worst_cap);
-        return a;
-      });
-  result_.num_slew_violations = elec.slew_vios;
-  result_.num_cap_violations = elec.cap_vios;
-  result_.worst_slew_ns = elec.worst_slew;
-  result_.worst_cap_pf = elec.worst_cap;
+  result_.num_slew_violations = 0;
+  result_.num_cap_violations = 0;
+  result_.worst_slew_ns = 0.0;
+  result_.worst_cap_pf = 0.0;
+  for (const Net& n : design_->nets()) {
+    const double load = net_timing_[static_cast<std::size_t>(n.id)].total_cap_pf;
+    result_.worst_cap_pf = std::max(result_.worst_cap_pf, load);
+    if (load > options_.max_cap_pf) ++result_.num_cap_violations;
+    for (int s : n.sink_pins) {
+      const double slew = result_.slew[static_cast<std::size_t>(s)];
+      result_.worst_slew_ns = std::max(result_.worst_slew_ns, slew);
+      if (slew > options_.max_slew_ns) ++result_.num_slew_violations;
+    }
+  }
   TS_DEBUG("STA update: %zu dirty nets, %lld cells re-evaluated", dirty_nets.size(), last_cells_);
   static obs::Counter& m_cells = obs::metrics().counter("sta.incremental_cells");
   m_cells.add(static_cast<std::uint64_t>(std::max<long long>(0, last_cells_)));

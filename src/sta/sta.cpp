@@ -31,9 +31,11 @@ StaResult run_sta(const Design& design, const SteinerForest& forest,
 
   // --- net timing for every net with a tree --------------------------------
   // Nets are independent: RC extraction + Elmore per net in parallel, each
-  // writing only its own NetTiming slot.
+  // writing only its own NetTiming slot. A net costs ~1k inner operations
+  // (tree BFS, per-edge RC, Elmore, a few small allocations; measured
+  // 1.1-1.5 us, see docs/parallelism.md).
   std::vector<NetTiming> net_timing(design.nets().size());
-  parallel_for(0, design.nets().size(), 8, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, design.nets().size(), 1024, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t ni = lo; ni < hi; ++ni) {
       const Net& n = design.nets()[ni];
       const int t = forest.net_to_tree[static_cast<std::size_t>(n.id)];
@@ -77,50 +79,21 @@ StaResult run_sta(const Design& design, const SteinerForest& forest,
       res.slew[static_cast<std::size_t>(p.id)] = options.primary_input_slew;
     }
   }
-  // Register CK->Q startpoints: each cell writes only its own output pin.
-  parallel_for(0, design.cells().size(), 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t ci = lo; ci < hi; ++ci) {
-      const Cell& c = design.cells()[ci];
-      if (!design.is_register_cell(c.id)) continue;
-      const CellType& t = design.cell_type(c.id);
-      const TimingArc& ck2q = t.arcs[0];
-      const double load = net_load(c.output_pin);
-      res.arrival[static_cast<std::size_t>(c.output_pin)] =
-          ck2q.delay.lookup(options.clock_source_slew, load);
-      res.slew[static_cast<std::size_t>(c.output_pin)] =
-          ck2q.out_slew.lookup(options.clock_source_slew, load);
-    }
-  });
-
-  // --- combinational propagation, parallel within each topological level ----
-  // level(cell) = 1 + max(level of combinational fanin cells): a cell only
-  // reads arrivals of drivers at strictly lower levels (or startpoints), and
-  // writes only its own input-sink and output pins, so cells within one
-  // level are data-independent.
-  const std::vector<int> topo = design.combinational_topo_order();
-  std::vector<int> cell_level(design.cells().size(), 0);
-  int max_level = 0;
-  for (int cid : topo) {
-    const Cell& c = design.cell(cid);
-    int lvl = 0;
-    for (int in_pin : c.input_pins) {
-      const int net_id = design.pin(in_pin).net;
-      if (net_id < 0) continue;
-      const Pin& drv = design.pin(design.net(net_id).driver_pin);
-      if (drv.cell >= 0 && !design.is_register_cell(drv.cell)) {
-        lvl = std::max(lvl, cell_level[static_cast<std::size_t>(drv.cell)] + 1);
-      }
-    }
-    cell_level[static_cast<std::size_t>(cid)] = lvl;
-    max_level = std::max(max_level, lvl);
-  }
-  // Bucket cells by level, preserving topological order within a level.
-  std::vector<std::vector<int>> level_cells(static_cast<std::size_t>(max_level) + 1);
-  for (int cid : topo) {
-    level_cells[static_cast<std::size_t>(cell_level[static_cast<std::size_t>(cid)])]
-        .push_back(cid);
+  // Register CK->Q startpoints.
+  for (const Cell& c : design.cells()) {
+    if (!design.is_register_cell(c.id)) continue;
+    const CellType& t = design.cell_type(c.id);
+    const TimingArc& ck2q = t.arcs[0];
+    const double load = net_load(c.output_pin);
+    res.arrival[static_cast<std::size_t>(c.output_pin)] =
+        ck2q.delay.lookup(options.clock_source_slew, load);
+    res.slew[static_cast<std::size_t>(c.output_pin)] =
+        ck2q.out_slew.lookup(options.clock_source_slew, load);
   }
 
+  // --- combinational propagation, in topological order -----------------------
+  // A cell reads the arrivals of its drivers (earlier in the order, or
+  // startpoints) and writes only its own input-sink and output pins.
   auto propagate_cell = [&](int cid) {
     const Cell& c = design.cell(cid);
     const CellType& t = design.cell_type(cid);
@@ -146,52 +119,37 @@ StaResult run_sta(const Design& design, const SteinerForest& forest,
     res.slew[static_cast<std::size_t>(c.output_pin)] = out_slew;
   };
 
-  for (const std::vector<int>& cells : level_cells) {
-    parallel_for(0, cells.size(), 8, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) propagate_cell(cells[i]);
-    });
-  }
+  // Serial: at the benchmark's largest design (4,408 nets) a cell costs
+  // ~300 ns and a topological level holds 3 cells on average (155 at most),
+  // so per-level chunks would not pay for a pool dispatch (measurements in
+  // docs/parallelism.md).
+  for (int cid : design.combinational_topo_order()) propagate_cell(cid);
 
   // --- endpoints -------------------------------------------------------------
-  // Parallel map over endpoints (each writes its own arrival/slew/slack
-  // slot), then a serial fold for the WNS/TNS scalars — bit-identical to the
-  // historical endpoint loop for any thread count.
+  // Serial, in endpoint order: the WNS/TNS fold must keep the historical
+  // element order to stay bit-identical.
   res.endpoints = design.endpoint_pins();
   res.endpoint_slack.assign(res.endpoints.size(), 0.0);
-  parallel_for(0, res.endpoints.size(), 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const int ep = res.endpoints[i];
-      if (design.pin(ep).net >= 0) propagate_net_to_sink(ep);
-      const double arrival = res.arrival[static_cast<std::size_t>(ep)];
-      double required = design.clock_period();
-      if (design.pin(ep).kind == PinKind::kCellInput) {
-        required -= design.cell_type(design.pin(ep).cell).setup_ns;
-      }
-      res.endpoint_slack[i] = required - arrival;
-    }
-  });
   res.wns = res.endpoints.empty() ? 0.0 : std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < res.endpoints.size(); ++i) {
-    const double slack = res.endpoint_slack[i];
+    const int ep = res.endpoints[i];
+    if (design.pin(ep).net >= 0) propagate_net_to_sink(ep);
+    double required = design.clock_period();
+    if (design.pin(ep).kind == PinKind::kCellInput) {
+      required -= design.cell_type(design.pin(ep).cell).setup_ns;
+    }
+    const double arrival = res.arrival[static_cast<std::size_t>(ep)];
+    const double slack = required - arrival;
+    res.endpoint_slack[i] = slack;
     res.wns = std::min(res.wns, slack);
     res.tns += std::min(0.0, slack);
     if (slack < 0.0) ++res.num_violations;
-    res.max_arrival =
-        std::max(res.max_arrival,
-                 res.arrival[static_cast<std::size_t>(res.endpoints[i])]);
+    res.max_arrival = std::max(res.max_arrival, arrival);
   }
-  // max over all pins: max is grouping-invariant, so the deterministic
-  // chunked reduce is bit-identical to the serial scan.
-  res.max_arrival = std::max(
-      res.max_arrival,
-      parallel_reduce(
-          0, res.arrival.size(), 4096, -std::numeric_limits<double>::infinity(),
-          [&](std::size_t lo, std::size_t hi) {
-            double m = -std::numeric_limits<double>::infinity();
-            for (std::size_t i = lo; i < hi; ++i) m = std::max(m, res.arrival[i]);
-            return m;
-          },
-          [](double a, double b) { return std::max(a, b); }));
+  // max over all pins.
+  double max_pin_arrival = -std::numeric_limits<double>::infinity();
+  for (const double a : res.arrival) max_pin_arrival = std::max(max_pin_arrival, a);
+  res.max_arrival = std::max(res.max_arrival, max_pin_arrival);
 
   // --- electrical rule checks -------------------------------------------------
   for (const Net& n : design.nets()) {

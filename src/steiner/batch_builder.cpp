@@ -153,10 +153,14 @@ HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets,
     if (pins.size() < 2) throw std::runtime_error("pack_hanan_batch: net with < 2 pins");
   }
 
+  // Work estimates below are inner operations per index, measured in
+  // docs/parallelism.md: a net's Hanan candidates (~4k), a candidate row's
+  // features (~64 per pin slot, a pass over the pins), a net's stitch or
+  // fallback tree (~4k).
   std::vector<NetCandidates> cands(pin_sets.size());
   const int threads = clamp_thread_request(options.threads);
   parallel_for(
-      0, pin_sets.size(), 4,
+      0, pin_sets.size(), 4096,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const std::vector<PointF>& pins = pin_sets[i];
@@ -188,7 +192,7 @@ HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets,
   if (rows == 0) return batch;
 
   parallel_for(
-      0, batch.slots.size(), 4,
+      0, batch.slots.size(), 64 * static_cast<std::size_t>(h_max),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {
           const auto net = static_cast<std::size_t>(batch.slots[s]);
@@ -230,7 +234,7 @@ std::vector<SteinerTree> stitch_batch(const std::vector<std::vector<PointF>>& pi
 
   const int threads = clamp_thread_request(options.threads);
   parallel_for(
-      0, pin_sets.size(), 4,
+      0, pin_sets.size(), 4096,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const std::vector<PointF>& pins = pin_sets[i];

@@ -63,9 +63,11 @@ int edge_shift_forest(SteinerForest& forest, const EdgeCostFn& cost,
   // Trees are independent; per-tree move counts land in distinct slots and
   // are folded serially, so the total matches the serial loop exactly. The
   // cost functor must be safe to call concurrently (all in-tree callers pass
-  // read-only congestion-map lookups).
+  // read-only congestion-map lookups). A tree costs ~1k inner operations
+  // (every candidate corner of every Steiner node prices its star; measured
+  // 0.8-0.9 us, see docs/parallelism.md).
   std::vector<int> moves(forest.trees.size(), 0);
-  parallel_for(0, forest.trees.size(), 4, [&](std::size_t lo, std::size_t hi) {
+  parallel_for(0, forest.trees.size(), 1024, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t t = lo; t < hi; ++t) {
       moves[t] = edge_shift(forest.trees[t], cost, options);
     }

@@ -21,6 +21,7 @@ thread_local bool tl_in_parallel_region = false;
 thread_local int tl_worker_index = 0;
 
 std::atomic<std::uint64_t> g_busy_ns{0};
+std::atomic<std::uint64_t> g_jobs{0};
 
 std::size_t default_width() {
   if (const char* env = std::getenv("TSTEINER_THREADS")) {
@@ -36,7 +37,7 @@ struct Job {
   void* ctx = nullptr;
   std::size_t begin = 0;
   std::size_t end = 0;
-  std::size_t grain = 1;
+  std::size_t chunk = 1;
   std::size_t num_chunks = 0;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
@@ -65,19 +66,20 @@ class Pool {
     width_ = n == 0 ? default_width() : n;
   }
 
-  void run(std::size_t begin, std::size_t end, std::size_t grain, detail::ChunkFn fn,
+  void run(std::size_t begin, std::size_t end, std::size_t chunk, detail::ChunkFn fn,
            void* ctx, int max_threads) {
-    grain = std::max<std::size_t>(1, grain);
-    const std::size_t num_chunks = (end - begin + grain - 1) / grain;
-    std::size_t w = width();
+    // Nested in a region, capped to one thread, or a width-1 pool: inline.
+    std::size_t w = tl_in_parallel_region || max_threads == 1 ? 1 : width();
     if (max_threads > 0) w = std::min(w, static_cast<std::size_t>(max_threads));
-    if (w <= 1 || num_chunks <= 1 || tl_in_parallel_region) {
+    if (w <= 1) {
       fn(ctx, begin, end);
       return;
     }
+    const std::size_t num_chunks = (end - begin + chunk - 1) / chunk;
 
     // One job at a time; concurrent callers queue up here.
     std::lock_guard<std::mutex> run_lk(run_mutex_);
+    g_jobs.fetch_add(1, std::memory_order_relaxed);
     ensure_workers();
 
     Job job;
@@ -85,7 +87,7 @@ class Pool {
     job.ctx = ctx;
     job.begin = begin;
     job.end = end;
-    job.grain = grain;
+    job.chunk = chunk;
     job.num_chunks = num_chunks;
     job.worker_slots.store(static_cast<int>(w) - 1, std::memory_order_relaxed);
     {
@@ -107,8 +109,6 @@ class Pool {
     }
     if (job.error) std::rethrow_exception(job.error);
   }
-
-  std::uint64_t busy_ns() const { return g_busy_ns.load(std::memory_order_relaxed); }
 
  private:
   Pool() = default;
@@ -172,7 +172,7 @@ class Pool {
   }
 
   /// Ticket loop: grab chunk indices until exhausted. Chunk boundaries are a
-  /// pure function of (begin, end, grain), so which thread runs a chunk never
+  /// pure function of (begin, end, chunk), so which thread runs a chunk never
   /// affects what the chunk computes.
   void execute(Job& job, bool is_worker) {
     tl_in_parallel_region = true;
@@ -181,8 +181,8 @@ class Pool {
     for (;;) {
       const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
       if (c >= job.num_chunks) break;
-      const std::size_t lo = job.begin + c * job.grain;
-      const std::size_t hi = std::min(job.end, lo + job.grain);
+      const std::size_t lo = job.begin + c * job.chunk;
+      const std::size_t hi = std::min(job.end, lo + job.chunk);
       try {
         job.fn(job.ctx, lo, hi);
       } catch (...) {
@@ -225,14 +225,16 @@ void set_parallel_threads(std::size_t n) { Pool::instance().set_width(n); }
 
 int clamp_thread_request(int requested) { return requested < 0 ? 0 : requested; }
 
-std::uint64_t parallel_busy_ns() { return Pool::instance().busy_ns(); }
+std::uint64_t parallel_busy_ns() { return g_busy_ns.load(std::memory_order_relaxed); }
+
+std::uint64_t parallel_jobs() { return g_jobs.load(std::memory_order_relaxed); }
 
 int parallel_worker_index() { return tl_worker_index; }
 
 namespace detail {
-void run_chunks(std::size_t begin, std::size_t end, std::size_t grain, ChunkFn fn,
+void run_chunks(std::size_t begin, std::size_t end, std::size_t chunk, ChunkFn fn,
                 void* ctx, int max_threads) {
-  Pool::instance().run(begin, end, grain, fn, ctx, max_threads);
+  Pool::instance().run(begin, end, chunk, fn, ctx, max_threads);
 }
 }  // namespace detail
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "autodiff/program.hpp"
 #include "autodiff/tape.hpp"
@@ -389,8 +390,9 @@ TEST(Tape, GatherFrontiersRejectsBadIndices) {
 
 // Level-synchronous propagation shaped like the timing GNN's: each level
 // records a frontier that reads earlier frontiers (or +0.0) plus a term of
-// x, and a final assembly reads every frontier. Large enough that the
-// forward kernel splits into several pool chunks.
+// x, and a final assembly reads every frontier. chain_input picks the row
+// count: 20k rows stay below one pool chunk per kernel, 80k rows split every
+// kernel into several chunks.
 Value frontier_chain(Tape& t, Value x) {
   const std::size_t n = t.value(x).rows();
   Rng rng(17);
@@ -414,9 +416,9 @@ Value frontier_chain(Tape& t, Value x) {
   return t.sum_all(t.mul(out, out));
 }
 
-Tensor chain_input(double shift) {
+Tensor chain_input(double shift, std::size_t rows = 20000) {
   Rng rng(23);
-  Tensor x(20000, 1);
+  Tensor x(rows, 1);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.normal() + shift;
   return x;
 }
@@ -427,25 +429,36 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 }
 
 TEST(Tape, GatherFrontiersReplayBitIdenticalToEagerAcrossWidths) {
-  for (std::size_t width : {1u, 4u}) {
-    set_parallel_threads(width);
-    TapeProgram program;
-    const Value px = program.tape().leaf(chain_input(0.0), true);
-    const Value proot = frontier_chain(program.tape(), px);
-    program.finalize(proot, {px}, {px});
-    for (double shift : {0.0, 0.25, -0.5}) {
-      Tape eager;
-      const Value ex = eager.leaf(chain_input(shift), true);
-      const Value eroot = frontier_chain(eager, ex);
-      eager.backward(eroot);
-      program.set_leaf(px, chain_input(shift));
-      program.replay_forward();
-      program.replay_backward();
-      EXPECT_TRUE(same_bits(program.value(proot), eager.value(eroot)))
-          << "width " << width << " shift " << shift;
-      EXPECT_TRUE(same_bits(program.grad(px), eager.grad(ex)))
-          << "width " << width << " shift " << shift;
+  for (std::size_t rows : {std::size_t{20000}, std::size_t{80000}}) {
+    std::vector<Tensor> grads;
+    for (std::size_t width : {1u, 4u}) {
+      set_parallel_threads(width);
+      const std::uint64_t jobs0 = parallel_jobs();
+      TapeProgram program;
+      const Value px = program.tape().leaf(chain_input(0.0, rows), true);
+      const Value proot = frontier_chain(program.tape(), px);
+      program.finalize(proot, {px}, {px});
+      for (double shift : {0.0, 0.25, -0.5}) {
+        Tape eager;
+        const Value ex = eager.leaf(chain_input(shift, rows), true);
+        const Value eroot = frontier_chain(eager, ex);
+        eager.backward(eroot);
+        program.set_leaf(px, chain_input(shift, rows));
+        program.replay_forward();
+        program.replay_backward();
+        EXPECT_TRUE(same_bits(program.value(proot), eager.value(eroot)))
+            << "rows " << rows << " width " << width << " shift " << shift;
+        EXPECT_TRUE(same_bits(program.grad(px), eager.grad(ex)))
+            << "rows " << rows << " width " << width << " shift " << shift;
+      }
+      grads.push_back(program.grad(px));
+      if (width == 1) {
+        EXPECT_EQ(parallel_jobs(), jobs0) << "rows " << rows;
+      } else if (rows == 80000) {
+        EXPECT_GT(parallel_jobs(), jobs0) << "rows " << rows << ": width 4 never used the pool";
+      }
     }
+    EXPECT_TRUE(same_bits(grads[0], grads[1])) << "rows " << rows << ": widths 1 and 4 differ";
   }
   set_parallel_threads(0);
 }

@@ -123,7 +123,7 @@ void run_traced_workload(const std::string& path) {
     TS_TRACE_SPAN("outer");
     {
       TS_TRACE_SPAN("inner");
-      parallel_for(0, 64, 4, [&](std::size_t lo, std::size_t hi) {
+      parallel_for(0, 64, kChunkWork / 4, [&](std::size_t lo, std::size_t hi) {
         TS_TRACE_SPAN("chunk");
         volatile double x = 0.0;
         for (std::size_t i = lo; i < hi; ++i) x = x + static_cast<double>(i);

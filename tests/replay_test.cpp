@@ -120,32 +120,44 @@ TEST(Replay, BitIdenticalToFreshTapeAcrossLeafUpdates) {
 }
 
 TEST(Replay, BitIdenticalAcrossThreadWidths) {
-  const Fixture f = make_fixture(92);
-  const TimingGnn model = make_model();
-  const auto xs0 = f.forest.gather_x();
-  const auto ys0 = f.forest.gather_y();
+  // 120 cells keep the tape kernels inline; at 1500 cells the larger ones
+  // split into pool chunks.
+  for (const int comb_cells : {120, 1500}) {
+    SCOPED_TRACE(comb_cells);
+    const Fixture f = make_fixture(92, comb_cells);
+    const TimingGnn model = make_model();
+    const auto xs0 = f.forest.gather_x();
+    const auto ys0 = f.forest.gather_y();
 
-  auto run_sequence = [&](std::size_t width) {
-    set_parallel_threads(width);
-    PenaltyWeights w;
-    auto xs = xs0;
-    auto ys = ys0;
-    GradientEvaluator evaluator(model, *f.cache, f.design, xs, ys, w);
-    std::vector<GradientResult> out;
-    for (int step = 0; step < 3; ++step) {
-      perturb(xs, ys, step);
-      w.lambda_w *= 1.01;
-      out.push_back(evaluator.gradients(xs, ys, w));
+    std::uint64_t jobs = 0;
+    auto run_sequence = [&](std::size_t width) {
+      set_parallel_threads(width);
+      const std::uint64_t jobs0 = parallel_jobs();
+      PenaltyWeights w;
+      auto xs = xs0;
+      auto ys = ys0;
+      GradientEvaluator evaluator(model, *f.cache, f.design, xs, ys, w);
+      std::vector<GradientResult> out;
+      for (int step = 0; step < 3; ++step) {
+        perturb(xs, ys, step);
+        w.lambda_w *= 1.01;
+        out.push_back(evaluator.gradients(xs, ys, w));
+      }
+      jobs = parallel_jobs() - jobs0;
+      return out;
+    };
+
+    const std::vector<GradientResult> serial = run_sequence(1);
+    EXPECT_EQ(jobs, 0u) << "width 1 dispatched to the pool";
+    const std::vector<GradientResult> wide = run_sequence(4);
+    if (comb_cells >= 1500) {
+      EXPECT_GT(jobs, 0u) << "width 4 never used the pool";
     }
-    return out;
-  };
-
-  const std::vector<GradientResult> serial = run_sequence(1);
-  const std::vector<GradientResult> wide = run_sequence(4);
-  set_parallel_threads(0);  // restore TSTEINER_THREADS / hardware default
-  ASSERT_EQ(serial.size(), wide.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_TRUE(results_bit_equal(serial[i], wide[i])) << "step " << i;
+    set_parallel_threads(0);  // restore TSTEINER_THREADS / hardware default
+    ASSERT_EQ(serial.size(), wide.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(results_bit_equal(serial[i], wide[i])) << "step " << i;
+    }
   }
 }
 

@@ -136,6 +136,32 @@ TEST(TraceTool, NonMonotoneKeepBestFailsVerify) {
   EXPECT_EQ(run_tool("verify " + report), 1);
 }
 
+/// Two refine runs of one design in one stream: the second restarts at iter 0
+/// from a worse best_wns (-1.4) and ends at `second_best`.
+std::string make_two_run_jsonl(const std::string& dir, double second_best) {
+  const std::string path = dir + "/two_runs.jsonl";
+  obs::set_iteration_log_path(path);
+  obs::log_refine_iteration("d1", make_iter(0, -1.2));
+  obs::log_refine_iteration("d1", make_iter(1, -1.0));
+  obs::log_refine_iteration("d1", make_iter(0, -1.4));
+  obs::log_refine_iteration("d1", make_iter(1, second_best));
+  obs::set_iteration_log_path("");
+  return path;
+}
+
+TEST(TraceTool, JsonlRestartStartsANewRun) {
+  // The restart is a new keep-best baseline, not a regression.
+  const std::string path = make_two_run_jsonl(testutil::test_tmp_dir(), -1.3);
+  EXPECT_EQ(run_tool("verify " + path), 0);
+  EXPECT_EQ(run_tool("summarize " + path), 0);
+}
+
+TEST(TraceTool, JsonlRegressionInsideSecondRunFails) {
+  // best_wns regressing inside the second run still fails.
+  const std::string path = make_two_run_jsonl(testutil::test_tmp_dir(), -1.6);
+  EXPECT_EQ(run_tool("verify " + path), 1);
+}
+
 TEST(TraceTool, SignoffProbeFieldsVerify) {
   const std::string dir = testutil::test_tmp_dir();
   const std::string path = dir + "/signoff_iters.jsonl";

@@ -17,8 +17,9 @@
 // a run report (TSTEINER_RUN_REPORT), or a refine-iteration JSONL stream
 // (TSTEINER_REFINE_LOG). verify exits nonzero on any problem — truncated
 // JSON, malformed events, non-nesting spans within a lane, schema-violating
-// report/JSONL lines, or a best-WNS trajectory that regresses — so CI can
-// gate on artifact health the way tsteiner_db verify gates on snapshots.
+// report/JSONL lines, or a best-WNS trajectory that regresses within a run —
+// so CI can gate on artifact health the way tsteiner_db verify gates on
+// snapshots.
 #include <algorithm>
 #include <cmath>
 #include <cstdarg>
@@ -604,14 +605,22 @@ struct JsonlStats {
 };
 
 /// Validate every line against the iteration schema and the keep-best
-/// invariant (per-design best_wns/best_tns never regress). Populates `stats`
+/// invariant (per-design best_wns/best_tns never regress within a run).
+/// A line whose iter does not exceed the previous line's iter for the same
+/// design starts a new run of that design and resets its keep-best baseline,
+/// so a stream holding several runs verifies run by run. Populates `stats`
 /// for summarize.
 int verify_jsonl(const std::string& text, JsonlStats* stats) {
   static const char* const kNumberKeys[] = {"iter",      "wns",      "tns",
                                             "best_wns",  "best_tns", "theta",
                                             "grad_norm", "max_move", "lambda_w",
                                             "lambda_t",  "wall_s"};
-  std::map<std::string, std::pair<double, double>> best;  // design -> wns/tns
+  struct RunState {
+    double iter = 0.0;
+    double best_wns = 0.0;
+    double best_tns = 0.0;
+  };
+  std::map<std::string, RunState> runs;  // design -> its current run
   std::size_t line_no = 0, pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
@@ -656,20 +665,21 @@ int verify_jsonl(const std::string& text, JsonlStats* stats) {
         return fail("line %zu: signoff_dirty_frac %g outside [0,1]", line_no, frac);
       }
     }
+    const double iter = doc->number_or("iter", 0.0);
     const double bw = doc->number_or("best_wns", 0.0);
     const double bt = doc->number_or("best_tns", 0.0);
-    auto [it, fresh] = best.emplace(design->str, std::make_pair(bw, bt));
-    if (!fresh) {
-      if (bw + 1e-12 < it->second.first) {
+    auto [it, fresh] = runs.emplace(design->str, RunState{iter, bw, bt});
+    if (!fresh && iter > it->second.iter) {
+      if (bw + 1e-12 < it->second.best_wns) {
         return fail("line %zu: best_wns for %s regressed (%.6f -> %.6f)", line_no,
-                    design->str.c_str(), it->second.first, bw);
+                    design->str.c_str(), it->second.best_wns, bw);
       }
-      if (bt + 1e-12 < it->second.second) {
+      if (bt + 1e-12 < it->second.best_tns) {
         return fail("line %zu: best_tns for %s regressed (%.6f -> %.6f)", line_no,
-                    design->str.c_str(), it->second.second, bt);
+                    design->str.c_str(), it->second.best_tns, bt);
       }
-      it->second = {bw, bt};
     }
+    it->second = RunState{iter, bw, bt};
     if (stats != nullptr) {
       ++stats->lines;
       auto [sit, first] = stats->design_range.emplace(
