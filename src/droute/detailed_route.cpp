@@ -14,8 +14,7 @@
 
 namespace tsteiner {
 
-long long pin_access_violations(const Design& design, const GridGraph& grid,
-                                const DrouteOptions& options) {
+long long pin_access_violations(const Design& design, const GridGraph& grid) {
   const int nx = grid.nx();
   const int ny = grid.ny();
   std::vector<int> pins_per_gcell(static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny), 0);
@@ -28,7 +27,7 @@ long long pin_access_violations(const Design& design, const GridGraph& grid,
   const double sites_per_gcell = static_cast<double>(grid.gcell_size());
   long long pin_access_viol = 0;
   for (int count : pins_per_gcell) {
-    const double limit = options.pin_density_limit_per_site * sites_per_gcell;
+    const double limit = kPinDensityLimitPerSite * sites_per_gcell;
     if (static_cast<double>(count) > limit) {
       pin_access_viol += static_cast<long long>(std::ceil(static_cast<double>(count) - limit));
     }
@@ -85,8 +84,7 @@ DetailedRouteResult finalize_droute(DrouteRepairInputs in, const DrouteOptions& 
   result.num_drvs = static_cast<long long>(std::llround(conflicts)) + in.pin_access_viol / 8;
   result.num_vias = in.vias;
   const double n_edges = std::max<double>(1.0, static_cast<double>(in.num_connections));
-  const double detour =
-      options.wl_detour_base + options.wl_detour_per_overflow * (initial_conflicts / n_edges);
+  const double detour = kWlDetourBase + kWlDetourPerOverflow * (initial_conflicts / n_edges);
   result.wirelength_dbu = in.gr_wirelength_dbu * detour;
   return result;
 }
@@ -141,7 +139,7 @@ DetailedRouteResult detailed_route(const Design& design, const SteinerForest& fo
 
   // --- track assignment: the real conflict source ---------------------------
   const TrackAssignResult ta = assign_tracks(gr);
-  const long long pin_access = pin_access_violations(design, gr.grid, options);
+  const long long pin_access = pin_access_violations(design, gr.grid);
   (void)forest;
   return finalize_droute(repair_inputs_from(ta, gr, pin_access), options);
 }
@@ -195,7 +193,7 @@ void DetailedRouteState::rebuild_from(const GlobalRouteResult& gr) {
     conn_vias_[c] = 2 + gr.connections[c].num_bends();
     total_vias_ += conn_vias_[c];
   }
-  pin_access_viol_ = pin_access_violations(*design_, grid, options_);
+  pin_access_viol_ = pin_access_violations(*design_, grid);
   built_ = true;
 }
 

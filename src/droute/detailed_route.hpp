@@ -16,14 +16,17 @@
 
 namespace tsteiner {
 
+/// Detailed routes detour slightly versus the GR guide.
+inline constexpr double kWlDetourBase = 1.02;
+
+/// Extra detour per unit of average residual congestion overflow.
+inline constexpr double kWlDetourPerOverflow = 0.004;
+
+/// Pins per gcell above which pin-access violations appear.
+inline constexpr double kPinDensityLimitPerSite = 0.9;
+
 struct DrouteOptions {
-  /// Detailed routes detour slightly versus the GR guide.
-  double wl_detour_base = 1.02;
-  /// Extra detour per unit of average residual congestion overflow.
-  double wl_detour_per_overflow = 0.004;
   int repair_rounds_max = 24;
-  /// Pins per gcell above which pin-access violations appear.
-  double pin_density_limit_per_site = 0.9;
 };
 
 struct DetailedRouteResult {
@@ -41,8 +44,7 @@ DetailedRouteResult detailed_route(const Design& design, const SteinerForest& fo
 /// Pin-access violation count: a pure function of the design's pin placement
 /// and the gcell geometry (routes never move pins), so incremental sign-off
 /// computes it once per design/grid and reuses it.
-long long pin_access_violations(const Design& design, const GridGraph& grid,
-                                const DrouteOptions& options);
+long long pin_access_violations(const Design& design, const GridGraph& grid);
 
 /// Everything the repair/metrics stage consumes. Both the one-shot surrogate
 /// and DetailedRouteState feed this into `finalize_droute`, so the two paths

@@ -140,8 +140,8 @@ TrainedSuite build_and_train_suite(const SuiteOptions& options) {
     PreparedDesign& pd = suite.designs[i];
     if (!pd.spec.is_training) continue;
     train_samples.push_back(suite.base_samples[i]);
-    const double base_dist = options.perturb_dist_gcells *
-                             static_cast<double>(options.flow.router.gcell_size);
+    const double base_dist =
+        kPerturbDistGcells * static_cast<double>(options.flow.router.gcell_size);
     const double fractions[] = {1.0, 0.25, 0.5};
     for (int k = 0; k < options.perturb_per_design; ++k) {
       Rng child = rng.fork();

@@ -38,10 +38,13 @@ PreparedDesign prepare_design(const CellLibrary& lib, const BenchmarkSpec& spec,
 /// Label a forest variant by running the golden sign-off flow on it.
 TrainingSample make_training_sample(const PreparedDesign& pd, const SteinerForest& forest);
 
+/// Radius of the largest random-position training perturbation, in gcell
+/// widths; the perturbed samples cycle through 1, 1/4 and 1/2 of it.
+inline constexpr double kPerturbDistGcells = 2.0;
+
 struct SuiteOptions {
   double scale = 0.12;
   int perturb_per_design = 3;  ///< extra random-position training samples
-  double perturb_dist_gcells = 2.0;
   GnnConfig gnn;
   TrainOptions train;
   FlowOptions flow;

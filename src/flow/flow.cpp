@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
+#include "steiner/edge_shift.hpp"
 #include "util/log.hpp"
 
 namespace tsteiner {
@@ -173,7 +174,7 @@ Flow::Flow(Design* design, const FlowOptions& options)
   // 2. Clock calibration from a pre-routing STA so every design starts with
   //    realistic negative slack (the paper's designs all violate timing).
   const StaResult pre = run_sta(*design_, initial_forest_, nullptr, options_.sta);
-  design_->set_clock_period(std::max(0.05, options_.clock_tightness * pre.max_arrival));
+  design_->set_clock_period(std::max(0.05, kClockTightness * pre.max_arrival));
 
   // 3. Probe route on the raw forest: calibrates capacities (pinned for all
   //    later runs) and provides the congestion map for edge shifting. The
@@ -192,16 +193,9 @@ Flow::Flow(Design* design, const FlowOptions& options)
   // 4. Edge shifting [17] against the probe congestion.
   if (options_.edge_shifting) {
     const GridGraph& grid = probe_route.grid;
-    EdgeShiftOptions shift;
-    shift.passes = 3;
-    // Congestion relief outranks wirelength — FastRoute-style shifting under
-    // pressure trades real wirelength (and with it, timing) for routability.
-    // This is the timing-blind baseline the paper's TSteiner stage recovers.
-    shift.wirelength_slack = 0.30;
     const int moves = edge_shift_forest(
         initial_forest_,
-        [&grid](const PointF& a, const PointF& b) { return l_route_congestion(grid, a, b); },
-        shift);
+        [&grid](const PointF& a, const PointF& b) { return l_route_congestion(grid, a, b); });
     TS_VERBOSE("%s: edge shifting moved %d Steiner points", design_->name().c_str(), moves);
   }
   initial_forest_.build_movable_index();

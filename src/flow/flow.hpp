@@ -18,10 +18,13 @@
 #include "route/global_router.hpp"
 #include "sta/sta.hpp"
 #include "steiner/rsmt.hpp"
-#include "steiner/edge_shift.hpp"
 #include "util/timer.hpp"
 
 namespace tsteiner {
+
+/// Clock period = this fraction of the pre-routing STA's max arrival, so
+/// every design starts with negative slack.
+inline constexpr double kClockTightness = 0.62;
 
 struct FlowOptions {
   RouterOptions router;
@@ -30,7 +33,6 @@ struct FlowOptions {
   RsmtOptions rsmt;
   SteinerBuildOptions steiner;     ///< initial construction: batched by default
   bool edge_shifting = true;       ///< FLUTE + edge shifting [16], [17]
-  double clock_tightness = 0.62;   ///< clock = tightness * initial max arrival
 };
 
 /// The sign-off numbers Table II reports per design.

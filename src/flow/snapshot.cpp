@@ -24,18 +24,18 @@ void encode_flow_options(db::ByteWriter& w, const FlowOptions& f) {
   w.i32(f.router.rrr_iterations);
   w.f64(f.router.history_increment);
   w.i32(f.router.maze_margin);
-  w.f64(f.sta.primary_input_slew);
-  w.f64(f.sta.clock_source_slew);
+  w.f64(kPrimaryInputSlewNs);
+  w.f64(kClockSourceSlewNs);
   w.f64(f.sta.max_slew_ns);
   w.f64(f.sta.max_cap_pf);
-  w.f64(f.droute.wl_detour_base);
-  w.f64(f.droute.wl_detour_per_overflow);
+  w.f64(kWlDetourBase);
+  w.f64(kWlDetourPerOverflow);
   w.i32(f.droute.repair_rounds_max);
-  w.f64(f.droute.pin_density_limit_per_site);
+  w.f64(kPinDensityLimitPerSite);
   w.i32(f.rsmt.exact_pin_limit);
   w.i32(f.rsmt.max_steiner_per_net);
   w.u8(f.edge_shifting ? 1 : 0);
-  w.f64(f.clock_tightness);
+  w.f64(kClockTightness);
 }
 
 std::vector<std::uint8_t> index_prefixed(std::uint32_t index,
@@ -145,7 +145,7 @@ std::string suite_options_tag(const SuiteOptions& options) {
   db::ByteWriter w;
   w.f64(options.scale);
   w.i32(options.perturb_per_design);
-  w.f64(options.perturb_dist_gcells);
+  w.f64(kPerturbDistGcells);
   w.u64(options.seed);
   w.i32(options.gnn.hidden);
   w.i32(options.gnn.type_embed);
@@ -156,7 +156,7 @@ std::string suite_options_tag(const SuiteOptions& options) {
   w.u64(options.gnn.seed);
   w.i32(options.train.epochs);
   w.f64(options.train.lr);
-  w.f64(options.train.grad_clip);
+  w.f64(kGradClip);
   w.f64(options.train.endpoint_loss_weight);
   w.u64(options.train.seed);
   encode_flow_options(w, options.flow);

@@ -4,6 +4,14 @@
 
 namespace tsteiner {
 
+namespace {
+
+/// Highlight Steiner nodes whose position differs from `reference` (the
+/// pre-refinement forest) by more than this distance.
+constexpr double kMovedHighlightDist = 1.0;
+
+}  // namespace
+
 bool render_design_svg(const Design& design, const SteinerForest& forest,
                        const GridGraph* grid, const SteinerForest* reference,
                        const std::string& path, const VisualizeOptions& options) {
@@ -55,8 +63,7 @@ bool render_design_svg(const Design& design, const SteinerForest& forest,
         bool moved = false;
         if (reference != nullptr && t < reference->trees.size() &&
             n < reference->trees[t].nodes.size()) {
-          moved = manhattan(node.pos, reference->trees[t].nodes[n].pos) >
-                  options.moved_highlight_dist;
+          moved = manhattan(node.pos, reference->trees[t].nodes[n].pos) > kMovedHighlightDist;
         }
         svg.circle(node.pos.x, node.pos.y, moved ? 0.8 : 0.4, moved ? "#e03030" : "#ed7d31");
       }

@@ -15,9 +15,6 @@ struct VisualizeOptions {
   bool draw_cells = true;
   bool draw_trees = true;
   bool draw_congestion = true;  ///< requires a grid
-  /// Highlight Steiner nodes whose position differs from `reference` (the
-  /// pre-refinement forest) by more than this distance.
-  double moved_highlight_dist = 1.0;
 };
 
 /// Render to SVG. `grid` may be null (no heatmap); `reference` may be null

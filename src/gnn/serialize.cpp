@@ -1,53 +1,9 @@
 #include "gnn/serialize.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "db/bytes.hpp"
 #include "db/container.hpp"
 
 namespace tsteiner {
-
-namespace {
-
-std::string config_line(const GnnConfig& c, int num_cell_types) {
-  std::ostringstream os;
-  os << "cfg " << c.hidden << ' ' << c.type_embed << ' ' << c.delay_hidden << ' '
-     << c.steiner_iters << ' ' << c.soft_abs_delta << ' ' << (c.physics_anchor ? 1 : 0)
-     << ' ' << c.seed << ' ' << num_cell_types;
-  return os.str();
-}
-
-bool config_equal(const GnnConfig& a, const GnnConfig& b) {
-  return a.hidden == b.hidden && a.type_embed == b.type_embed &&
-         a.delay_hidden == b.delay_hidden && a.steiner_iters == b.steiner_iters &&
-         a.soft_abs_delta == b.soft_abs_delta && a.physics_anchor == b.physics_anchor &&
-         a.seed == b.seed;
-}
-
-std::optional<TimingGnn> load_model_text(const std::string& path, const GnnConfig& config,
-                                         int num_cell_types, const std::string& tag) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != "tsteiner-model-v1") return std::nullopt;
-  if (!std::getline(in, line) || line != "tag " + tag) return std::nullopt;
-  if (!std::getline(in, line) || line != config_line(config, -1)) return std::nullopt;
-
-  TimingGnn model(config, num_cell_types);
-  std::size_t count = 0;
-  if (!(in >> count) || count != model.parameters().size()) return std::nullopt;
-  for (Tensor& p : model.parameters()) {
-    std::size_t rows = 0, cols = 0;
-    if (!(in >> rows >> cols) || rows != p.rows() || cols != p.cols()) return std::nullopt;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (!(in >> p[i])) return std::nullopt;
-    }
-  }
-  return model;
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_model_payload(const TimingGnn& model, const std::string& tag) {
   db::ByteWriter w;
@@ -70,6 +26,13 @@ std::vector<std::uint8_t> encode_model_payload(const TimingGnn& model, const std
 }
 
 namespace {
+
+bool config_equal(const GnnConfig& a, const GnnConfig& b) {
+  return a.hidden == b.hidden && a.type_embed == b.type_embed &&
+         a.delay_hidden == b.delay_hidden && a.steiner_iters == b.steiner_iters &&
+         a.soft_abs_delta == b.soft_abs_delta && a.physics_anchor == b.physics_anchor &&
+         a.seed == b.seed;
+}
 
 /// Shared body of the two decode entry points: reads tag + stored config,
 /// then either validates against `expected` (strict mode) or adopts the
@@ -139,33 +102,11 @@ bool save_model(const TimingGnn& model, const std::string& path, const std::stri
 std::optional<TimingGnn> load_model(const std::string& path, const GnnConfig& config,
                                     int num_cell_types, const std::string& tag) {
   db::DbReader reader;
-  if (!reader.open(path)) {
-    // Not a container (or damaged beyond the header): try the legacy text
-    // format so caches written before the binary container still load.
-    return load_model_text(path, config, num_cell_types, tag);
-  }
+  if (!reader.open(path)) return std::nullopt;
   const db::ChunkInfo* chunk = reader.find(db::kChunkModel);
   if (chunk == nullptr) return std::nullopt;
   return decode_model_payload(reader.payload(*chunk), static_cast<std::size_t>(chunk->size),
                               config, num_cell_types, tag);
-}
-
-bool save_model_text(const TimingGnn& model, const std::string& path, const std::string& tag) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "tsteiner-model-v1\n";
-  out << "tag " << tag << '\n';
-  out << config_line(model.config(), /*num_cell_types=*/-1) << '\n';
-  out.precision(17);
-  out << model.parameters().size() << '\n';
-  for (const Tensor& p : model.parameters()) {
-    out << p.rows() << ' ' << p.cols() << '\n';
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      out << p[i] << (i + 1 == p.size() ? '\n' : ' ');
-    }
-    if (p.size() == 0) out << '\n';
-  }
-  return static_cast<bool>(out);
 }
 
 }  // namespace tsteiner

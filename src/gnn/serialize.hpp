@@ -3,11 +3,9 @@
 //
 // The on-disk format is a TSteinerDB container (src/db) holding one MODL
 // chunk — binary, integrity-checked, and rejected with a clean nullopt on
-// truncation or corruption. Files written by the pre-container plain-text
-// format are still readable: load_model() falls back to the legacy text
-// parser when the container magic is absent. Loading validates config, tag
-// and tensor shapes, so a stale cache (different architecture / training
-// setup) is rejected rather than misloaded.
+// truncation, corruption or any file that is not a container. Loading
+// validates config, tag and tensor shapes, so a stale cache (different
+// architecture / training setup) is rejected rather than misloaded.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +23,10 @@ namespace tsteiner {
 bool save_model(const TimingGnn& model, const std::string& path, const std::string& tag);
 
 /// Load parameters into a freshly constructed model. Returns nullopt if the
-/// file is missing, malformed, corrupted, or its config/tag does not match.
-/// Reads both the container format and the legacy text format.
+/// file is missing, not a container, malformed, corrupted, or its
+/// config/tag does not match.
 std::optional<TimingGnn> load_model(const std::string& path, const GnnConfig& config,
                                     int num_cell_types, const std::string& tag);
-
-/// Legacy plain-text writer, kept so the text-read fallback stays covered by
-/// tests and old tooling keeps working. New code should use save_model().
-bool save_model_text(const TimingGnn& model, const std::string& path, const std::string& tag);
 
 /// MODL chunk payload codec, shared with the suite snapshot (flow/snapshot).
 std::vector<std::uint8_t> encode_model_payload(const TimingGnn& model, const std::string& tag);

@@ -143,7 +143,6 @@ void SteinerPredictor::pretrain() {
   // construction. Every Steiner point the exact construction picks lies on
   // the pin Hanan grid (candidates are (x_i, y_j) cross products, closed
   // under iteration), so labels match packed candidates by exact position.
-  BatchBuildOptions pack_opts;
   std::vector<std::vector<PointF>> pin_sets;
   pin_sets.reserve(static_cast<std::size_t>(std::max(cfg_.train_nets, 0)));
   for (int n = 0; n < cfg_.train_nets; ++n) {
@@ -157,7 +156,7 @@ void SteinerPredictor::pretrain() {
     }
     pin_sets.push_back(std::move(net));
   }
-  const HananBatch batch = pack_hanan_batch(pin_sets, pack_opts);
+  const HananBatch batch = pack_hanan_batch(pin_sets);
   if (batch.rows() == 0) return;
 
   Tensor target(batch.rows(), 1, 0.0);
@@ -289,7 +288,7 @@ std::vector<SteinerTree> build_batched_trees(const std::vector<std::vector<Point
                                              const BatchBuildOptions& options,
                                              BatchBuildStats* stats,
                                              std::vector<std::uint8_t>* used_fallback) {
-  const HananBatch batch = pack_hanan_batch(pin_sets, options);
+  const HananBatch batch = pack_hanan_batch(pin_sets);
   const std::vector<double> probs = predictor.predict(batch);
   return stitch_batch(pin_sets, batch, probs, options, stats, used_fallback);
 }
@@ -338,7 +337,6 @@ SteinerForest build_initial_forest(const Design& design, const SteinerBuildOptio
   }
   BatchBuildOptions batch = options.batch;
   batch.fallback = rsmt;
-  batch.threads = rsmt.threads;
   const std::shared_ptr<const SteinerPredictor> predictor =
       SteinerPredictor::shared_pretrained(options.predictor);
   return build_forest_batched(design, *predictor, batch, stats);

@@ -149,7 +149,7 @@ struct SteinerBuildOptions {
 };
 
 /// The Flow constructor's entry point: dispatches on `options.mode`, pinning
-/// `batch.fallback`/threads to `rsmt` so fallback nets match the per-net
+/// `batch.fallback` to `rsmt` so fallback nets match the per-net
 /// path exactly.
 SteinerForest build_initial_forest(const Design& design, const SteinerBuildOptions& options,
                                    const RsmtOptions& rsmt, BatchBuildStats* stats = nullptr);

@@ -56,8 +56,8 @@ double Trainer::train_epoch(std::span<TrainingSample> samples) {
       double norm = 0.0;
       for (double v : g.data()) norm += v * v;
       norm = std::sqrt(norm);
-      if (norm > opts_.grad_clip) {
-        const double f = opts_.grad_clip / norm;
+      if (norm > kGradClip) {
+        const double f = kGradClip / norm;
         for (double& v : g.data()) v *= f;
       }
     }

@@ -26,10 +26,12 @@ struct TrainingSample {
   std::vector<int> endpoint_pins;
 };
 
+/// Max-norm clip per gradient tensor.
+inline constexpr double kGradClip = 5.0;
+
 struct TrainOptions {
   int epochs = 60;
   double lr = 5e-4;         ///< paper's learning rate
-  double grad_clip = 5.0;   ///< max-norm clip per tensor
   /// Extra MSE weight on endpoint pins: WNS/TNS are endpoint statistics, so
   /// their arrivals matter more than interior pins'.
   double endpoint_loss_weight = 3.0;

@@ -10,8 +10,17 @@ namespace tsteiner {
 
 namespace {
 
+/// Also allow buffers at midpoints of edges longer than this (DBU).
+constexpr double kSplitEdgesLongerThan = 48.0;
+
+/// Nominal input slew for buffer delay lookups.
+constexpr double kNominalSlewNs = 0.05;
+
+/// Keep at most this many non-dominated options per node.
+constexpr int kMaxOptions = 64;
+
 /// Expanded tree: original nodes plus midpoints of long edges (extra buffer
-/// candidates). Deterministic for (tree, options) so plan/apply agree.
+/// candidates). Deterministic for the tree so plan/apply agree.
 struct XTree {
   std::vector<PointF> pos;
   std::vector<int> pin;           ///< design pin id; -1 for candidates
@@ -23,7 +32,7 @@ struct XTree {
   int driver = 0;
 };
 
-XTree expand(const Design& design, const SteinerTree& tree, const BufferingOptions& opt) {
+XTree expand(const Design& design, const SteinerTree& tree) {
   XTree x;
   const CellLibrary& lib = design.library();
   const auto parent = tree.parents_from_driver();
@@ -43,7 +52,7 @@ XTree expand(const Design& design, const SteinerTree& tree, const BufferingOptio
     const int p = x.parent[v];
     if (p < 0) continue;
     const double len = manhattan(x.pos[v], x.pos[static_cast<std::size_t>(p)]);
-    if (opt.split_edges_longer_than > 0.0 && len > opt.split_edges_longer_than) {
+    if (len > kSplitEdgesLongerThan) {
       const int mid = static_cast<int>(x.pos.size());
       x.pos.push_back({0.5 * (x.pos[v].x + x.pos[static_cast<std::size_t>(p)].x),
                        0.5 * (x.pos[v].y + x.pos[static_cast<std::size_t>(p)].y)});
@@ -90,7 +99,7 @@ struct Opt {
 
 /// Prune dominated options: keep the Pareto front (increasing cap must mean
 /// strictly decreasing delay).
-void prune(std::vector<Opt>& opts, int max_options) {
+void prune(std::vector<Opt>& opts) {
   std::sort(opts.begin(), opts.end(), [](const Opt& a, const Opt& b) {
     if (a.cap != b.cap) return a.cap < b.cap;
     return a.delay < b.delay;
@@ -103,12 +112,12 @@ void prune(std::vector<Opt>& opts, int max_options) {
       best_delay = o.delay;
     }
   }
-  if (static_cast<int>(kept.size()) > max_options) {
+  if (static_cast<int>(kept.size()) > kMaxOptions) {
     // Thin uniformly, always keeping the extremes.
     std::vector<Opt> thinned;
     const double step =
-        static_cast<double>(kept.size() - 1) / static_cast<double>(max_options - 1);
-    for (int i = 0; i < max_options; ++i) {
+        static_cast<double>(kept.size() - 1) / static_cast<double>(kMaxOptions - 1);
+    for (int i = 0; i < kMaxOptions; ++i) {
       thinned.push_back(kept[static_cast<std::size_t>(std::llround(i * step))]);
     }
     kept = std::move(thinned);
@@ -142,7 +151,7 @@ BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
   if (buf_type < 0) throw std::runtime_error("unknown buffer type");
   const CellType& buf = design.library().type(buf_type);
 
-  const XTree x = expand(design, tree, options);
+  const XTree x = expand(design, tree);
   const std::size_t m = x.pos.size();
 
   // Bottom-up DP in reverse BFS order.
@@ -164,25 +173,25 @@ BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
         }
       }
       opts = std::move(merged);
-      prune(opts, options.max_options);
+      prune(opts);
     }
     // Buffer candidate at this node (not at the driver).
     if (static_cast<int>(v) != x.driver) {
       std::vector<Opt> with_buf = opts;
       for (const Opt& o : opts) {
-        const double d = buf.arcs[0].delay.lookup(options.nominal_slew_ns, o.cap);
+        const double d = buf.arcs[0].delay.lookup(kNominalSlewNs, o.cap);
         with_buf.push_back(
             {buf.input_cap_pf, o.delay + d,
              std::make_shared<Trace>(Trace{static_cast<int>(v), o.trace, nullptr})});
       }
       opts = std::move(with_buf);
-      prune(opts, options.max_options);
+      prune(opts);
       // Add the parent edge (pi model: R * (C_down + C_e / 2)).
       for (Opt& o : opts) {
         o.delay += x.edge_r[v] * (o.cap + 0.5 * x.edge_c[v]);
         o.cap += x.edge_c[v];
       }
-      prune(opts, options.max_options);
+      prune(opts);
     }
     dp[v] = std::move(opts);
   }
@@ -208,7 +217,7 @@ BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
     }
     const auto d = static_cast<std::size_t>(x.driver);
     plan.delay_before_ns =
-        driver_delay(design, net, sub_cap[d], options.nominal_slew_ns) + sub_delay[d];
+        driver_delay(design, net, sub_cap[d], kNominalSlewNs) + sub_delay[d];
   }
 
   // Driver: pick the option minimizing driver delay + downstream delay.
@@ -216,7 +225,7 @@ BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
   double best = std::numeric_limits<double>::infinity();
   const Opt* chosen = nullptr;
   for (const Opt& o : root) {
-    const double total = driver_delay(design, net, o.cap, options.nominal_slew_ns) + o.delay;
+    const double total = driver_delay(design, net, o.cap, kNominalSlewNs) + o.delay;
     if (total < best) {
       best = total;
       chosen = &o;
@@ -241,7 +250,7 @@ std::vector<int> apply_buffering(Design& design, const BufferingPlan& plan,
       options.buffer_type.empty() ? "BUF_X2" : options.buffer_type);
   if (buf_type < 0) throw std::runtime_error("unknown buffer type");
 
-  const XTree x = expand(design, tree, options);
+  const XTree x = expand(design, tree);
   // Match planned buffer positions back to expanded nodes.
   std::vector<char> is_buffer(x.pos.size(), 0);
   for (const BufferPlacement& b : plan.buffers) {

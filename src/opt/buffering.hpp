@@ -25,13 +25,6 @@ namespace tsteiner {
 struct BufferingOptions {
   /// Candidate buffer type (library name); empty picks "BUF_X2".
   std::string buffer_type = "BUF_X2";
-  /// Also allow buffers at midpoints of edges longer than this (DBU);
-  /// <= 0 restricts candidates to existing tree nodes.
-  double split_edges_longer_than = 48.0;
-  /// Nominal input slew for buffer delay lookups.
-  double nominal_slew_ns = 0.05;
-  /// Keep at most this many non-dominated options per node.
-  int max_options = 64;
 };
 
 /// One planned insertion: on the tree path *into* `node` (i.e. between the

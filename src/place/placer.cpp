@@ -10,6 +10,12 @@ namespace tsteiner {
 
 namespace {
 
+/// Fraction of the median step taken per pass.
+constexpr double kDamping = 0.75;
+
+/// Jitter (sites) to break ties before legalize.
+constexpr double kNoise = 0.5;
+
 /// Median of a small scratch vector (averaged middle pair for even sizes).
 double median_of(std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
@@ -125,11 +131,11 @@ void place_design(Design& design, const PlacerOptions& options) {
       const double mx = median_of(xs);
       const double my = median_of(ys);
       const double nx = static_cast<double>(c.pos.x) +
-                        options.damping * (mx - static_cast<double>(c.pos.x)) +
-                        rng.uniform(-options.noise, options.noise);
+                        kDamping * (mx - static_cast<double>(c.pos.x)) +
+                        rng.uniform(-kNoise, kNoise);
       const double ny = static_cast<double>(c.pos.y) +
-                        options.damping * (my - static_cast<double>(c.pos.y)) +
-                        rng.uniform(-options.noise, options.noise);
+                        kDamping * (my - static_cast<double>(c.pos.y)) +
+                        rng.uniform(-kNoise, kNoise);
       c.pos = {std::clamp(static_cast<std::int64_t>(std::llround(nx)), die.lo.x, die.hi.x),
                std::clamp(static_cast<std::int64_t>(std::llround(ny)), die.lo.y, die.hi.y)};
     }

@@ -16,8 +16,6 @@ namespace tsteiner {
 
 struct PlacerOptions {
   int iterations = 16;      ///< median-improvement passes
-  double damping = 0.75;    ///< fraction of the median step taken per pass
-  double noise = 0.5;       ///< jitter (sites) to break ties before legalize
   std::uint64_t seed = 7;
   /// Optional timing-driven net weights (paper ref [1]'s net-weighting idea
   /// at this placer's scale): per-net multiplicity in the median pull.

@@ -8,6 +8,9 @@ namespace tsteiner::search {
 
 namespace {
 
+/// UCT exploration constant.
+constexpr double kExploration = 0.7;
+
 std::uint64_t fnv1a_step(std::uint64_t h, std::uint64_t v) {
   h ^= v;
   return h * 1099511628211ull;
@@ -79,7 +82,7 @@ MctsResult search_tree_edits(const SteinerTree& tree, const RectI& die, std::uin
       for (int c : node.children) {
         const Node& child = arena[static_cast<std::size_t>(c)];
         const double mean = child.total / static_cast<double>(child.visits);
-        const double uct = mean + options.exploration *
+        const double uct = mean + kExploration *
                                       std::sqrt(std::log(static_cast<double>(node.visits) + 1.0) /
                                                 static_cast<double>(child.visits));
         if (uct > pick_uct) {

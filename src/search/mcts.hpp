@@ -25,7 +25,6 @@ namespace tsteiner::search {
 struct MctsOptions {
   int rollouts = 12;        ///< simulations (leaf evaluations) per search
   int max_depth = 2;        ///< longest edit sequence explored
-  double exploration = 0.7; ///< UCT constant
   std::uint64_t seed = 0;   ///< mixed with (round, net, path) per node
   EditOptions edits;        ///< proposal enumeration knobs
 };

@@ -41,7 +41,6 @@ void apply_whatif_moves(SteinerForest* forest, const Design& design,
 BatchBuildOptions wirelength_batch_options(const FlowOptions& flow) {
   BatchBuildOptions batch = flow.steiner.batch;
   batch.fallback = flow.rsmt;
-  batch.threads = flow.rsmt.threads;
   return batch;
 }
 

@@ -65,7 +65,7 @@ void IncrementalSta::propagate_cell(int cell_id) {
   const double load =
       out_net >= 0 ? net_timing_[static_cast<std::size_t>(out_net)].total_cap_pf : 0.0;
   double out_arrival = 0.0;
-  double out_slew = options_.primary_input_slew;
+  double out_slew = kPrimaryInputSlewNs;
   bool any = false;
   for (int ip : c.input_pins) {
     if (design_->pin(ip).net < 0) continue;
@@ -165,9 +165,9 @@ const StaResult& IncrementalSta::update(const SteinerForest& forest,
         const CellType& ct = design_->cell_type(drv.cell);
         const double load = net_timing_[static_cast<std::size_t>(net_id)].total_cap_pf;
         result_.arrival[static_cast<std::size_t>(net.driver_pin)] =
-            ct.arcs[0].delay.lookup(options_.clock_source_slew, load);
+            ct.arcs[0].delay.lookup(kClockSourceSlewNs, load);
         result_.slew[static_cast<std::size_t>(net.driver_pin)] =
-            ct.arcs[0].out_slew.lookup(options_.clock_source_slew, load);
+            ct.arcs[0].out_slew.lookup(kClockSourceSlewNs, load);
       } else {
         enqueue_cell(drv.cell);  // its cell delay changed via the load
       }

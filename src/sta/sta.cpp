@@ -27,7 +27,7 @@ StaResult run_sta(const Design& design, const SteinerForest& forest,
   const std::size_t num_pins = design.pins().size();
   StaResult res;
   res.arrival.assign(num_pins, 0.0);
-  res.slew.assign(num_pins, options.primary_input_slew);
+  res.slew.assign(num_pins, kPrimaryInputSlewNs);
 
   // --- net timing for every net with a tree --------------------------------
   // Nets are independent: RC extraction + Elmore per net in parallel, each
@@ -76,7 +76,7 @@ StaResult run_sta(const Design& design, const SteinerForest& forest,
   for (const Pin& p : design.pins()) {
     if (p.kind == PinKind::kPrimaryInput) {
       res.arrival[static_cast<std::size_t>(p.id)] = 0.0;
-      res.slew[static_cast<std::size_t>(p.id)] = options.primary_input_slew;
+      res.slew[static_cast<std::size_t>(p.id)] = kPrimaryInputSlewNs;
     }
   }
   // Register CK->Q startpoints.
@@ -86,9 +86,9 @@ StaResult run_sta(const Design& design, const SteinerForest& forest,
     const TimingArc& ck2q = t.arcs[0];
     const double load = net_load(c.output_pin);
     res.arrival[static_cast<std::size_t>(c.output_pin)] =
-        ck2q.delay.lookup(options.clock_source_slew, load);
+        ck2q.delay.lookup(kClockSourceSlewNs, load);
     res.slew[static_cast<std::size_t>(c.output_pin)] =
-        ck2q.out_slew.lookup(options.clock_source_slew, load);
+        ck2q.out_slew.lookup(kClockSourceSlewNs, load);
   }
 
   // --- combinational propagation, in topological order -----------------------
@@ -99,7 +99,7 @@ StaResult run_sta(const Design& design, const SteinerForest& forest,
     const CellType& t = design.cell_type(cid);
     const double load = net_load(c.output_pin);
     double out_arrival = 0.0;
-    double out_slew = options.primary_input_slew;
+    double out_slew = kPrimaryInputSlewNs;
     bool any = false;
     for (int in_pin : c.input_pins) {
       if (design.pin(in_pin).net < 0) continue;

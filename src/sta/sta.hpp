@@ -18,9 +18,14 @@
 
 namespace tsteiner {
 
+/// Transition (ns) at primary inputs; also the output slew of a cell none of
+/// whose inputs is driven. Full and incremental STA share it.
+inline constexpr double kPrimaryInputSlewNs = 0.03;
+
+/// Transition (ns) at register CK pins, for the CK->Q startpoint lookup.
+inline constexpr double kClockSourceSlewNs = 0.05;
+
 struct StaOptions {
-  double primary_input_slew = 0.03;  ///< ns
-  double clock_source_slew = 0.05;   ///< ns, at register CK pins
   /// Electrical rule limits (sign-off reports these alongside slack).
   double max_slew_ns = 0.60;
   double max_cap_pf = 0.30;

@@ -12,16 +12,23 @@ namespace tsteiner {
 
 namespace {
 
+/// Probability cutoff: rows at or below it are never stitched.
+constexpr double kStitchThreshold = 0.35;
+
+/// At most this many above-threshold candidates are offered to the stitch,
+/// in descending-probability order (stable w.r.t. packing order).
+constexpr std::size_t kMaxCandidatesPerNet = 12;
+
 struct NetCandidates {
   std::vector<PointF> points;
   std::vector<double> dmin;  ///< min Manhattan distance to any pin
 };
 
 /// Hanan cross-product candidates for one net: every (x_i, y_j) that is not
-/// itself a pin position, deduped. When the grid exceeds the per-net cap,
+/// itself a pin position, deduped. When the grid exceeds kMaxHananPerNet,
 /// the candidates nearest to the pins win (ties broken by x then y), which
 /// keeps the set deterministic and biased toward useful junctions.
-NetCandidates net_candidates(const std::vector<PointF>& pins, int cap) {
+NetCandidates net_candidates(const std::vector<PointF>& pins) {
   NetCandidates out;
   std::vector<PointF> grid;
   for (const PointF& a : pins) {
@@ -65,7 +72,7 @@ NetCandidates net_candidates(const std::vector<PointF>& pins, int cap) {
     if (filtered[a].x != filtered[b].x) return filtered[a].x < filtered[b].x;
     return filtered[a].y < filtered[b].y;
   });
-  const std::size_t take = std::min<std::size_t>(order.size(), static_cast<std::size_t>(std::max(cap, 0)));
+  const std::size_t take = std::min<std::size_t>(order.size(), kMaxHananPerNet);
   out.points.reserve(take);
   out.dmin.reserve(take);
   for (std::size_t i = 0; i < take; ++i) {
@@ -144,8 +151,7 @@ bool stitched_tree_ok(const SteinerTree& tree, const std::vector<PointF>& pins) 
 
 }  // namespace
 
-HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets,
-                            const BatchBuildOptions& options) {
+HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets) {
   HananBatch batch;
   batch.num_nets = pin_sets.size();
   batch.counts.assign(pin_sets.size(), 0);
@@ -158,17 +164,13 @@ HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets,
   // features (~64 per pin slot, a pass over the pins), a net's stitch or
   // fallback tree (~4k).
   std::vector<NetCandidates> cands(pin_sets.size());
-  const int threads = clamp_thread_request(options.threads);
-  parallel_for(
-      0, pin_sets.size(), 4096,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::vector<PointF>& pins = pin_sets[i];
-          if (static_cast<int>(pins.size()) <= options.small_net_pin_limit) continue;
-          cands[i] = net_candidates(pins, options.max_hanan_per_net);
-        }
-      },
-      threads);
+  parallel_for(0, pin_sets.size(), 4096, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::vector<PointF>& pins = pin_sets[i];
+      if (static_cast<int>(pins.size()) <= kSmallNetPinLimit) continue;
+      cands[i] = net_candidates(pins);
+    }
+  });
 
   int h_max = 0;
   batch.slot_of.assign(pin_sets.size(), -1);
@@ -206,8 +208,7 @@ HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets,
                           batch.features.data() + r * kHananFeatures);
           }
         }
-      },
-      threads);
+      });
   return batch;
 }
 
@@ -232,13 +233,12 @@ std::vector<SteinerTree> stitch_batch(const std::vector<std::vector<PointF>>& pi
   std::vector<int> offered_counts(pin_sets.size(), 0);
   std::vector<int> inserted_counts(pin_sets.size(), 0);
 
-  const int threads = clamp_thread_request(options.threads);
   parallel_for(
       0, pin_sets.size(), 4096,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const std::vector<PointF>& pins = pin_sets[i];
-          if (static_cast<int>(pins.size()) <= options.small_net_pin_limit) {
+          if (static_cast<int>(pins.size()) <= kSmallNetPinLimit) {
             trees[i] = build_rsmt_points(pins, options.fallback);
             fb_small[i] = 1;
             continue;
@@ -257,13 +257,13 @@ std::vector<SteinerTree> stitch_batch(const std::vector<std::vector<PointF>>& pi
               slot >= 0 ? static_cast<std::size_t>(slot) * static_cast<std::size_t>(batch.h_max) : 0;
           for (int j = 0; slot >= 0 && j < count; ++j) {
             const std::size_t r = base + static_cast<std::size_t>(j);
-            if (probabilities[r] > options.threshold) offered.push_back({batch.points[r], probabilities[r]});
+            if (probabilities[r] > kStitchThreshold) {
+              offered.push_back({batch.points[r], probabilities[r]});
+            }
           }
           std::stable_sort(offered.begin(), offered.end(),
                            [](const Offer& a, const Offer& b) { return a.prob > b.prob; });
-          if (offered.size() > static_cast<std::size_t>(std::max(options.max_candidates_per_net, 0))) {
-            offered.resize(static_cast<std::size_t>(std::max(options.max_candidates_per_net, 0)));
-          }
+          if (offered.size() > kMaxCandidatesPerNet) offered.resize(kMaxCandidatesPerNet);
           if (options.mutate_drop_first_candidate && !offered.empty()) {
             offered.erase(offered.begin());
           }
@@ -304,8 +304,7 @@ std::vector<SteinerTree> stitch_batch(const std::vector<std::vector<PointF>>& pi
             fb_invalid[i] = 1;
           }
         }
-      },
-      threads);
+      });
 
   if (used_fallback != nullptr) {
     used_fallback->assign(pin_sets.size(), 0);

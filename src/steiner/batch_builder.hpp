@@ -19,7 +19,7 @@
 //      the pin MST), then the final MST is pruned to degree-3 Steiner
 //      discipline and clamped into the pin bounding box.
 //
-// Nets with <= small_net_pin_limit pins, and any net whose stitched tree
+// Nets with <= kSmallNetPinLimit pins, and any net whose stitched tree
 // fails the structural invariants, fall back to the exact per-net path
 // (build_rsmt_points), so the verify-subsystem RSMT-optimality invariant
 // for small nets remains a hard guard.
@@ -27,7 +27,7 @@
 // Everything here is deliberately netlist-light: packing and stitching
 // operate on raw pin clouds so the serve-side wirelength estimator can use
 // them without a Design. Determinism: packing is a pure function of the
-// pin sets + options; stitching is a pure function of (pins, probabilities,
+// pin sets; stitching is a pure function of (pins, probabilities,
 // options); nets are processed over the deterministic pool with per-net
 // writes only, so results are bit-identical at any thread width and
 // independent of batch composition.
@@ -47,23 +47,17 @@ class Design;
 /// [0, 1]-ish normalized units; see pack_hanan_batch for the exact list).
 inline constexpr int kHananFeatures = 10;
 
+/// Padding cap: at most this many Hanan candidates are packed per net
+/// (nearest-to-pins candidates win; deterministic tie-breaks).
+inline constexpr int kMaxHananPerNet = 48;
+
+/// Nets with at most this many pins bypass prediction and use the exact
+/// per-net construction (keeps the <=4-pin RSMT-optimality invariant).
+inline constexpr int kSmallNetPinLimit = 4;
+
 struct BatchBuildOptions {
-  /// Padding cap: at most this many Hanan candidates are packed per net
-  /// (nearest-to-pins candidates win; deterministic tie-breaks).
-  int max_hanan_per_net = 48;
-  /// Probability cutoff: rows at or below it are never stitched.
-  double threshold = 0.35;
-  /// At most this many above-threshold candidates are offered to the
-  /// stitch, in descending-probability order (stable w.r.t. packing order).
-  int max_candidates_per_net = 12;
-  /// Nets with at most this many pins bypass prediction and use the exact
-  /// per-net construction (keeps the <=4-pin RSMT-optimality invariant).
-  int small_net_pin_limit = 4;
   /// Options for the exact fallback path (build_rsmt_points).
   RsmtOptions fallback;
-  /// Pool-width cap for packing/stitching (same contract as
-  /// RsmtOptions::threads: 0 = pool default, 1 = serial).
-  int threads = 0;
   /// Test hook for the fuzz mutation self-check: when true, the first
   /// above-threshold candidate of every net is silently dropped before
   /// stitching. The steiner-batch differential oracle must catch this.
@@ -71,7 +65,7 @@ struct BatchBuildOptions {
 };
 
 /// Padded candidate batch. Only nets that actually reach the predictor —
-/// more pins than small_net_pin_limit and at least one Hanan candidate —
+/// more pins than kSmallNetPinLimit and at least one Hanan candidate —
 /// occupy a slot; slot s owns rows [s*h_max, (s+1)*h_max). Rows with
 /// valid[r] == 0 are padding (all-zero features, so a masked forward
 /// contributes exact +0.0 to every per-slot reduction; see
@@ -103,7 +97,7 @@ struct HananBatch {
 struct BatchBuildStats {
   std::size_t num_nets = 0;
   std::size_t num_predicted = 0;         ///< stitched from predicted candidates
-  std::size_t num_fallback_small = 0;    ///< <= small_net_pin_limit pins
+  std::size_t num_fallback_small = 0;    ///< <= kSmallNetPinLimit pins
   std::size_t num_fallback_invalid = 0;  ///< stitched tree failed invariants
   std::size_t num_candidate_rows = 0;    ///< packed (valid) candidate rows
   std::size_t num_offered_points = 0;    ///< above-threshold candidates offered
@@ -113,10 +107,9 @@ struct BatchBuildStats {
 };
 
 /// Pack pin sets (driver first per net) into a padded candidate batch.
-/// Nets at or below small_net_pin_limit pack zero candidates (they never
-/// reach the predictor). Pure function of (pin_sets, options).
-HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets,
-                            const BatchBuildOptions& options);
+/// Nets at or below kSmallNetPinLimit pack zero candidates (they never
+/// reach the predictor). Pure function of pin_sets.
+HananBatch pack_hanan_batch(const std::vector<std::vector<PointF>>& pin_sets);
 
 /// Stitch every net from its pins + predicted candidate probabilities
 /// (aligned with `batch` rows, as produced by SteinerPredictor::predict).

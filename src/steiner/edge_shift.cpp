@@ -7,9 +7,24 @@
 
 namespace tsteiner {
 
-int edge_shift(SteinerTree& tree, const EdgeCostFn& cost, const EdgeShiftOptions& options) {
+namespace {
+
+/// Sweeps over a tree's Steiner nodes; shifting stops early after a sweep
+/// that moves nothing.
+constexpr int kPasses = 3;
+
+/// A move is accepted only if it does not increase the tree wirelength by
+/// more than this factor of the affected star's length. Congestion relief
+/// outranks wirelength — FastRoute-style shifting under pressure trades real
+/// wirelength (and with it, timing) for routability. This is the
+/// timing-blind baseline the paper's TSteiner stage recovers.
+constexpr double kWirelengthSlack = 0.30;
+
+}  // namespace
+
+int edge_shift(SteinerTree& tree, const EdgeCostFn& cost) {
   int moves = 0;
-  for (int pass = 0; pass < options.passes; ++pass) {
+  for (int pass = 0; pass < kPasses; ++pass) {
     const auto adj = tree.adjacency();
     bool any = false;
     for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
@@ -39,7 +54,7 @@ int edge_shift(SteinerTree& tree, const EdgeCostFn& cost, const EdgeShiftOptions
           const PointF cand{tree.nodes[static_cast<std::size_t>(va)].pos.x,
                             tree.nodes[static_cast<std::size_t>(vb)].pos.y};
           if (cand == node.pos) continue;
-          if (star_len(cand) > cur_len * (1.0 + options.wirelength_slack)) continue;
+          if (star_len(cand) > cur_len * (1.0 + kWirelengthSlack)) continue;
           const double c = star_cost(cand);
           if (c + 1e-12 < best_cost) {
             best_cost = c;
@@ -58,8 +73,7 @@ int edge_shift(SteinerTree& tree, const EdgeCostFn& cost, const EdgeShiftOptions
   return moves;
 }
 
-int edge_shift_forest(SteinerForest& forest, const EdgeCostFn& cost,
-                      const EdgeShiftOptions& options) {
+int edge_shift_forest(SteinerForest& forest, const EdgeCostFn& cost) {
   // Trees are independent; per-tree move counts land in distinct slots and
   // are folded serially, so the total matches the serial loop exactly. The
   // cost functor must be safe to call concurrently (all in-tree callers pass
@@ -69,7 +83,7 @@ int edge_shift_forest(SteinerForest& forest, const EdgeCostFn& cost,
   std::vector<int> moves(forest.trees.size(), 0);
   parallel_for(0, forest.trees.size(), 1024, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t t = lo; t < hi; ++t) {
-      moves[t] = edge_shift(forest.trees[t], cost, options);
+      moves[t] = edge_shift(forest.trees[t], cost);
     }
   });
   return std::accumulate(moves.begin(), moves.end(), 0);

@@ -210,20 +210,14 @@ SteinerForest build_forest(const Design& design, const RsmtOptions& options) {
   forest.trees.resize(routable.size());
 
   // Nets are independent; each chunk writes only its own tree slots, so the
-  // forest is identical for any thread count. options.threads acts as a
-  // pool-width cap for this call (0 = pool default, 1 = serial; negative
-  // requests clamp to the pool default). A net's tree search costs more than
-  // a chunk of work on average (measured ~1.3 ms per net at 4,408 nets, see
-  // docs/parallelism.md), so every net is its own chunk.
-  const int threads = clamp_thread_request(options.threads);
-  parallel_for(
-      0, routable.size(), kChunkWork,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          forest.trees[i] = build_rsmt(design, routable[i], options);
-        }
-      },
-      threads);
+  // forest is identical for any thread count. A net's tree search costs
+  // more than a chunk of work on average (measured ~1.3 ms per net at 4,408
+  // nets, see docs/parallelism.md), so every net is its own chunk.
+  parallel_for(0, routable.size(), kChunkWork, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      forest.trees[i] = build_rsmt(design, routable[i], options);
+    }
+  });
   forest.build_movable_index();
   return forest;
 }

@@ -27,12 +27,6 @@ struct RsmtOptions {
   int exact_pin_limit = 10;
   /// Upper bound on Steiner points added per net.
   int max_steiner_per_net = 64;
-  /// Pool-width cap for forest construction (nets are independent, built on
-  /// the shared pool from util/parallel.hpp): 0 uses the pool default
-  /// (TSTEINER_THREADS / hardware concurrency), 1 forces serial, and
-  /// negative values clamp to 0. Results are bit-identical regardless of
-  /// thread count.
-  int threads = 0;
 };
 
 /// Point-set core of build_rsmt: `pts[0]` is the driver, the rest are sinks

@@ -14,9 +14,11 @@
 
 namespace tsteiner {
 
+/// Eq. 7's moment weights (the paper's Adam betas).
+inline constexpr double kSoBeta1 = 0.9;
+inline constexpr double kSoBeta2 = 0.999;
+
 struct SoOptions {
-  double beta1 = 0.9;
-  double beta2 = 0.999;
   double eps = 1e-8;
   bool with_momentum = false;  ///< ablation: classic Adam running moments
 };
@@ -36,13 +38,13 @@ class SteinerOptimizer {
     for (std::size_t i = 0; i < xs.size(); ++i) {
       double m, v;
       if (opts_.with_momentum) {
-        m_[i] = opts_.beta1 * m_[i] + (1.0 - opts_.beta1) * g[i];
-        v_[i] = opts_.beta2 * v_[i] + (1.0 - opts_.beta2) * g[i] * g[i];
-        m = m_[i] / (1.0 - std::pow(opts_.beta1, static_cast<double>(t_)));
-        v = v_[i] / (1.0 - std::pow(opts_.beta2, static_cast<double>(t_)));
+        m_[i] = kSoBeta1 * m_[i] + (1.0 - kSoBeta1) * g[i];
+        v_[i] = kSoBeta2 * v_[i] + (1.0 - kSoBeta2) * g[i] * g[i];
+        m = m_[i] / (1.0 - std::pow(kSoBeta1, static_cast<double>(t_)));
+        v = v_[i] / (1.0 - std::pow(kSoBeta2, static_cast<double>(t_)));
       } else {
-        m = (1.0 - opts_.beta1) * g[i];
-        v = (1.0 - opts_.beta2) * g[i] * g[i];
+        m = (1.0 - kSoBeta1) * g[i];
+        v = (1.0 - kSoBeta2) * g[i] * g[i];
       }
       double delta = theta_ * m / (std::sqrt(v) + opts_.eps);
       if (delta > max_move) delta = max_move;

@@ -12,6 +12,30 @@
 
 namespace tsteiner {
 
+namespace {
+
+/// The lambda schedule's growth starts at this iteration.
+constexpr int kLambdaGrowthStart = 5;
+
+/// Keep-best noise floor: an iterate is accepted only when it improves the
+/// model-evaluated WNS or TNS by at least this fraction of the initial
+/// value. Below the evaluator's resolution (small designs), nothing is
+/// accepted and the initial trees pass through unchanged — matching the
+/// paper's near-1.000 wirelength/via ratios.
+constexpr double kAcceptTolerance = 0.002;
+
+/// Largest *total* displacement per Steiner point, in gcell widths. The
+/// paper constrains moves "according to the width and length of the global
+/// routing grid graph", i.e. essentially die-bounded; the physics-anchored
+/// evaluator extrapolates reliably, so a generous bound is safe (clamping to
+/// the die always applies).
+constexpr double kMaxMoveGcells = 64.0;
+
+/// Largest displacement applied in a single iteration, in gcell widths.
+constexpr double kMaxStepGcells = 0.5;
+
+}  // namespace
+
 double adaptive_theta(GradientEvaluator& evaluator, const std::vector<double>& xs,
                       const std::vector<double>& ys, const PenaltyWeights& weights,
                       double alpha, const GradientResult& g0) {
@@ -89,10 +113,8 @@ RefineResult refine_steiner_points(const Design& design, const SteinerForest& in
   // Adaptive stepsize (Eq. 8-9), capped so one SO step cannot exceed the
   // per-iteration move bound (the memoryless update moves each coordinate by
   // ~theta * (1-beta1)/sqrt(1-beta2) regardless of gradient magnitude).
-  const double max_total_move =
-      options.max_move_gcells * static_cast<double>(options.gcell_size);
-  const double max_step =
-      options.max_step_gcells * static_cast<double>(options.gcell_size);
+  const double max_total_move = kMaxMoveGcells * static_cast<double>(options.gcell_size);
+  const double max_step = kMaxStepGcells * static_cast<double>(options.gcell_size);
   // The probe's g(x) is `init` — the same point and weights — so the
   // historical duplicate gradient evaluation is gone.
   double theta = options.fixed_theta;
@@ -101,8 +123,7 @@ RefineResult refine_steiner_points(const Design& design, const SteinerForest& in
     ScopedTimer timer(result.grad_replay);
     theta = adaptive_theta(*evaluator, xs, ys, weights, options.alpha, init);
   }
-  const double step_gain =
-      (1.0 - options.so.beta1) / std::sqrt(1.0 - options.so.beta2);
+  const double step_gain = (1.0 - kSoBeta1) / std::sqrt(1.0 - kSoBeta2);
   theta = std::clamp(theta, 1e-3, max_step / std::max(1e-9, step_gain));
   result.theta = theta;
 
@@ -118,7 +139,7 @@ RefineResult refine_steiner_points(const Design& design, const SteinerForest& in
       gsum += std::abs(init.grad_x[i]) + std::abs(init.grad_y[i]);
     }
     const double gmean = gsum / std::max<double>(1.0, 2.0 * static_cast<double>(xs.size()));
-    so_opts.eps = std::max(so_opts.eps, 3.0 * gmean * std::sqrt(1.0 - so_opts.beta2));
+    so_opts.eps = std::max(so_opts.eps, 3.0 * gmean * std::sqrt(1.0 - kSoBeta2));
   }
   SteinerOptimizer so(xs.size(), theta, so_opts);
 
@@ -165,8 +186,8 @@ RefineResult refine_steiner_points(const Design& design, const SteinerForest& in
     obs::RefineIterationRecord rec;
     rec.iter = t;
     rec.theta = so.theta();
-    // lambda schedule: +1% per iteration from lambda_growth_start on.
-    if (t >= options.lambda_growth_start) {
+    // lambda schedule: +1% per iteration from kLambdaGrowthStart on.
+    if (t >= kLambdaGrowthStart) {
       weights.lambda_w *= 1.0 + options.lambda_growth;
       weights.lambda_t *= 1.0 + options.lambda_growth;
     }
@@ -206,8 +227,8 @@ RefineResult refine_steiner_points(const Design& design, const SteinerForest& in
     result.tns_trace.push_back(cur.eval_tns_ns);
     rec.wns = cur.eval_wns_ns;
     rec.tns = cur.eval_tns_ns;
-    const double tol_wns = options.accept_tolerance * std::abs(result.init_wns);
-    const double tol_tns = options.accept_tolerance * std::abs(result.init_tns);
+    const double tol_wns = kAcceptTolerance * std::abs(result.init_wns);
+    const double tol_tns = kAcceptTolerance * std::abs(result.init_tns);
     if (cur.eval_wns_ns > best_wns + tol_wns || cur.eval_tns_ns > best_tns + tol_tns) {
       best_wns = std::max(best_wns, cur.eval_wns_ns);
       best_tns = std::max(best_tns, cur.eval_tns_ns);
@@ -294,7 +315,7 @@ RefineResult refine_steiner_points(const Design& design, const SteinerForest& in
   }
   result.forest.scatter_xy(best_xs, best_ys);
   result.forest.clamp_steiner_points(boundary);
-  if (options.round_positions) result.forest.round_steiner_points();
+  result.forest.round_steiner_points();  // the paper's post-processing rounding
   if (obs::run_report_enabled()) {
     obs::RefineRunRecord run;
     run.design = design.name();

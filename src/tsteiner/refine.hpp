@@ -65,7 +65,6 @@ struct TopologyOptions {
   int rollouts = 12;          ///< MCTS leaf evaluations per searched net
   int max_depth = 2;          ///< longest edit sequence per candidate
   int max_candidates = 8;     ///< proposals enumerated per search node
-  double exploration = 0.7;   ///< UCT constant
   std::uint64_t seed = 0x70b0u;
   /// Episodic reward: sign-off restricted to the dirty-net set of the edit
   /// under test (callers wire IncrementalSignoff::update — the same
@@ -79,17 +78,10 @@ struct TopologyOptions {
 
 struct RefineOptions {
   PenaltyWeights weights;          ///< lambda_w = -200, lambda_t = -2, gamma = 10
-  double lambda_growth = 0.01;     ///< +1% per iteration ...
-  int lambda_growth_start = 5;     ///< ... starting from the 5th iteration
+  double lambda_growth = 0.01;     ///< +1% per iteration from the 5th
   double alpha = 5.0;              ///< Adaptive_Theta probe scale (Eq. 8)
   double mu = 0.1;                 ///< converge ratio
   int max_iterations = 40;         ///< N
-  /// Keep-best noise floor: an iterate is accepted only when it improves the
-  /// model-evaluated WNS or TNS by at least this fraction of the initial
-  /// value. Below the evaluator's resolution (small designs), nothing is
-  /// accepted and the initial trees pass through unchanged — matching the
-  /// paper's near-1.000 wirelength/via ratios.
-  double accept_tolerance = 0.002;
   /// Return the *initial* forest unless the model-evaluated WNS or TNS
   /// improved by at least this fraction overall. Claimed gains below the
   /// evaluator's resolution do not transfer to sign-off (they are model
@@ -97,14 +89,6 @@ struct RefineOptions {
   /// unchanged — the paper's near-1.000 WL/via ratios behave the same way.
   double min_return_improvement = 0.015;
   SoOptions so;                    ///< Eq. 7 hyper-parameters
-  /// Largest *total* displacement per Steiner point, in gcell widths. The
-  /// paper constrains moves "according to the width and length of the
-  /// global routing grid graph", i.e. essentially die-bounded; the
-  /// physics-anchored evaluator extrapolates reliably, so a generous bound
-  /// is safe (clamping to the die always applies).
-  double max_move_gcells = 64.0;
-  /// Largest displacement applied in a single iteration, in gcell widths.
-  double max_step_gcells = 0.5;
   std::int64_t gcell_size = 8;
   bool use_adaptive_theta = true;  ///< ablation: fixed stepsize below
   double fixed_theta = 0.5;
@@ -112,7 +96,6 @@ struct RefineOptions {
   /// its inverse fourth root on acceptance, capped at the initial theta).
   /// 1.0 disables backtracking and reproduces the paper's fixed-theta loop.
   double theta_backtrack = 0.7;
-  bool round_positions = true;     ///< paper's post-processing rounding
   /// Observational sign-off probe: every `signoff_probe_every` iterations
   /// (after the accept/reject decision) the loop snapshots the kept iterate
   /// and calls `signoff_probe` with the nets whose coordinates changed since

@@ -193,7 +193,6 @@ RefineResult refine_with_topology_search(const Design& design, const SteinerFore
       search::MctsOptions mcts;
       mcts.rollouts = topo.rollouts;
       mcts.max_depth = topo.max_depth;
-      mcts.exploration = topo.exploration;
       mcts.seed = topo.seed;
       mcts.edits.max_candidates = topo.max_candidates;
       const search::TopoScoreFn score = [&](const SteinerTree& cand, bool shape_changed) {

@@ -35,14 +35,12 @@ double log_uptime_s() {
   return std::chrono::duration<double>(Clock::now() - epoch).count();
 }
 
-/// Per-thread attribution tag (see ScopedLogTag). A plain thread_local
-/// std::string would run non-trivial destructors at thread exit while the
-/// pool may still be logging; a leaked pointer per thread avoids any
-/// shutdown-order hazard (threads are few and long-lived).
-std::string& thread_log_tag() {
-  thread_local std::string* tag = new std::string();
-  return *tag;
-}
+/// Per-thread attribution tag (see ScopedLogTag), NUL-terminated. The
+/// storage is trivially destructible, so a tag stays readable by any
+/// destructor that logs while its thread or the process exits, and a thread
+/// that exits leaves nothing allocated behind (serve runs one reader thread
+/// per connection).
+thread_local char t_tag[kMaxLogTagLen + 1] = {};
 
 }  // namespace
 
@@ -54,9 +52,13 @@ LogLevel log_level() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
 }
 
-void set_log_tag(const std::string& tag) { thread_log_tag() = tag; }
+void set_log_tag(const std::string& tag) {
+  const std::size_t n = std::min(tag.size(), kMaxLogTagLen);
+  std::memcpy(t_tag, tag.data(), n);
+  t_tag[n] = '\0';
+}
 
-const std::string& log_tag() { return thread_log_tag(); }
+std::string log_tag() { return t_tag; }
 
 void logf(LogLevel level, const char* fmt, ...) {
   if (static_cast<int>(level) > g_level.load(std::memory_order_relaxed)) return;
@@ -70,10 +72,9 @@ void logf(LogLevel level, const char* fmt, ...) {
   std::size_t cap = sizeof(stack_buf);
 
   std::size_t prefix_len = 0;
-  const std::string& tag = thread_log_tag();
-  if (!tag.empty()) {
+  if (t_tag[0] != '\0') {
     const int n = std::snprintf(buf, cap, "[%9.3f t%d %s] ", log_uptime_s(),
-                                parallel_worker_index(), tag.c_str());
+                                parallel_worker_index(), t_tag);
     prefix_len = n > 0 ? std::min(static_cast<std::size_t>(n), cap - 1) : 0;
   } else if (static_cast<int>(level) >= static_cast<int>(LogLevel::kVerbose)) {
     const int n = std::snprintf(buf, cap, "[%9.3f t%d] ", log_uptime_s(),

@@ -19,6 +19,7 @@
 // too, since attribution is the point of tagging).
 #pragma once
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 
@@ -29,11 +30,14 @@ enum class LogLevel : int { kSilent = 0, kInfo = 1, kVerbose = 2, kDebug = 3 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
+/// Longest log tag kept; set_log_tag truncates longer tags.
+inline constexpr std::size_t kMaxLogTagLen = 63;
+
 /// Install a component/session tag for the calling thread ("" clears it).
-/// The pointer is not retained — the string is copied.
+/// The string is copied, truncated to kMaxLogTagLen bytes.
 void set_log_tag(const std::string& tag);
 /// The calling thread's current tag ("" when none).
-const std::string& log_tag();
+std::string log_tag();
 
 /// RAII tag scope: installs `tag` for the calling thread, restores the
 /// previous tag on destruction. Used by the serve dispatcher so every line a

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace tsteiner {
 
@@ -42,7 +43,6 @@ struct Job {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::atomic<int> active{0};
-  std::atomic<int> worker_slots{0};  // how many pool workers may still join
   std::mutex err_mutex;
   std::exception_ptr error;
 };
@@ -67,11 +67,9 @@ class Pool {
   }
 
   void run(std::size_t begin, std::size_t end, std::size_t chunk, detail::ChunkFn fn,
-           void* ctx, int max_threads) {
-    // Nested in a region, capped to one thread, or a width-1 pool: inline.
-    std::size_t w = tl_in_parallel_region || max_threads == 1 ? 1 : width();
-    if (max_threads > 0) w = std::min(w, static_cast<std::size_t>(max_threads));
-    if (w <= 1) {
+           void* ctx) {
+    // Nested in a region or a width-1 pool: inline.
+    if (tl_in_parallel_region || width() <= 1) {
       fn(ctx, begin, end);
       return;
     }
@@ -89,7 +87,6 @@ class Pool {
     job.end = end;
     job.chunk = chunk;
     job.num_chunks = num_chunks;
-    job.worker_slots.store(static_cast<int>(w) - 1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lk(state_mutex_);
       job_ = &job;
@@ -153,7 +150,6 @@ class Pool {
         seen_generation = generation_;
         job = job_;
         if (job == nullptr) continue;
-        if (job->worker_slots.fetch_sub(1, std::memory_order_relaxed) <= 0) continue;
         job->active.fetch_add(1, std::memory_order_acq_rel);  // registered under lock
       }
       execute(*job, /*is_worker=*/true);
@@ -223,8 +219,6 @@ std::size_t parallel_threads() { return Pool::instance().width(); }
 
 void set_parallel_threads(std::size_t n) { Pool::instance().set_width(n); }
 
-int clamp_thread_request(int requested) { return requested < 0 ? 0 : requested; }
-
 std::uint64_t parallel_busy_ns() { return g_busy_ns.load(std::memory_order_relaxed); }
 
 std::uint64_t parallel_jobs() { return g_jobs.load(std::memory_order_relaxed); }
@@ -233,8 +227,8 @@ int parallel_worker_index() { return tl_worker_index; }
 
 namespace detail {
 void run_chunks(std::size_t begin, std::size_t end, std::size_t chunk, ChunkFn fn,
-                void* ctx, int max_threads) {
-  Pool::instance().run(begin, end, chunk, fn, ctx, max_threads);
+                void* ctx) {
+  Pool::instance().run(begin, end, chunk, fn, ctx);
 }
 }  // namespace detail
 

@@ -707,14 +707,13 @@ std::string oracle_steiner_batch(OracleContext& ctx) {
     return "batched construction returned wrong tree count";
   }
 
-  // Batch-composition invariance: each net alone, in a serial batch of one
-  // and without the mutation hook, must reproduce the full-batch tree bit
+  // Batch-composition invariance: each net alone, in a batch of one and
+  // without the mutation hook, must reproduce the full-batch tree bit
   // for bit, including the fallback decision. The mutation self-check rides
   // on exactly this comparison — dropping a predicted candidate in the full
   // batch diverges from the clean lone-net stitch.
   BatchBuildOptions lone_opts = batch;
   lone_opts.mutate_drop_first_candidate = false;
-  lone_opts.threads = 1;
   for (std::size_t i = 0; i < pin_sets.size(); ++i) {
     std::vector<std::uint8_t> lone_fb;
     const std::vector<SteinerTree> lone =
@@ -732,7 +731,7 @@ std::string oracle_steiner_batch(OracleContext& ctx) {
   // Small nets must have taken the exact path, bit for bit, and stay
   // provably optimal (Hanan enumeration).
   for (std::size_t i = 0; i < pin_sets.size(); ++i) {
-    if (static_cast<int>(pin_sets[i].size()) > batch.small_net_pin_limit) continue;
+    if (static_cast<int>(pin_sets[i].size()) > kSmallNetPinLimit) continue;
     if (used_fallback[i] == 0) {
       return "net " + std::to_string(net_ids[i]) + ": small net skipped the exact path";
     }

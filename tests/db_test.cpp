@@ -362,22 +362,23 @@ TEST(ModelSerialize, ContainerRoundTripAndMismatchRejection) {
   EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "tag-a").has_value());
 }
 
-TEST(ModelSerialize, LegacyTextFallbackStillLoads) {
+TEST(ModelSerialize, PlainTextFileIsRejected) {
+  // Starts like the retired plain-text model format, with a matching tag:
+  // only the container format loads.
   GnnConfig cfg;
   cfg.hidden = 10;
-  TimingGnn model(cfg, lib().num_types());
   const std::string path = temp_path("model_legacy.txt");
-  ASSERT_TRUE(save_model_text(model, path, "legacy-tag"));
-  const auto loaded = load_model(path, cfg, lib().num_types(), "legacy-tag");
-  ASSERT_TRUE(loaded.has_value());
-  for (std::size_t p = 0; p < model.parameters().size(); ++p) {
-    const Tensor& a = model.parameters()[p];
-    const Tensor& b = loaded->parameters()[p];
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_NEAR(a[i], b[i], 1e-12);  // text round-trip, %.17g precision
-    }
-  }
-  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "other-tag").has_value());
+  const std::string text = "tsteiner-model-v1\ntag legacy-tag\ncfg 10\n0\n";
+  write_file(path, std::vector<std::uint8_t>(text.begin(), text.end()));
+  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "legacy-tag").has_value());
+}
+
+TEST(Snapshot, SuiteOptionsTagPinned) {
+  // Snapshots written by earlier builds must keep matching: the tag encodes
+  // the same settings, in the same order, whether they are option fields or
+  // constants.
+  EXPECT_EQ(suite_options_tag(SuiteOptions{}),
+            "scale=0.1200 seed=2023 epochs=60 opts=F02A1931");
 }
 
 TEST(Snapshot, DesignSnapshotReproducesSignoffBitExactly) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,7 +28,9 @@
 
 // Global allocation counter: proves the disabled fast path performs no heap
 // allocation. Counting is exact for this binary (every operator new lands
-// here); tests only ever compare deltas across their own code.
+// here); tests only ever compare deltas across their own code. The nothrow
+// forms are replaced too, so every block these deletes free came from malloc
+// (std::stable_sort's temporary buffer uses nothrow new).
 static std::atomic<std::uint64_t> g_news{0};
 
 void* operator new(std::size_t n) {
@@ -39,6 +42,14 @@ void* operator new[](std::size_t n) {
   ++g_news;
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_news;
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  ++g_news;
+  return std::malloc(n);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }

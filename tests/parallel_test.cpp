@@ -19,6 +19,8 @@
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
+#include "testutil.hpp"
+
 namespace tsteiner {
 namespace {
 
@@ -27,10 +29,7 @@ const CellLibrary& lib() {
   return l;
 }
 
-/// Restores the pool default width when a test that overrides it exits.
-struct PoolWidthGuard {
-  ~PoolWidthGuard() { set_parallel_threads(0); }
-};
+using testutil::PoolWidthGuard;
 
 /// Work per index that makes parallel_for hand out chunks of `len` indices.
 constexpr std::size_t work_for_chunk(std::size_t len) { return kChunkWork / len; }
@@ -69,18 +68,6 @@ TEST(ParallelFor, EmptyAndSingleChunkRanges) {
   EXPECT_EQ(calls.load(), 1);
 }
 
-TEST(ParallelFor, MaxThreadsOneIsSerial) {
-  PoolWidthGuard guard;
-  set_parallel_threads(4);
-  // With max_threads=1 the whole range arrives as one chunk on the caller.
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  parallel_for(
-      0, 100, work_for_chunk(10),
-      [&](std::size_t lo, std::size_t hi) { chunks.push_back({lo, hi}); }, 1);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{0, 100}));
-}
-
 TEST(ParallelFor, SmallWorkRunsInline) {
   PoolWidthGuard guard;
   set_parallel_threads(4);
@@ -97,16 +84,6 @@ TEST(ParallelFor, SmallWorkRunsInline) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     chunks.push_back({lo, hi});
   });
-  // A reduction over many fold chunks whose total work is still one chunk.
-  const std::size_t n = kChunkWork / 2;
-  const std::size_t sum = parallel_reduce(
-      0, n, 64, std::size_t{0},
-      [&](std::size_t lo, std::size_t hi) {
-        EXPECT_EQ(std::this_thread::get_id(), caller);
-        return hi - lo;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; });
-  EXPECT_EQ(sum, n);
   ASSERT_EQ(chunks.size(), 2u);
   EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{0, 100}));
   EXPECT_EQ(chunks[1], (std::pair<std::size_t, std::size_t>{0, 4}));
@@ -166,88 +143,6 @@ TEST(ParallelFor, PropagatesExceptions) {
     for (std::size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
   });
   EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ParallelReduce, BitIdenticalAcrossWidths) {
-  PoolWidthGuard guard;
-  // 10007 elements fold inline at every width; 4 * kChunkWork elements at
-  // grain 64 make enough fold chunks to reach the pool.
-  for (const std::size_t n : {std::size_t{10007}, 4 * kChunkWork}) {
-    SCOPED_TRACE(n);
-    std::vector<double> xs(n);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      xs[i] = std::sin(static_cast<double>(i) * 0.31) * 1e3;
-    }
-    auto reduce_sum = [&] {
-      return parallel_reduce(
-          0, xs.size(), 64, 0.0,
-          [&](std::size_t lo, std::size_t hi) {
-            double s = 0.0;
-            for (std::size_t i = lo; i < hi; ++i) s += xs[i];
-            return s;
-          },
-          [](double a, double b) { return a + b; });
-    };
-    const bool pooled = n == 4 * kChunkWork;
-    set_parallel_threads(1);
-    const std::uint64_t jobs0 = parallel_jobs();
-    const double serial = reduce_sum();
-    EXPECT_EQ(parallel_jobs(), jobs0) << "width 1 dispatched to the pool";
-    for (const std::size_t width : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
-      set_parallel_threads(width);
-      const std::uint64_t jobs1 = parallel_jobs();
-      const double parallel = reduce_sum();
-      EXPECT_EQ(parallel_jobs(), jobs1 + (pooled ? 1 : 0)) << "width " << width;
-      EXPECT_EQ(std::memcmp(&serial, &parallel, sizeof(double)), 0)
-          << "width " << width << ": " << serial << " vs " << parallel;
-    }
-  }
-}
-
-TEST(ParallelReduce, OrderedCombine) {
-  // Non-commutative combine: concatenation must come out in chunk order.
-  const std::string s = parallel_reduce(
-      0, 10, 3, std::string(),
-      [&](std::size_t lo, std::size_t hi) {
-        std::string part;
-        for (std::size_t i = lo; i < hi; ++i) part += static_cast<char>('a' + i);
-        return part;
-      },
-      [](std::string a, std::string b) { return a + b; });
-  EXPECT_EQ(s, "abcdefghij");
-}
-
-TEST(ThreadRequest, NegativeClampsToPoolDefault) {
-  EXPECT_EQ(clamp_thread_request(-1), 0);
-  EXPECT_EQ(clamp_thread_request(-100), 0);
-  EXPECT_EQ(clamp_thread_request(0), 0);
-  EXPECT_EQ(clamp_thread_request(1), 1);
-  EXPECT_EQ(clamp_thread_request(8), 8);
-}
-
-TEST(ThreadRequest, RsmtNegativeThreadsBuildSameForest) {
-  GeneratorParams p;
-  p.num_comb_cells = 80;
-  p.num_registers = 8;
-  p.num_primary_inputs = 3;
-  p.num_primary_outputs = 3;
-  p.seed = 5;
-  Design d = generate_design(lib(), p);
-  place_design(d);
-  RsmtOptions serial;
-  serial.threads = 1;
-  RsmtOptions negative;
-  negative.threads = -7;  // clamps to 0 = pool default
-  const SteinerForest a = build_forest(d, serial);
-  const SteinerForest b = build_forest(d, negative);
-  ASSERT_EQ(a.trees.size(), b.trees.size());
-  EXPECT_EQ(a.net_to_tree, b.net_to_tree);
-  for (std::size_t t = 0; t < a.trees.size(); ++t) {
-    ASSERT_EQ(a.trees[t].nodes.size(), b.trees[t].nodes.size());
-    for (std::size_t n = 0; n < a.trees[t].nodes.size(); ++n) {
-      EXPECT_EQ(a.trees[t].nodes[n].pos, b.trees[t].nodes[n].pos);
-    }
-  }
 }
 
 TEST(PhaseStat, ScopedTimerAccumulatesWallAndBusy) {

@@ -12,6 +12,8 @@
 #include "util/parallel.hpp"
 #include "verify/invariants.hpp"
 
+#include "testutil.hpp"
+
 namespace tsteiner {
 namespace {
 
@@ -56,9 +58,8 @@ bool forests_identical(const SteinerForest& a, const SteinerForest& b) {
 TEST(HananBatch, PackingIsDeterministicAndSlotsOnlyLargeNets) {
   const Design design = make_design(11);
   const std::vector<std::vector<PointF>> pin_sets = routable_pin_sets(design);
-  BatchBuildOptions opts;
-  const HananBatch a = pack_hanan_batch(pin_sets, opts);
-  const HananBatch b = pack_hanan_batch(pin_sets, opts);
+  const HananBatch a = pack_hanan_batch(pin_sets);
+  const HananBatch b = pack_hanan_batch(pin_sets);
   EXPECT_EQ(a.features, b.features);
   EXPECT_EQ(a.valid, b.valid);
   EXPECT_EQ(a.segments, b.segments);
@@ -68,11 +69,11 @@ TEST(HananBatch, PackingIsDeterministicAndSlotsOnlyLargeNets) {
   ASSERT_EQ(a.num_nets, pin_sets.size());
   ASSERT_EQ(a.slot_of.size(), pin_sets.size());
   for (std::size_t i = 0; i < pin_sets.size(); ++i) {
-    if (static_cast<int>(pin_sets[i].size()) <= opts.small_net_pin_limit) {
+    if (static_cast<int>(pin_sets[i].size()) <= kSmallNetPinLimit) {
       EXPECT_EQ(a.slot_of[i], -1) << "small net must not occupy a slot";
       EXPECT_EQ(a.counts[i], 0);
     }
-    EXPECT_LE(a.counts[i], opts.max_hanan_per_net);
+    EXPECT_LE(a.counts[i], kMaxHananPerNet);
   }
   // Padding rows carry zero features so masked reductions add exact +0.0.
   for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -86,12 +87,13 @@ TEST(HananBatch, PackingIsDeterministicAndSlotsOnlyLargeNets) {
 TEST(HananBatch, PackingIsThreadWidthInvariant) {
   const Design design = make_design(12);
   const std::vector<std::vector<PointF>> pin_sets = routable_pin_sets(design);
-  BatchBuildOptions one;
-  one.threads = 1;
-  BatchBuildOptions four;
-  four.threads = 4;
-  const HananBatch a = pack_hanan_batch(pin_sets, one);
-  const HananBatch b = pack_hanan_batch(pin_sets, four);
+  testutil::PoolWidthGuard guard;
+  set_parallel_threads(1);
+  const HananBatch a = pack_hanan_batch(pin_sets);
+  set_parallel_threads(4);
+  const std::uint64_t jobs0 = parallel_jobs();
+  const HananBatch b = pack_hanan_batch(pin_sets);
+  EXPECT_GT(parallel_jobs(), jobs0) << "width 4 never reached the pool";
   EXPECT_EQ(a.features, b.features);
   EXPECT_EQ(a.valid, b.valid);
   EXPECT_EQ(a.slots, b.slots);
@@ -101,9 +103,8 @@ TEST(SteinerPredictor, PredictIsBatchCompositionInvariant) {
   const Design design = make_design(13);
   const std::vector<std::vector<PointF>> pin_sets = routable_pin_sets(design);
   const auto predictor = SteinerPredictor::shared_pretrained();
-  BatchBuildOptions opts;
 
-  const HananBatch full = pack_hanan_batch(pin_sets, opts);
+  const HananBatch full = pack_hanan_batch(pin_sets);
   const std::vector<double> full_probs = predictor->predict(full);
 
   // Every slotted net, predicted alone, must reproduce its batch rows
@@ -113,7 +114,7 @@ TEST(SteinerPredictor, PredictIsBatchCompositionInvariant) {
     if (full.slot_of[i] < 0) continue;
     ++checked;
     const std::vector<std::vector<PointF>> solo_set{pin_sets[i]};
-    const HananBatch solo = pack_hanan_batch(solo_set, opts);
+    const HananBatch solo = pack_hanan_batch(solo_set);
     ASSERT_EQ(solo.counts[0], full.counts[i]);
     const std::vector<double> solo_probs = predictor->predict(solo);
     const std::size_t full_base =
@@ -131,12 +132,13 @@ TEST(SteinerPredictor, PredictIsBatchCompositionInvariant) {
 TEST(BuildForestBatched, BitIdenticalAcrossThreadWidths) {
   const Design design = make_design(14);
   const auto predictor = SteinerPredictor::shared_pretrained();
-  BatchBuildOptions one;
-  one.threads = 1;
-  BatchBuildOptions four;
-  four.threads = 4;
-  const SteinerForest a = build_forest_batched(design, *predictor, one);
-  const SteinerForest b = build_forest_batched(design, *predictor, four);
+  testutil::PoolWidthGuard guard;
+  set_parallel_threads(1);
+  const SteinerForest a = build_forest_batched(design, *predictor, {});
+  set_parallel_threads(4);
+  const std::uint64_t jobs0 = parallel_jobs();
+  const SteinerForest b = build_forest_batched(design, *predictor, {});
+  EXPECT_GT(parallel_jobs(), jobs0) << "width 4 never reached the pool";
   EXPECT_TRUE(forests_identical(a, b));
 }
 
@@ -154,7 +156,7 @@ TEST(BuildForestBatched, SmallNetsFallBackBitIdenticalToExact) {
     const SteinerTree& tree = batched.trees[i];
     const Net& net = design.net(tree.net);
     const auto pins = static_cast<int>(net.sink_pins.size()) + 1;
-    if (pins <= opts.small_net_pin_limit) {
+    if (pins <= kSmallNetPinLimit) {
       EXPECT_TRUE(used_fallback[i]);
       const SteinerTree exact = build_rsmt(design, tree.net, opts.fallback);
       EXPECT_TRUE(trees_identical(tree, exact)) << "net " << tree.net;
@@ -246,7 +248,7 @@ TEST(SteinerPredictor, PayloadCodecRoundTripsBitIdentical) {
   // A decoded predictor must reproduce predictions bit-for-bit.
   const Design design = make_design(19);
   const std::vector<std::vector<PointF>> pin_sets = routable_pin_sets(design);
-  const HananBatch batch = pack_hanan_batch(pin_sets, {});
+  const HananBatch batch = pack_hanan_batch(pin_sets);
   const std::vector<double> p1 = predictor->predict(batch);
   const std::vector<double> p2 = decoded->predict(batch);
   ASSERT_EQ(p1.size(), p2.size());

@@ -5,6 +5,9 @@
 #include "steiner/edge_shift.hpp"
 #include "steiner/rsmt.hpp"
 #include "steiner/steiner_tree.hpp"
+#include "util/parallel.hpp"
+
+#include "testutil.hpp"
 
 namespace tsteiner {
 namespace {
@@ -210,12 +213,13 @@ TEST(Forest, ParallelConstructionMatchesSerial) {
   p.seed = 10;
   Design d = generate_design(lib(), p);
   place_design(d);
-  RsmtOptions serial;
-  serial.threads = 1;
-  RsmtOptions parallel;
-  parallel.threads = 4;
-  const SteinerForest a = build_forest(d, serial);
-  const SteinerForest b = build_forest(d, parallel);
+  testutil::PoolWidthGuard guard;
+  set_parallel_threads(1);
+  const SteinerForest a = build_forest(d);
+  set_parallel_threads(4);
+  const std::uint64_t jobs0 = parallel_jobs();
+  const SteinerForest b = build_forest(d);
+  EXPECT_GT(parallel_jobs(), jobs0) << "width 4 never reached the pool";
   ASSERT_EQ(a.trees.size(), b.trees.size());
   EXPECT_EQ(a.net_to_tree, b.net_to_tree);
   for (std::size_t t = 0; t < a.trees.size(); ++t) {

@@ -8,7 +8,14 @@
 #include <filesystem>
 #include <string>
 
+#include "util/parallel.hpp"
+
 namespace tsteiner::testutil {
+
+/// Restores the pool default width when a test that overrides it exits.
+struct PoolWidthGuard {
+  ~PoolWidthGuard() { set_parallel_threads(0); }
+};
 
 /// Unique scratch directory for the currently running test case:
 /// <TempDir>/ts_<suite>_<test>_<pid>, created on first call. ctest runs every

@@ -92,6 +92,12 @@ TEST(Log, ScopedTagInstallsAndRestores) {
       EXPECT_EQ(log_tag(), "c4");
     }
     EXPECT_EQ(log_tag(), "sess=s1");
+    {
+      const std::string long_tag(kMaxLogTagLen + 10, 'x');
+      ScopedLogTag inner(long_tag);
+      EXPECT_EQ(log_tag(), long_tag.substr(0, kMaxLogTagLen));
+    }
+    EXPECT_EQ(log_tag(), "sess=s1");
   }
   EXPECT_EQ(log_tag(), "");
 }
