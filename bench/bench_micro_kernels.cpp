@@ -119,12 +119,11 @@ void BM_EvaluatorRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluatorRecord)->Arg(200)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 
-// NOTE: both replay benches query the evaluator at *unchanged* coordinates,
+// NOTE: the replay bench queries the evaluator at *unchanged* coordinates,
 // so dirty tracking memoizes the whole forward pass after the first
-// iteration: ReplayGrad measures the pruned backward replay alone (the
-// refinement loop's marginal gradient cost — its gradient call always
-// follows a keep-best evaluation of the same coordinates), and
-// ReplayForward the set_leaf memcmp + metrics path. Use bench_refine_replay
+// iteration: it measures the pruned backward replay alone (the refinement
+// loop's marginal gradient cost — its gradient call always follows a
+// keep-best evaluation of the same coordinates). Use bench_refine_replay
 // for the full moving-coordinates loop.
 void BM_EvaluatorReplayGrad(benchmark::State& state) {
   Prepared p = prepare(static_cast<int>(state.range(0)));
@@ -139,24 +138,6 @@ void BM_EvaluatorReplayGrad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluatorReplayGrad)
-    ->Arg(200)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EvaluatorReplayForward(benchmark::State& state) {
-  Prepared p = prepare(static_cast<int>(state.range(0)));
-  GnnConfig cfg;
-  const TimingGnn model(cfg, lib().num_types());
-  const auto xs = p.forest.gather_x();
-  const auto ys = p.forest.gather_y();
-  PenaltyWeights w;
-  GradientEvaluator evaluator(model, *p.cache, p.design, xs, ys, w);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(xs, ys, w));
-  }
-}
-BENCHMARK(BM_EvaluatorReplayForward)
     ->Arg(200)
     ->Arg(1000)
     ->Arg(4000)

@@ -19,9 +19,8 @@ int main() {
   // an hours-long TritonRoute). Wall-clock columns are reported for
   // completeness; the paper's "DR gets faster under TSteiner" effect is
   // visible in the DR repair-work columns (conflict-repair effort units).
-  Table t({"Benchmark", "GR", "DRwork", "TSteiner", "GradRec", "GradRep", "GR'", "DRwork'"});
+  Table t({"Benchmark", "GR", "DRwork", "TSteiner", "GR'", "DRwork'"});
   double r_gr = 0, r_drw = 0, tsteiner_total = 0, base_total_s = 0;
-  double record_total = 0, replay_total = 0, util_replay = 0;
   double util_gr = 0, util_sta = 0;
   int counted = 0;
   for (PreparedDesign& pd : suite.designs) {
@@ -34,28 +33,24 @@ int main() {
     const RefineOptions ropts = default_refine_options(pd);
     const RefineResult refined =
         refine_steiner_points(*pd.design, pd.flow->initial_forest(), *suite.model, ropts);
-    const double tsteiner_s = refine_timer.seconds();
+    const double refine_s = refine_timer.seconds();
     const FlowResult opt = pd.flow->run_signoff(refined.forest);
     const DetailedRouteResult opt_dr =
         detailed_route(*pd.design, refined.forest, opt.gr, pd.flow->options().droute);
 
-    t.add_row({pd.spec.name, fmt(base.runtime.global_route_s()),
-               Table::num(base_dr.repair_work), fmt(tsteiner_s),
-               fmt(refined.grad_record.wall_s), fmt(refined.grad_replay.wall_s),
-               fmt(opt.runtime.global_route_s()), Table::num(opt_dr.repair_work)});
-    record_total += refined.grad_record.wall_s;
-    replay_total += refined.grad_replay.wall_s;
-    util_replay += refined.grad_replay.utilization();
+    t.add_row({pd.spec.name, fmt(base.runtime.global_route.wall_s),
+               Table::num(base_dr.repair_work), fmt(refine_s),
+               fmt(opt.runtime.global_route.wall_s), Table::num(opt_dr.repair_work)});
     util_gr += opt.runtime.global_route.utilization();
     util_sta += opt.runtime.sta.utilization();
-    if (base.runtime.global_route_s() > 1e-9) {
-      r_gr += ratio(opt.runtime.global_route_s(), base.runtime.global_route_s());
+    if (base.runtime.global_route.wall_s > 1e-9) {
+      r_gr += ratio(opt.runtime.global_route.wall_s, base.runtime.global_route.wall_s);
       r_drw += ratio(static_cast<double>(opt_dr.repair_work),
                      static_cast<double>(std::max<long long>(1, base_dr.repair_work)));
       ++counted;
     }
-    tsteiner_total += tsteiner_s;
-    base_total_s += base.runtime.global_route_s() + base.runtime.detailed_route_s();
+    tsteiner_total += refine_s;
+    base_total_s += base.runtime.global_route.wall_s + base.runtime.detailed_route.wall_s;
   }
   t.print();
   if (counted > 0) {
@@ -63,10 +58,8 @@ int main() {
     std::printf("\nRatio averages (TSteiner flow / baseline): GR %.3f  DR-work %.3f\n",
                 r_gr / n, r_drw / n);
     const double n_all = static_cast<double>(suite.designs.size());
-    std::printf("Mean pool utilization (effective threads): GR %.2f  STA %.2f  replay %.2f\n",
-                util_gr / n_all, util_sta / n_all, util_replay / n_all);
-    std::printf("Gradient split: %.2fs one-time program recording, %.2fs in-place replays\n",
-                record_total, replay_total);
+    std::printf("Mean pool utilization (effective threads): GR %.2f  STA %.2f\n",
+                util_gr / n_all, util_sta / n_all);
     std::printf("TSteiner refinement total: %.1fs vs %.1fs of routing — the inverse of the\n"
                 "paper's profile (their DR dominates; Total 1.320, GR 1.017, DR 0.934)\n",
                 tsteiner_total, base_total_s);

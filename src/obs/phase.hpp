@@ -1,10 +1,9 @@
-// ScopedPhase: the span-era port of util/timer.hpp's ScopedTimer.
+// ScopedPhase: the one phase timer.
 //
 // One scoped object gives a flow phase all three observability views at
 // once, each independently gated:
 //   * PhaseStat accumulation (wall + pool-busy seconds) into the caller's
-//     struct — always on, exactly what ScopedTimer did (RuntimeBreakdown
-//     keeps these fields as its compatibility view);
+//     struct (e.g. a RuntimeBreakdown field) — always on;
 //   * a trace span named `name` (when TSTEINER_TRACE is armed);
 //   * a named phase row in the run report (when TSTEINER_RUN_REPORT is
 //     armed), summing wall/busy over every interval with the same name.

@@ -141,13 +141,11 @@ double driver_delay(const Design& design, const Net& net, double load, double sl
 
 }  // namespace
 
-BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
-                             const BufferingOptions& options) {
+BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree) {
   BufferingPlan plan;
   plan.net = tree.net;
   const Net& net = design.net(tree.net);
-  const int buf_type = design.library().find(
-      options.buffer_type.empty() ? "BUF_X2" : options.buffer_type);
+  const int buf_type = design.library().find(kBufferType);
   if (buf_type < 0) throw std::runtime_error("unknown buffer type");
   const CellType& buf = design.library().type(buf_type);
 
@@ -243,11 +241,10 @@ BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
 }
 
 std::vector<int> apply_buffering(Design& design, const BufferingPlan& plan,
-                                 const SteinerTree& tree, const BufferingOptions& options) {
+                                 const SteinerTree& tree) {
   std::vector<int> inserted;
   if (plan.buffers.empty()) return inserted;
-  const int buf_type = design.library().find(
-      options.buffer_type.empty() ? "BUF_X2" : options.buffer_type);
+  const int buf_type = design.library().find(kBufferType);
   if (buf_type < 0) throw std::runtime_error("unknown buffer type");
 
   const XTree x = expand(design, tree);

@@ -22,10 +22,9 @@
 
 namespace tsteiner {
 
-struct BufferingOptions {
-  /// Candidate buffer type (library name); empty picks "BUF_X2".
-  std::string buffer_type = "BUF_X2";
-};
+/// The candidate buffer type (library name). Both calls below throw when the
+/// design's library lacks it (a CellLibrary::from_parts library can).
+constexpr const char* kBufferType = "BUF_X2";
 
 /// One planned insertion: on the tree path *into* `node` (i.e. between the
 /// node and its parent-side subtree) or at the node itself.
@@ -43,8 +42,7 @@ struct BufferingPlan {
 /// Compute the optimal single-net buffering plan. The tree must belong to
 /// `design`'s net `tree.net`. Returns a plan with no buffers when buffering
 /// cannot improve the worst-sink delay.
-BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
-                             const BufferingOptions& options = {});
+BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree);
 
 /// Apply a plan: inserts buffer cells into `design` (placed at the rounded
 /// buffer positions) and splits the net so that each buffer drives the
@@ -52,7 +50,6 @@ BufferingPlan plan_buffering(const Design& design, const SteinerTree& tree,
 /// Invalidates any SteinerForest built for the old netlist — rebuild trees
 /// for the touched nets afterwards.
 std::vector<int> apply_buffering(Design& design, const BufferingPlan& plan,
-                                 const SteinerTree& tree,
-                                 const BufferingOptions& options = {});
+                                 const SteinerTree& tree);
 
 }  // namespace tsteiner

@@ -18,7 +18,6 @@
 #include "tsteiner/gradient.hpp"
 #include "tsteiner/optimizer.hpp"
 #include "tsteiner/penalty.hpp"
-#include "util/timer.hpp"
 
 namespace tsteiner {
 
@@ -30,11 +29,12 @@ struct SignoffProbeResult {
   bool incremental = false;  ///< served by the incremental update path
 };
 
-/// Sign-off probe callback: `dirty_nets` lists every net whose Steiner
-/// coordinates changed (bitwise) since the previous probe call — exactly the
-/// set IncrementalSignoff::update needs under the dirty-net contract
-/// (docs/incremental.md). The first call sees all moved-so-far nets relative
-/// to the refine input forest.
+/// Sign-off probe callback: `dirty_nets` lists every net whose tree
+/// (coordinates, pins or edges) changed since the previous call of the same
+/// callback within one refine_steiner_points call — exactly the set
+/// IncrementalSignoff::update needs under the dirty-net contract
+/// (docs/incremental.md). The first call lists every net whose tree has a
+/// Steiner point.
 using SignoffProbeFn =
     std::function<SignoffProbeResult(const SteinerForest&, const std::vector<int>&)>;
 
@@ -49,9 +49,10 @@ using SignoffAnchorFn = std::function<SignoffProbeResult(const SteinerForest&)>;
 /// scored by the retained-autodiff penalty replay and episodically gated by
 /// `episodic_signoff` on the edited net's dirty set, and (b) a gradient
 /// segment of `gradient_iterations` classic iterations on the (possibly
-/// re-shaped) forest, rebuilding the tape only for rounds whose topology
-/// actually changed. `full_signoff` anchors keep-best across rounds; if the
-/// anchor never improves, the initial forest passes through unchanged.
+/// re-shaped) forest, replaying the round's program and re-recording it only
+/// when an edit or a keep-best restart changed the forest's shape.
+/// `full_signoff` anchors keep-best across rounds; if the anchor never
+/// improves, the initial forest passes through unchanged.
 ///
 /// Off (the default) is byte-identical to the classic fixed-topology loop.
 /// On, results are bit-identical at any pool width and across reruns: all
@@ -126,29 +127,19 @@ struct RefineResult {
   /// gradient norm, applied move, lambda schedule, accept decision, and
   /// per-iteration wall time. Always populated; also streamed as JSONL when
   /// TSTEINER_REFINE_LOG is set and embedded in the TSTEINER_RUN_REPORT
-  /// artifact (docs/observability.md).
+  /// artifact (docs/observability.md). `iter` counts 0..n-1 over the whole
+  /// call and best_wns/best_tns are the best seen so far in the call.
   std::vector<obs::RefineIterationRecord> iteration_log;
-  /// Runtime split of the gradient work (Table-IV style): one-time program
-  /// recording vs. the per-iteration replays the retained mode reduces the
-  /// loop to.
-  PhaseStat grad_record;
-  PhaseStat grad_replay;
 };
 
 /// Runs Algorithm 1 on a copy of `initial` and returns the refined forest.
 /// The model must have been trained for the design's technology; the graph
 /// cache is built internally from the initial topology. With
-/// options.topology.enabled the call dispatches to the alternating
-/// search + gradient driver (refine_topology.cpp) instead.
+/// options.topology.enabled the gradient descent runs as the segments of
+/// the alternating search + gradient rounds instead. Either way the call
+/// adds one record to the run report.
 RefineResult refine_steiner_points(const Design& design, const SteinerForest& initial,
                                    const TimingGnn& model, const RefineOptions& options = {});
-
-namespace detail {
-/// The topology-enabled driver behind refine_steiner_points; exposed for the
-/// dispatch in refine.cpp only.
-RefineResult refine_with_topology_search(const Design& design, const SteinerForest& initial,
-                                         const TimingGnn& model, const RefineOptions& options);
-}  // namespace detail
 
 /// Adaptive stepsize (Eq. 9): theta = |x - x'|_2 / |g(x) - g(x')|_2 with
 /// x' = x + alpha * g(x). The gradient at x is taken from `g0` (the caller

@@ -3,6 +3,7 @@
 
 #include <chrono>
 
+// tsbench/common.hpp reaches parallel_busy_ns() through this header.
 #include "util/parallel.hpp"
 
 namespace tsteiner {
@@ -36,53 +37,12 @@ struct PhaseStat {
   double utilization() const { return wall_s > 1e-12 ? busy_s / wall_s : 1.0; }
 };
 
-/// RAII phase timer: on destruction adds the elapsed wall time and the pool
-/// busy-time delta to `stat`. (obs::ScopedPhase wraps the same accumulation
-/// with a trace span and run-report feed; prefer it in flow-level code.)
-class ScopedTimer {
- public:
-  explicit ScopedTimer(PhaseStat& stat) : stat_(stat), busy0_ns_(parallel_busy_ns()) {}
-  ~ScopedTimer() {
-    const double wall = timer_.seconds();
-    stat_.wall_s += wall;
-    stat_.busy_s += wall + static_cast<double>(parallel_busy_ns() - busy0_ns_) * 1e-9;
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  WallTimer timer_;
-  PhaseStat& stat_;
-  std::uint64_t busy0_ns_;
-};
-
-/// Accumulates named phase durations (TSteiner / global route / detailed
-/// route) the way Table IV splits the flow runtime. The PhaseStat members
-/// are the single source of truth; the historical `*_s()` wall-clock values
-/// are accessors over them (they used to be independently-accumulated
-/// doubles, which could drift from the PhaseStat twins).
+/// Wall and pool-busy time of the sign-off stages, accumulated by
+/// obs::ScopedPhase (Table IV's runtime split).
 struct RuntimeBreakdown {
-  PhaseStat tsteiner;
   PhaseStat global_route;
   PhaseStat detailed_route;
   PhaseStat sta;
-
-  /// Split of the TSteiner phase's gradient work (not additional phases —
-  /// both are part of tsteiner and excluded from total()): one-time autodiff
-  /// program recording vs. the per-iteration in-place replays of the
-  /// retained program (src/autodiff/program.hpp).
-  PhaseStat grad_record;
-  PhaseStat grad_replay;
-
-  /// Legacy wall-clock views of the PhaseStat fields above.
-  double tsteiner_s() const { return tsteiner.wall_s; }
-  double global_route_s() const { return global_route.wall_s; }
-  double detailed_route_s() const { return detailed_route.wall_s; }
-  double sta_s() const { return sta.wall_s; }
-
-  double total() const {
-    return tsteiner_s() + global_route_s() + detailed_route_s() + sta_s();
-  }
 };
 
 }  // namespace tsteiner

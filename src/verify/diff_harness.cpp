@@ -320,7 +320,7 @@ std::string oracle_signoff_incremental(OracleContext& ctx) {
 
 // --- oracle: retained replay vs fresh tape vs finite differences -----------
 
-std::string oracle_grad_replay(OracleContext& ctx) {
+std::string oracle_replayed_gradients(OracleContext& ctx) {
   const FuzzCase& c = *ctx.fuzz_case;
   Rng& rng = *ctx.rng;
   if (c.forest.num_movable() == 0) return {};
@@ -1122,7 +1122,7 @@ DiffHarness DiffHarness::standard() {
   DiffHarness h;
   h.add_oracle({"sta-incremental", oracle_sta_incremental, /*stride=*/1, true});
   h.add_oracle({"signoff-incremental", oracle_signoff_incremental, /*stride=*/1, true});
-  h.add_oracle({"grad-replay", oracle_grad_replay, /*stride=*/1, true});
+  h.add_oracle({"grad-replay", oracle_replayed_gradients, /*stride=*/1, true});
   h.add_oracle({"thread-width", oracle_thread_width, /*stride=*/1, true});
   h.add_oracle({"db-roundtrip", oracle_db_roundtrip, /*stride=*/1, true});
   h.add_oracle({"forest-invariants", oracle_forest_invariants, /*stride=*/1, true});

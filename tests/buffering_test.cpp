@@ -16,15 +16,15 @@ const CellLibrary& lib() {
 
 /// Driver at origin, one far sink: the classic case where a buffer halves
 /// the quadratic wire delay.
-Design make_long_wire(std::int64_t length) {
-  Design d("wire", &lib());
+Design make_long_wire(std::int64_t length, const CellLibrary& library = lib()) {
+  Design d("wire", &library);
   d.set_die({{0, 0}, {length + 10, 100}});
   const int pi = d.add_primary_input({0, 50});
-  const int drv = d.add_cell(lib().find("INV_X1"));
+  const int drv = d.add_cell(library.find("INV_X1"));
   d.cell(drv).pos = {5, 50};
   const int nin = d.add_net(pi);
   d.connect_sink(nin, d.cell(drv).input_pins[0]);
-  const int snk = d.add_cell(lib().find("INV_X1"));
+  const int snk = d.add_cell(library.find("INV_X1"));
   d.cell(snk).pos = {length, 50};
   const int n = d.add_net(d.cell(drv).output_pin);
   d.connect_sink(n, d.cell(snk).input_pins[0]);
@@ -139,11 +139,23 @@ TEST(Buffering, PlanDeterministic) {
 }
 
 TEST(Buffering, UnknownBufferTypeThrows) {
-  Design d = make_long_wire(100);
+  // A library assembled from parts need not carry the buffer type.
+  std::vector<CellType> types;
+  for (int i = 0; i < lib().num_types(); ++i) {
+    if (lib().type(i).name != kBufferType) types.push_back(lib().type(i));
+  }
+  const CellLibrary no_buffer =
+      CellLibrary::from_parts(types, lib().wire_res_kohm_per_dbu(),
+                              lib().wire_cap_pf_per_dbu(), lib().via_res_kohm());
+  ASSERT_LT(no_buffer.find(kBufferType), 0);
+  Design d = make_long_wire(400, no_buffer);
   const SteinerForest f = build_forest(d);
-  BufferingOptions opts;
-  opts.buffer_type = "NOT_A_BUFFER";
-  EXPECT_THROW(plan_buffering(d, f.trees[0], opts), std::runtime_error);
+  const SteinerTree& tree = f.trees[static_cast<std::size_t>(f.net_to_tree[1])];
+  EXPECT_THROW(plan_buffering(d, tree), std::runtime_error);
+  BufferingPlan plan;
+  plan.net = tree.net;
+  plan.buffers.push_back({tree.nodes[0].pos});
+  EXPECT_THROW(apply_buffering(d, plan, tree), std::runtime_error);
 }
 
 }  // namespace

@@ -46,9 +46,9 @@ TEST(Flow, RuntimeBreakdownPopulated) {
   Design d = make_design(92);
   const Flow flow(&d);
   const FlowResult r = flow.run_signoff(flow.initial_forest());
-  EXPECT_GT(r.runtime.global_route_s(), 0.0);
-  EXPECT_GT(r.runtime.detailed_route_s(), 0.0);
-  EXPECT_GT(r.runtime.sta_s(), 0.0);
+  EXPECT_GT(r.runtime.global_route.wall_s, 0.0);
+  EXPECT_GT(r.runtime.detailed_route.wall_s, 0.0);
+  EXPECT_GT(r.runtime.sta.wall_s, 0.0);
 }
 
 TEST(Flow, DeterministicSignoff) {

@@ -357,11 +357,15 @@ TEST(ScopedPhase, AccumulatesIntoPhaseStatAndReport) {
   PhaseStat stat;
   for (int i = 0; i < 2; ++i) {
     obs::ScopedPhase phase("test.phase", &stat);
-    volatile double x = 0.0;
-    for (int k = 0; k < 10000; ++k) x = x + 1.0;
+    // Four chunks of work, so pool workers (if any) take part.
+    parallel_for(0, 4 * kChunkWork, 1, [&](std::size_t lo, std::size_t hi) {
+      volatile double x = 0.0;
+      for (std::size_t k = lo; k < hi; ++k) x = x + static_cast<double>(k);
+    });
   }
   EXPECT_GT(stat.wall_s, 0.0);
-  EXPECT_GE(stat.busy_s, stat.wall_s);
+  EXPECT_GE(stat.busy_s, stat.wall_s);  // busy includes the caller's wall time
+  EXPECT_GE(stat.utilization(), 1.0);
   const auto doc = obs::parse_json(obs::run_report().to_json());
   ASSERT_TRUE(doc.has_value());
   const obs::JsonValue* phases = doc->find_array("phases");

@@ -145,21 +145,6 @@ TEST(ParallelFor, PropagatesExceptions) {
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(PhaseStat, ScopedTimerAccumulatesWallAndBusy) {
-  PhaseStat stat;
-  {
-    ScopedTimer timer(stat);
-    // Four chunks of work, so pool workers (if any) take part.
-    parallel_for(0, 4 * kChunkWork, 1, [&](std::size_t lo, std::size_t hi) {
-      volatile double x = 0.0;
-      for (std::size_t i = lo; i < hi; ++i) x = x + static_cast<double>(i);
-    });
-  }
-  EXPECT_GT(stat.wall_s, 0.0);
-  EXPECT_GE(stat.busy_s, stat.wall_s);  // busy includes the caller's wall time
-  EXPECT_GE(stat.utilization(), 1.0);
-}
-
 /// Bit-exact equality of double vectors (memcmp, not EXPECT_DOUBLE_EQ).
 void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& b,
                        const char* what) {

@@ -5,14 +5,20 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "autodiff/program.hpp"
 #include "flow/flow.hpp"
 #include "netlist/design_generator.hpp"
+#include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "place/placer.hpp"
 #include "search/topo_edits.hpp"
 #include "steiner/rsmt.hpp"
+#include "testutil.hpp"
 #include "tsteiner/gradient.hpp"
 #include "tsteiner/refine.hpp"
 #include "util/parallel.hpp"
@@ -365,10 +371,29 @@ TEST(Replay, RefineUsesSharedInitialGradientAndReportsPhases) {
   const TimingGnn model = make_model();
   RefineOptions opts;
   opts.max_iterations = 4;
-  const RefineResult r = refine_steiner_points(f.design, f.forest, model, opts);
-  // One recording, many replays: both phases must have been populated.
-  EXPECT_GT(r.grad_record.wall_s, 0.0);
-  EXPECT_GT(r.grad_replay.wall_s, 0.0);
+  const std::string path = testutil::test_tmp_dir() + "/refine_trace.json";
+  obs::reset_trace();
+  obs::enable_trace(path);
+  refine_steiner_points(f.design, f.forest, model, opts);
+  obs::disable_trace();
+  obs::reset_trace();
+
+  // One recording, many replays, each phase visible as a trace span.
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const auto doc = obs::parse_json(text);
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue* events = doc->find_array("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int records = 0, gradients = 0;
+  for (const obs::JsonValue& e : events->array) {
+    const obs::JsonValue* name = e.find_string("name");
+    if (name == nullptr) continue;
+    records += name->str == "refine.record";
+    gradients += name->str == "refine.gradient";
+  }
+  EXPECT_EQ(records, 1);
+  EXPECT_GE(gradients, 1);
 }
 
 }  // namespace

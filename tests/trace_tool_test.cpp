@@ -8,11 +8,18 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
+#include "netlist/design_generator.hpp"
+#include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "place/placer.hpp"
+#include "sta/sta.hpp"
+#include "steiner/rsmt.hpp"
 #include "testutil.hpp"
+#include "tsteiner/refine.hpp"
 
 namespace tsteiner {
 namespace {
@@ -196,6 +203,76 @@ TEST(TraceTool, DiffComparesTwoReports) {
   // diff requires run reports on both sides.
   const std::string trace = make_trace(dir);
   EXPECT_EQ(run_tool("diff " + a + " " + trace), 1);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+}
+
+TEST(TraceTool, TopologyRefineWritesOneRunWithIncreasingIters) {
+  static const CellLibrary lib = CellLibrary::make_default();
+  GeneratorParams p;
+  p.num_comb_cells = 80;
+  p.num_registers = 10;
+  p.num_primary_inputs = 4;
+  p.num_primary_outputs = 4;
+  p.seed = 19;
+  Design design = generate_design(lib, p);
+  place_design(design);
+  const SteinerForest forest = build_forest(design);
+  design.set_clock_period(0.6 * run_sta(design, forest, nullptr).max_arrival);
+  GnnConfig cfg;
+  cfg.hidden = 6;
+  const TimingGnn model(cfg, lib.num_types());
+  RefineOptions opts;
+  opts.topology.enabled = true;
+  opts.topology.rounds = 2;
+  opts.topology.gradient_iterations = 3;
+  opts.topology.nets_per_round = 2;
+  opts.topology.rollouts = 6;
+  opts.topology.max_candidates = 6;
+
+  const std::string dir = testutil::test_tmp_dir();
+  const std::string report = dir + "/topology_run.json";
+  const std::string jsonl = dir + "/topology_iters.jsonl";
+  obs::run_report().reset();
+  obs::set_run_report_path(report);
+  obs::set_iteration_log_path(jsonl);
+  const RefineResult r = refine_steiner_points(design, forest, model, opts);
+  obs::set_iteration_log_path("");
+  ASSERT_TRUE(obs::flush_run_report());
+  obs::set_run_report_path("");
+  obs::run_report().reset();
+  ASSERT_FALSE(r.iteration_log.empty());
+
+  // One call, one run-report record holding every iteration of the call.
+  const auto doc = obs::parse_json(slurp(report));
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue* refines = doc->find_array("refine");
+  ASSERT_NE(refines, nullptr);
+  EXPECT_EQ(refines->array.size(), 1u);
+  ASSERT_FALSE(refines->array.empty());
+  const obs::JsonValue* iters = refines->array[0].find_array("iters");
+  ASSERT_NE(iters, nullptr);
+  EXPECT_EQ(iters->array.size(), r.iteration_log.size());
+
+  // The JSONL stream numbers the call's iterations 0..n-1.
+  const std::string text = slurp(jsonl);
+  std::size_t lines = 0, pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const auto line = obs::parse_json(text.substr(pos, eol - pos));
+    pos = eol + 1;
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(line->number_or("iter", -1.0), static_cast<double>(lines)) << "line " << lines;
+    ++lines;
+  }
+  EXPECT_EQ(lines, r.iteration_log.size());
+
+  EXPECT_EQ(run_tool("verify " + report), 0);
+  EXPECT_EQ(run_tool("verify " + jsonl), 0);
 }
 
 TEST(TraceTool, UsageErrorsExitTwo) {

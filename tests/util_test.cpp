@@ -222,17 +222,17 @@ TEST(Timer, MeasuresElapsed) {
 }
 
 TEST(Timer, RuntimeBreakdownTotal) {
-  RuntimeBreakdown rb;
-  rb.tsteiner.wall_s = 1.0;
-  rb.global_route.wall_s = 2.0;
-  rb.detailed_route.wall_s = 3.0;
-  rb.sta.wall_s = 0.5;
-  EXPECT_DOUBLE_EQ(rb.total(), 6.5);
-  // The legacy *_s views read straight from the PhaseStat twins.
-  EXPECT_DOUBLE_EQ(rb.tsteiner_s(), 1.0);
-  EXPECT_DOUBLE_EQ(rb.global_route_s(), 2.0);
-  EXPECT_DOUBLE_EQ(rb.detailed_route_s(), 3.0);
-  EXPECT_DOUBLE_EQ(rb.sta_s(), 0.5);
+  // Every stage starts at zero and reads as serial until timed.
+  const RuntimeBreakdown rb;
+  for (const PhaseStat* p : {&rb.global_route, &rb.detailed_route, &rb.sta}) {
+    EXPECT_EQ(p->wall_s, 0.0);
+    EXPECT_EQ(p->busy_s, 0.0);
+    EXPECT_EQ(p->utilization(), 1.0);
+  }
+  PhaseStat stat;
+  stat.wall_s = 2.0;
+  stat.busy_s = 6.0;
+  EXPECT_DOUBLE_EQ(stat.utilization(), 3.0);
 }
 
 }  // namespace
