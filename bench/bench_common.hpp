@@ -5,11 +5,13 @@
 //   TSTEINER_SCALE   design-size multiplier vs Table I   (default 0.06)
 //   TSTEINER_EPOCHS  evaluator training epochs           (default 24)
 //   TSTEINER_LOG     0..3 verbosity
+// The gate benches read their own size knobs through env_int.
 // Absolute numbers differ from the paper (the substrate is a simulator, not
 // Innovus + SkyWater 130nm); the *shape* of each table is the target.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "flow/experiment.hpp"
@@ -18,6 +20,12 @@
 #include "util/table.hpp"
 
 namespace tsteiner::bench {
+
+/// Integer knob `name` from the environment; `fallback` when unset or empty.
+inline int env_int(const char* name, int fallback) {
+  const char* v = std::getenv(name);
+  return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
+}
 
 inline SuiteOptions default_suite_options() {
   SuiteOptions opts;

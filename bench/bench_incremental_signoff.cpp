@@ -19,17 +19,14 @@
 // never enters RRR, so its reuse column is a vacuous 0/0 by design).
 //
 // Knobs: TSTEINER_INC_CELLS (default 16000), TSTEINER_INC_ROUNDS (rounds per
-// fraction, default 3), TSTEINER_INC_GCELL / TSTEINER_INC_MARGIN /
-// TSTEINER_INC_CAPF (routing geometry and capacity headroom),
-// TSTEINER_INC_CONT_CAPF / TSTEINER_INC_CONT_ROUNDS (contention section),
-// TSTEINER_THREADS (pool width).
+// fraction, default 3), TSTEINER_THREADS (pool width).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "flow/flow.hpp"
 #include "flow/incremental_signoff.hpp"
 #include "netlist/design_generator.hpp"
@@ -40,16 +37,6 @@
 using namespace tsteiner;
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
-}
 
 const CellLibrary& lib() {
   static const CellLibrary l = CellLibrary::make_default();
@@ -100,8 +87,8 @@ struct SweepRow {
 }  // namespace
 
 int main() {
-  const int cells = env_int("TSTEINER_INC_CELLS", 16000);
-  const int rounds = std::max(1, env_int("TSTEINER_INC_ROUNDS", 3));
+  const int cells = bench::env_int("TSTEINER_INC_CELLS", 16000);
+  const int rounds = std::max(1, bench::env_int("TSTEINER_INC_ROUNDS", 3));
 
   std::printf("preparing design (%d comb cells) ...\n", cells);
   // The sweep needs the geometry the paper's sign-off has: nets that are
@@ -127,14 +114,14 @@ int main() {
   // A finer gcell plus a tighter maze margin restores windows that are small
   // against the die.
   FlowOptions fopts;
-  fopts.router.gcell_size = env_int("TSTEINER_INC_GCELL", 2);
-  fopts.router.maze_margin = env_int("TSTEINER_INC_MARGIN", 4);
+  fopts.router.gcell_size = 2;
+  fopts.router.maze_margin = 4;
   // The flow default (0.92 x p90 demand) guarantees structural overflow:
   // every round rips thousands of victims and a single moved tree
   // legitimately cascades across the die. Real sign-off designs are
   // routable; headroom above p90 keeps congestion local so the incremental
   // contract (small perturbation -> small honest recompute) is even testable.
-  fopts.router.capacity_factor = env_double("TSTEINER_INC_CAPF", 2.0);
+  fopts.router.capacity_factor = 2.0;
   const Flow flow(&design, fopts);  // pins capacities + calibrates the clock
   SteinerForest forest = flow.initial_forest();
   const std::vector<int> cand = movable_trees(forest);
@@ -231,10 +218,11 @@ int main() {
   long long cont_reused = 0;
   long long cont_total = 0;
   bool cont_identical = true;
-  const int cont_rounds = std::max(1, env_int("TSTEINER_INC_CONT_ROUNDS", 3));
+  constexpr int kContRounds = 3;
+  constexpr double kContCapf = 1.0;
   {
     FlowOptions copts = fopts;
-    copts.router.capacity_factor = env_double("TSTEINER_INC_CONT_CAPF", 1.0);
+    copts.router.capacity_factor = kContCapf;
     Design cdesign = generate_design(lib(), p);
     place_design(cdesign);
     const Flow cflow(&cdesign, copts);
@@ -254,7 +242,7 @@ int main() {
         }
       }
     }
-    for (int r = 0; corner_tree >= 0 && r < cont_rounds; ++r) {
+    for (int r = 0; corner_tree >= 0 && r < kContRounds; ++r) {
       const int net = nudge_tree(cforest, corner_tree, 2.0, 2.0);
       const IncrementalSignoff::Result& got = cinc.update(cforest, {net});
       cont_reused += got.reused_mazes;
@@ -262,10 +250,10 @@ int main() {
       const FlowResult ref = cflow.run_signoff(cforest);
       cont_identical = cont_identical && metrics_identical(got.metrics, ref.metrics);
     }
-    cont_reused /= cont_rounds;
-    cont_total /= cont_rounds;
+    cont_reused /= kContRounds;
+    cont_total /= kContRounds;
     std::printf("contention (capf %.2f, 1 corner tree/round): %lld/%lld mazes reused  %s\n",
-                copts.router.capacity_factor, cont_reused, cont_total,
+                kContCapf, cont_reused, cont_total,
                 cont_identical ? "bit-identical" : "MISMATCH");
     if (cont_total > 0 && cont_reused == 0) {
       std::printf("WARNING: RRR ran but no maze was reused — the cache is broken\n");
@@ -310,8 +298,8 @@ int main() {
     std::fprintf(f,
                  "  \"contention\": {\"capacity_factor\": %.2f, \"rounds\": %d, "
                  "\"reused_mazes\": %lld, \"total_mazes\": %lld, \"bit_identical\": %s},\n",
-                 env_double("TSTEINER_INC_CONT_CAPF", 1.0), cont_rounds, cont_reused,
-                 cont_total, cont_identical ? "true" : "false");
+                 kContCapf, kContRounds, cont_reused, cont_total,
+                 cont_identical ? "true" : "false");
     std::fprintf(f, "  \"speedup_at_5pct\": %.3f,\n", speedup_at_5pct);
     std::fprintf(f, "  \"bit_identical\": %s\n}\n", all_identical ? "true" : "false");
     std::fclose(f);

@@ -12,48 +12,32 @@
 //     and has events, the run report parses and embeds the refine runs, and
 //     the JSONL stream has one line per iteration.
 // The CI obs-smoke leg runs this binary and then re-validates the same
-// artifacts with `tsteiner_trace verify` (the external contract).
-//
-// A serve section repeats the exercise for the serving layer: the same
-// what-if request stream against an in-process server with telemetry off
-// vs full (serve spans + metrics), reporting the wall-time ratio and gating
-// bit-identical what-if responses across the two modes.
+// artifacts with `tsteiner_trace verify` (the external contract). The
+// serving layer's equivalent is `tsteiner_serve selftest --obs-gate`.
 //
 // Knobs: TSTEINER_OBS_CELLS (default 800), TSTEINER_OBS_ITERS (default 20),
-// TSTEINER_OBS_REPEATS (default 3), TSTEINER_OBS_SERVE_ROUNDS (what-if
-// rounds per serve repeat, default 20), TSTEINER_THREADS (pool width).
+// TSTEINER_OBS_REPEATS (default 3), TSTEINER_THREADS (pool width).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "flow/flow.hpp"
+#include "bench_common.hpp"
 #include "netlist/design_generator.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "place/placer.hpp"
-#include "serve/client.hpp"
-#include "serve/ops.hpp"
-#include "serve/server.hpp"
-#include "serve/session.hpp"
 #include "sta/sta.hpp"
 #include "steiner/rsmt.hpp"
 #include "tsteiner/refine.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 using namespace tsteiner;
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
-}
 
 const CellLibrary& lib() {
   static const CellLibrary l = CellLibrary::make_default();
@@ -119,100 +103,12 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-// --- serve-layer overhead ----------------------------------------------------
-
-/// Write a serve snapshot of the prepared design (no model; the serve
-/// workload is what-if probes, the cheapest sign-off-bearing op).
-bool write_serve_snapshot(const Prepared& p, const std::string& path) {
-  Design design = p.design;  // the Flow constructor recalibrates the clock
-  const Flow flow(&design);
-  BenchmarkSpec spec;
-  spec.name = "obs_serve";
-  spec.target_cells = static_cast<int>(design.cells().size());
-  spec.endpoints = static_cast<int>(design.endpoint_pins().size());
-  spec.seed = 12;
-  return serve::save_session_snapshot(spec, design, flow.calibration(),
-                                      flow.initial_forest(), lib(), nullptr, nullptr, path);
-}
-
-/// Deterministic what-if stream shared by both serve modes.
-std::vector<std::vector<serve::WhatIfMove>> plan_serve_rounds(const std::string& snap,
-                                                              int rounds) {
-  std::vector<std::vector<serve::WhatIfMove>> plan;
-  std::string error;
-  auto loaded = serve::load_session_design(snap, FlowOptions{}, &error);
-  if (loaded == nullptr) return plan;
-  std::vector<int> nets;
-  for (const SteinerTree& tree : loaded->flow->initial_forest().trees) {
-    if (tree.num_steiner_nodes() > 0) nets.push_back(tree.net);
-  }
-  if (nets.empty()) return plan;
-  const double dist = static_cast<double>(loaded->design->die().width()) / 20.0;
-  Rng rng(0x0b5'5e12);
-  for (int r = 0; r < rounds; ++r) {
-    serve::WhatIfMove move;
-    move.net = nets[rng.index(nets.size())];
-    move.dx = rng.uniform(-dist, dist);
-    move.dy = rng.uniform(-dist, dist);
-    plan.push_back({move});
-  }
-  return plan;
-}
-
-struct ServeModeResult {
-  double best_s = 1e30;               ///< fastest repeat, request loop only
-  std::vector<std::string> wns_bits;  ///< per round, from the last repeat
-  bool ok = false;
-};
-
-/// One serve mode: fresh in-process server per repeat, one sequential
-/// session driving the shared what-if stream. Obs state is the caller's.
-ServeModeResult run_serve_mode(const std::string& snap,
-                               const std::vector<std::vector<serve::WhatIfMove>>& rounds,
-                               int repeats) {
-  ServeModeResult out;
-  for (int r = 0; r < repeats; ++r) {
-    serve::ServeOptions so;
-    so.tcp_port = 0;
-    serve::Server server(so);
-    std::string error;
-    if (!server.start(&error)) return out;
-    serve::ServeClient client;
-    if (!client.connect_tcp(server.bound_tcp_port(), &error)) return out;
-    const auto opened = client.open(snap);
-    const obs::JsonValue* session = opened.body.find_string("session");
-    const obs::JsonValue* fingerprint = opened.body.find_string("fingerprint");
-    if (!opened.ok || session == nullptr || fingerprint == nullptr) return out;
-    std::vector<std::string> bits;
-    WallTimer t;
-    for (const auto& moves : rounds) {
-      serve::Request req;
-      req.type = serve::RequestType::kWhatIf;
-      req.session = session->str;
-      req.fingerprint = fingerprint->str;
-      req.moves = moves;
-      const auto reply = client.call(req);
-      double wns = 0.0;
-      if (!reply.ok || !serve::read_double_field(reply.body, "wns_ns", &wns)) return out;
-      bits.push_back(serve::double_bits_hex(wns));
-    }
-    const double s = t.seconds();
-    if (s < out.best_s) out.best_s = s;
-    out.wns_bits = std::move(bits);
-    client.close_session(session->str);
-    client.close();
-    server.stop();
-  }
-  out.ok = true;
-  return out;
-}
-
 }  // namespace
 
 int main() {
-  const int cells = env_int("TSTEINER_OBS_CELLS", 800);
-  const int iters = env_int("TSTEINER_OBS_ITERS", 20);
-  const int repeats = env_int("TSTEINER_OBS_REPEATS", 3);
+  const int cells = bench::env_int("TSTEINER_OBS_CELLS", 800);
+  const int iters = bench::env_int("TSTEINER_OBS_ITERS", 20);
+  const int repeats = bench::env_int("TSTEINER_OBS_REPEATS", 3);
   std::printf("preparing design (%d comb cells) ...\n", cells);
   const Prepared p = prepare(cells);
   GnnConfig cfg;
@@ -296,42 +192,6 @@ int main() {
   check(jsonl_lines == full.iterations * repeats,
         "JSONL line count does not match iterations run");
 
-  // --- serve layer: off vs full (serve spans + metrics) ------------------
-  const int serve_rounds = env_int("TSTEINER_OBS_SERVE_ROUNDS", 20);
-  const std::string serve_snap = "obs_serve_snapshot.tsdb";
-  const std::string serve_trace_path = "obs_serve_trace.json";
-  check(write_serve_snapshot(p, serve_snap), "serve snapshot was not written");
-  const auto serve_plan = plan_serve_rounds(serve_snap, serve_rounds);
-  check(!serve_plan.empty(), "serve what-if plan is empty");
-
-  obs::reset_trace();
-  obs::set_metrics_enabled(false);
-  const ServeModeResult serve_off = run_serve_mode(serve_snap, serve_plan, repeats);
-  std::printf("serve off    : %.3fs (%d what-if rounds)\n", serve_off.best_s, serve_rounds);
-
-  obs::enable_trace(serve_trace_path);
-  obs::set_metrics_enabled(true);
-  const ServeModeResult serve_full = run_serve_mode(serve_snap, serve_plan, repeats);
-  obs::disable_trace();
-  obs::set_metrics_enabled(false);
-  std::printf("serve full   : %.3fs\n", serve_full.best_s);
-
-  const double serve_ratio =
-      serve_off.best_s > 1e-12 ? serve_full.best_s / serve_off.best_s : 0.0;
-  std::printf("serve overhead: full %.1f%%\n", 100.0 * (serve_ratio - 1.0));
-  if (serve_ratio > 1.05) {
-    std::printf("WARNING: serve full-telemetry overhead %.1f%% above the 5%% target\n",
-                100.0 * (serve_ratio - 1.0));
-  }
-  check(serve_off.ok && serve_full.ok, "a serve mode failed to run");
-  check(serve_off.wns_bits == serve_full.wns_bits,
-        "serve what-if responses differ across telemetry modes");
-  const auto serve_trace_doc = obs::parse_json(slurp(serve_trace_path));
-  check(serve_trace_doc.has_value() &&
-            serve_trace_doc->find_array("traceEvents") != nullptr &&
-            !serve_trace_doc->find_array("traceEvents")->array.empty(),
-        "serve trace is missing or empty");
-
   FILE* f = std::fopen("BENCH_obs.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"cells\": %d,\n  \"iterations\": %d,\n  \"repeats\": %d,\n",
@@ -342,10 +202,6 @@ int main() {
                  metrics_ratio, full_ratio);
     std::fprintf(f, "  \"metrics_target_ratio\": 1.02,\n  \"full_target_ratio\": 1.05,\n");
     std::fprintf(f, "  \"jsonl_lines\": %d,\n", jsonl_lines);
-    std::fprintf(f,
-                 "  \"serve\": {\"rounds\": %d, \"off_s\": %.4f, \"full_s\": %.4f, "
-                 "\"full_overhead_ratio\": %.4f, \"target_ratio\": 1.05},\n",
-                 serve_rounds, serve_off.best_s, serve_full.best_s, serve_ratio);
     std::fprintf(f, "  \"best_wns_ns\": %.6f,\n  \"best_tns_ns\": %.6f,\n", full.best_wns,
                  full.best_tns);
     std::fprintf(f, "  \"modes_identical\": %s,\n  \"artifacts_ok\": %s\n}\n",

@@ -21,11 +21,11 @@
 // (default 30), TSTEINER_THREADS (pool width).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "flow/flow.hpp"
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
@@ -37,11 +37,6 @@
 using namespace tsteiner;
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
-}
 
 const CellLibrary& lib() {
   static const CellLibrary l = CellLibrary::make_default();
@@ -151,8 +146,8 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
 }  // namespace
 
 int main() {
-  const int cells = env_int("TSTEINER_REPLAY_CELLS", 1200);
-  const int iters = env_int("TSTEINER_REPLAY_ITERS", 30);
+  const int cells = bench::env_int("TSTEINER_REPLAY_CELLS", 1200);
+  const int iters = bench::env_int("TSTEINER_REPLAY_ITERS", 30);
   std::printf("preparing design (%d comb cells) ...\n", cells);
   const Prepared p = prepare(cells);
   GnnConfig cfg;

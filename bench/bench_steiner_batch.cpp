@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "flow/flow.hpp"
 #include "gnn/model.hpp"
 #include "gnn/steiner_predictor.hpp"
@@ -37,11 +38,6 @@
 using namespace tsteiner;
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
-}
 
 const CellLibrary& lib() {
   static const CellLibrary l = CellLibrary::make_default();
@@ -118,7 +114,7 @@ struct Row {
 
 int main() {
   const std::vector<int> scales = env_cells();
-  const int refine_iters = env_int("TSTEINER_SB_REFINE_ITERS", 20);
+  const int refine_iters = bench::env_int("TSTEINER_SB_REFINE_ITERS", 20);
 
   // Warm the shared predictor outside the timed regions (one pretrain per
   // build directory; later runs restore it from the weight cache).

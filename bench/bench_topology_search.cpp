@@ -9,8 +9,8 @@
 //      across back-to-back runs (forest bits and model WNS/TNS bits);
 //   2. the search arm's sign-off must be no worse than the initial forest's
 //      (the anchor's pass-through guarantee, checked end to end);
-//   3. with TSTEINER_TOPO_REQUIRE_WIN=1 (default), the search arm must beat
-//      the gradient-only arm on sign-off WNS or TNS;
+//   3. the search arm must beat the gradient-only arm on sign-off WNS or
+//      TNS;
 // plus a byte-identity check that non-default topology knobs are inert
 // while the enable flag stays off.
 //
@@ -19,14 +19,14 @@
 // Knobs: TSTEINER_TOPO_CELLS (default 260), TSTEINER_TOPO_ITERS (gradient
 // iterations per round, default 12), TSTEINER_TOPO_ROUNDS (default 3),
 // TSTEINER_TOPO_EPOCHS (evaluator training epochs, default 40),
-// TSTEINER_TOPO_REQUIRE_WIN (default 1), TSTEINER_THREADS (pool width).
+// TSTEINER_THREADS (pool width).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "flow/experiment.hpp"
 #include "flow/incremental_signoff.hpp"
 #include "gnn/trainer.hpp"
@@ -37,11 +37,6 @@
 using namespace tsteiner;
 
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
-}
 
 bool forests_bit_identical(const SteinerForest& a, const SteinerForest& b) {
   if (a.trees.size() != b.trees.size()) return false;
@@ -71,11 +66,10 @@ bool bits_eq(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) ==
 }  // namespace
 
 int main() {
-  const int cells = env_int("TSTEINER_TOPO_CELLS", 260);
-  const int iters = env_int("TSTEINER_TOPO_ITERS", 12);
-  const int rounds = env_int("TSTEINER_TOPO_ROUNDS", 3);
-  const int epochs = env_int("TSTEINER_TOPO_EPOCHS", 40);
-  const bool require_win = env_int("TSTEINER_TOPO_REQUIRE_WIN", 1) != 0;
+  const int cells = bench::env_int("TSTEINER_TOPO_CELLS", 260);
+  const int iters = bench::env_int("TSTEINER_TOPO_ITERS", 12);
+  const int rounds = bench::env_int("TSTEINER_TOPO_ROUNDS", 3);
+  const int epochs = bench::env_int("TSTEINER_TOPO_EPOCHS", 40);
 
   // One seed-scale design plus a per-design trained evaluator (the
   // single-design variant of the suite pipeline).
@@ -217,6 +211,6 @@ int main() {
     std::printf("Wrote BENCH_topology.json\n");
   }
 
-  const bool ok = widths_identical && off_identical && no_worse && (!require_win || beats);
+  const bool ok = widths_identical && off_identical && no_worse && beats;
   return ok ? 0 : 1;
 }

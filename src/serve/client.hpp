@@ -2,7 +2,7 @@
 // call() sends a request frame and reads frames until the matching
 // kResponse/kError arrives, collecting interleaved kProgress frames (the
 // refine iteration stream) along the way. Used by the `client`/`selftest`
-// subcommands, the serve tests, the differential oracle and bench_serve.
+// subcommands, the serve tests, the differential oracle and tsbench.
 #pragma once
 
 #include <cstdint>

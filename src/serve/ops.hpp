@@ -1,6 +1,6 @@
 // Request semantics shared byte-for-byte between the server's handlers and
 // the direct-Flow reference paths (the serve differential oracle, the tests,
-// bench_serve's correctness gate). Keeping the forest transformation in one
+// `tsteiner_serve selftest`). Keeping the forest transformation in one
 // function is what makes "bit-identical to a direct call" checkable: both
 // sides run this exact code, so any divergence is in the serving layer.
 #pragma once

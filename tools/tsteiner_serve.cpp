@@ -7,8 +7,9 @@
 //            request (graceful drain either way)
 //   client   drive a running server from a JSONL request script
 //   selftest in-process end-to-end gate: N concurrent sessions of mixed
-//            requests, every response bit-compared against the direct
-//            Flow / IncrementalSignoff API. Exit 0 iff all bits match.
+//            requests over mixed-scale snapshots (every 4th "small"), every
+//            response bit-compared against the direct Flow /
+//            IncrementalSignoff API. Exit 0 iff all bits match.
 //
 // Typical invocations:
 //   tsteiner_serve mksnap --out design.tsdb --seed 7 --model
@@ -246,8 +247,7 @@ struct SessionPlan {
 
 /// What-if rounds for one session, derived purely from (seed, session index)
 /// so the server side and the direct reference generate identical traffic.
-std::vector<std::vector<serve::WhatIfMove>> plan_rounds(const Design& design,
-                                                        const SteinerForest& forest,
+std::vector<std::vector<serve::WhatIfMove>> plan_rounds(const SteinerForest& forest,
                                                         std::uint64_t seed, int session,
                                                         int rounds, double dist) {
   Rng rng(Rng::mix(seed, 0x5e55 + static_cast<std::uint64_t>(session)));
@@ -269,7 +269,6 @@ std::vector<std::vector<serve::WhatIfMove>> plan_rounds(const Design& design,
     }
     plan.push_back(std::move(moves));
   }
-  (void)design;
   return plan;
 }
 
@@ -322,7 +321,10 @@ SessionResult run_session_via_server(int port, const SessionPlan& plan) {
     return out;
   }
   double wns = 0.0;
-  serve::read_double_field(reply.body, "wns_ns", &wns);
+  if (!serve::read_double_field(reply.body, "wns_ns", &wns)) {
+    out.error = "signoff response lacks wns_ns";
+    return out;
+  }
   out.signoff_wns_bits = serve::double_bits_hex(wns);
   client.close_session(session->str);
   return out;
@@ -353,8 +355,9 @@ SessionResult run_session_direct(const SessionPlan& plan, const FlowOptions& flo
 // --- selftest --obs-gate: telemetry must never change response bytes --------
 
 /// One deterministic traffic run against a fresh in-process server: every op
-/// once, single sequential client (request ids and server uids are then a
-/// pure function of the script, independent of obs mode).
+/// once except what-if, which runs each planned round in turn; single
+/// sequential client (request ids and server uids are then a pure function
+/// of the script, independent of obs mode).
 struct ObsTraffic {
   std::vector<std::pair<std::string, std::string>> responses;  ///< op -> payload bytes
   std::vector<std::string> progress_scrubbed;  ///< refine frames minus wall_s
@@ -381,7 +384,7 @@ std::string scrub_json_field(std::string s, const std::string& key) {
 }
 
 ObsTraffic run_obs_traffic(int port, const std::string& snap,
-                           const std::vector<serve::WhatIfMove>& moves) {
+                           const std::vector<std::vector<serve::WhatIfMove>>& rounds) {
   ObsTraffic out;
   serve::ServeClient client;
   std::string error;
@@ -416,8 +419,10 @@ ObsTraffic run_obs_traffic(int port, const std::string& snap,
 
   serve::Request whatif = base;
   whatif.type = serve::RequestType::kWhatIf;
-  whatif.moves = moves;
-  if (!push("whatif", client.call(whatif))) return out;
+  for (const auto& moves : rounds) {
+    whatif.moves = moves;
+    if (!push("whatif", client.call(whatif))) return out;
+  }
 
   serve::Request signoff = base;
   signoff.type = serve::RequestType::kSignoff;
@@ -455,6 +460,10 @@ ObsTraffic run_obs_traffic(int port, const std::string& snap,
   return out;
 }
 
+/// Successive what-if rounds in the obs-gate script, so later rounds price a
+/// forest that earlier rounds already moved.
+constexpr int kObsGateRounds = 8;
+
 /// Run the deterministic script under off / metrics-only / full obs modes
 /// plus a metrics-determinism rerun; gate that every response (and every
 /// progress frame, minus wall_s) is byte-identical across modes, and write
@@ -474,7 +483,7 @@ int run_obs_gate(const std::string& dir, std::uint64_t seed) {
   }
   const double dist = static_cast<double>(loaded->design->die().width()) / 20.0;
   const auto rounds =
-      plan_rounds(*loaded->design, loaded->flow->initial_forest(), seed, 0, 1, dist);
+      plan_rounds(loaded->flow->initial_forest(), seed, 0, kObsGateRounds, dist);
   loaded.reset();
   if (rounds.empty()) {
     std::fprintf(stderr, "obs-gate: snapshot has no movable nets\n");
@@ -495,7 +504,7 @@ int run_obs_gate(const std::string& dir, std::uint64_t seed) {
       t.error = "server start: " + err;
       return t;
     }
-    t = run_obs_traffic(server.bound_tcp_port(), snap, rounds[0]);
+    t = run_obs_traffic(server.bound_tcp_port(), snap, rounds);
     server.stop();
     if (trace_path != nullptr) obs::disable_trace();  // flushes the file
     return t;
@@ -585,8 +594,10 @@ int cmd_selftest(int argc, char** argv) {
   std::system(("mkdir -p " + dir).c_str());
   std::vector<std::string> snaps;
   for (int s = 0; s < num_snapshots; ++s) {
+    // Mixed tenancy: every 4th snapshot is "small" scale, the rest "tiny".
+    const char* scale = s % 4 == 3 ? "small" : "tiny";
     const std::string path = dir + "/design_" + std::to_string(s) + ".tsdb";
-    if (!write_snapshot(Rng::mix(seed, static_cast<std::uint64_t>(s)), "tiny",
+    if (!write_snapshot(Rng::mix(seed, static_cast<std::uint64_t>(s)), scale,
                         /*with_model=*/false, path)) {
       std::fprintf(stderr, "selftest: cannot write snapshot %s\n", path.c_str());
       return 1;
@@ -618,8 +629,7 @@ int cmd_selftest(int argc, char** argv) {
     }
     const double dist =
         static_cast<double>(loaded->design->die().width()) / 20.0;
-    plan.rounds = plan_rounds(*loaded->design, loaded->flow->initial_forest(), seed, s,
-                              rounds, dist);
+    plan.rounds = plan_rounds(loaded->flow->initial_forest(), seed, s, rounds, dist);
     plans.push_back(std::move(plan));
   }
 
