@@ -211,6 +211,17 @@ Flow Flow::from_snapshot(Design* design, const FlowOptions& options,
   return Flow(design, opts, std::move(initial_forest));
 }
 
+SignoffMetrics signoff_metrics(const StaResult& sta, const DetailedRouteResult& dr) {
+  SignoffMetrics m;
+  m.wns_ns = sta.wns;
+  m.tns_ns = sta.tns;
+  m.num_vios = sta.num_violations;
+  m.wirelength_dbu = dr.wirelength_dbu;
+  m.num_vias = dr.num_vias;
+  m.num_drvs = dr.num_drvs;
+  return m;
+}
+
 FlowResult Flow::run_signoff(const SteinerForest& forest) const {
   FlowResult r;
   {
@@ -227,12 +238,7 @@ FlowResult Flow::run_signoff(const SteinerForest& forest) const {
     r.sta = run_sta(*design_, forest, &r.gr, options_.sta);
   }
 
-  r.metrics.wns_ns = r.sta.wns;
-  r.metrics.tns_ns = r.sta.tns;
-  r.metrics.num_vios = r.sta.num_violations;
-  r.metrics.wirelength_dbu = dr.wirelength_dbu;
-  r.metrics.num_vias = dr.num_vias;
-  r.metrics.num_drvs = dr.num_drvs;
+  r.metrics = signoff_metrics(r.sta, dr);
   return r;
 }
 

@@ -45,6 +45,9 @@ struct SignoffMetrics {
   long long num_drvs = 0;
 };
 
+/// The sign-off metrics of one STA and detailed-route result.
+SignoffMetrics signoff_metrics(const StaResult& sta, const DetailedRouteResult& dr);
+
 struct FlowResult {
   SignoffMetrics metrics;
   RuntimeBreakdown runtime;

@@ -31,12 +31,7 @@ const IncrementalSignoff::Result& IncrementalSignoff::full(const SteinerForest& 
     obs::ScopedPhase phase("signoff.full_sta", &result_.runtime.sta);
     sta = &sta_.analyze(forest, gr);
   }
-  result_.metrics.wns_ns = sta->wns;
-  result_.metrics.tns_ns = sta->tns;
-  result_.metrics.num_vios = sta->num_violations;
-  result_.metrics.wirelength_dbu = dr->wirelength_dbu;
-  result_.metrics.num_vias = dr->num_vias;
-  result_.metrics.num_drvs = dr->num_drvs;
+  result_.metrics = signoff_metrics(*sta, *dr);
   result_.sta = sta;
   result_.gr = gr;
   ran_full_ = true;
@@ -119,12 +114,7 @@ const IncrementalSignoff::Result& IncrementalSignoff::update(
     sta = &sta_.update(forest, gr, sta_dirty);
   }
 
-  result_.metrics.wns_ns = sta->wns;
-  result_.metrics.tns_ns = sta->tns;
-  result_.metrics.num_vios = sta->num_violations;
-  result_.metrics.wirelength_dbu = dr->wirelength_dbu;
-  result_.metrics.num_vias = dr->num_vias;
-  result_.metrics.num_drvs = dr->num_drvs;
+  result_.metrics = signoff_metrics(*sta, *dr);
   result_.sta = sta;
   result_.gr = gr;
   return result_;

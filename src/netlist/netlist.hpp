@@ -122,6 +122,14 @@ class Design {
 
   /// Timing endpoints: register D pins and primary-output ports.
   std::vector<int> endpoint_pins() const;
+  /// Required time (ns) at a timing endpoint: the clock period, minus the
+  /// setup time at register D pins.
+  double required_time(int endpoint_pin) const {
+    const Pin& p = pin(endpoint_pin);
+    double required = clock_period();
+    if (p.kind == PinKind::kCellInput) required -= cell_type(p.cell).setup_ns;
+    return required;
+  }
   /// Timing startpoints: register Q pins and primary-input ports.
   std::vector<int> startpoint_pins() const;
 

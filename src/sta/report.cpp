@@ -4,6 +4,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "sta/incremental.hpp"
+
 namespace tsteiner {
 
 namespace {
@@ -59,24 +61,12 @@ std::vector<TimingPath> extract_critical_paths(const Design& design,
         through_net = true;
         continue;
       }
-      // Combinational output: pick the input whose arrival + arc delay
-      // reproduces this output's arrival (the critical arc).
-      const Cell& c = design.cell(p.cell);
-      const CellType& t = design.cell_type(p.cell);
-      const double load = driver_load(design, forest, gr, cur);
-      int best_in = -1;
-      double best_val = -1e30;
-      for (int ip : c.input_pins) {
-        if (design.pin(ip).net < 0) continue;
-        const int slot = design.pin(ip).input_slot;
-        const TimingArc& arc = t.arcs[static_cast<std::size_t>(slot)];
-        const double v = sta.arrival[static_cast<std::size_t>(ip)] +
-                         arc.delay.lookup(sta.slew[static_cast<std::size_t>(ip)], load);
-        if (v > best_val) {
-          best_val = v;
-          best_in = ip;
-        }
-      }
+      // Combinational output: the input whose arc set this output's arrival
+      // in the engine's own cell-arc evaluation (the critical arc).
+      const int best_in =
+          evaluate_cell_arcs(design, p.cell, sta.arrival, sta.slew,
+                             driver_load(design, forest, gr, cur))
+              .critical_input;
       if (best_in < 0) break;
       cur = best_in;
       through_net = false;

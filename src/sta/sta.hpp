@@ -55,7 +55,8 @@ struct StaResult {
 
 /// Run sign-off STA: `forest` supplies every net's topology, `gr` (optional)
 /// the routed geometry, `layers` (optional) per-connection metal-layer RC
-/// multipliers. Nets without a tree (sinkless) contribute no load.
+/// multipliers. Nets without a tree (sinkless) contribute no load. A one-shot
+/// IncrementalSta::analyze (sta/incremental.hpp), the one full STA.
 StaResult run_sta(const Design& design, const SteinerForest& forest,
                   const GlobalRouteResult* gr, const StaOptions& options = {},
                   const LayerAssignment* layers = nullptr);

@@ -12,10 +12,7 @@ PenaltyTerms build_timing_penalty(Tape& tape, const GraphCache& cache, const Des
 
   std::vector<double> required(endpoints.size());
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    const Pin& p = design.pin(endpoints[i]);
-    double req = design.clock_period();
-    if (p.kind == PinKind::kCellInput) req -= design.cell_type(p.cell).setup_ns;
-    required[i] = req / cache.clock;  // normalized
+    required[i] = design.required_time(endpoints[i]) / cache.clock;  // normalized
   }
 
   // slack_e = required_e - arrival_e   (normalized units)

@@ -67,6 +67,9 @@ constexpr double kMaxMoveGcells = 64.0;
 /// Largest displacement applied in a single iteration, in gcell widths.
 constexpr double kMaxStepGcells = 0.5;
 
+/// Root of the topology search's Rng::mix substreams.
+constexpr std::uint64_t kTopologySeed = 0x70b0u;
+
 /// Combined normalized improvement of `a` over `b`; positive = better.
 double improvement(const SignoffProbeResult& a, const SignoffProbeResult& b, double wns_scale,
                    double tns_scale) {
@@ -168,8 +171,6 @@ void RefineRun::emit(obs::RefineIterationRecord rec) {
   rec.iter = next_iter_++;
   rec.best_wns = best_wns_ = std::max(rec.best_wns, best_wns_);
   rec.best_tns = best_tns_ = std::max(rec.best_tns, best_tns_);
-  result_.wns_trace.push_back(rec.wns);
-  result_.tns_trace.push_back(rec.tns);
   if (obs::iteration_log_enabled()) obs::log_refine_iteration(design_.name(), rec);
   if (options_.iteration_sink) options_.iteration_sink(rec);
   result_.iteration_log.push_back(rec);
@@ -523,7 +524,7 @@ void RefineRun::search_and_descend(const SteinerForest& initial) {
       search::MctsOptions mcts;
       mcts.rollouts = topo.rollouts;
       mcts.max_depth = topo.max_depth;
-      mcts.seed = topo.seed;
+      mcts.seed = kTopologySeed;
       mcts.edits.max_candidates = topo.max_candidates;
       const search::TopoScoreFn score = [&](const SteinerTree& cand, bool shape_changed) {
         GradientResult ev;

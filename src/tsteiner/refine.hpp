@@ -66,7 +66,6 @@ struct TopologyOptions {
   int rollouts = 12;          ///< MCTS leaf evaluations per searched net
   int max_depth = 2;          ///< longest edit sequence per candidate
   int max_candidates = 8;     ///< proposals enumerated per search node
-  std::uint64_t seed = 0x70b0u;
   /// Episodic reward: sign-off restricted to the dirty-net set of the edit
   /// under test (callers wire IncrementalSignoff::update — the same
   /// dirty-net contract as RefineOptions::signoff_probe). Absent, edits are
@@ -122,9 +121,8 @@ struct RefineResult {
   /// Model-evaluated metrics (ns), before and after.
   double init_wns = 0.0, init_tns = 0.0;
   double best_wns = 0.0, best_tns = 0.0;
-  std::vector<double> wns_trace, tns_trace;
-  /// Full per-iteration telemetry (superset of wns_trace/tns_trace): theta,
-  /// gradient norm, applied move, lambda schedule, accept decision, and
+  /// Per-iteration telemetry: model-evaluated WNS/TNS, theta, gradient
+  /// norm, applied move, lambda schedule, accept decision, and
   /// per-iteration wall time. Always populated; also streamed as JSONL when
   /// TSTEINER_REFINE_LOG is set and embedded in the TSTEINER_RUN_REPORT
   /// artifact (docs/observability.md). `iter` counts 0..n-1 over the whole

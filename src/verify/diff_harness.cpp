@@ -41,29 +41,6 @@ std::uint64_t fnv1a(const std::string& s) {
 
 bool near(double a, double b, double tol) { return std::abs(a - b) <= tol; }
 
-/// Tolerance for IncrementalSta vs full STA. The incremental path prunes on
-/// bit equality, so it is exact; the 1e-9 here only mirrors what the unit
-/// tests enforce (the bit-level check lives in the signoff-incremental
-/// oracle's compare_signoff).
-std::string compare_sta(const StaResult& inc, const StaResult& full) {
-  if (inc.arrival.size() != full.arrival.size()) return "arrival vector size mismatch";
-  for (std::size_t i = 0; i < inc.arrival.size(); ++i) {
-    if (!near(inc.arrival[i], full.arrival[i], 1e-9)) {
-      return "arrival diverges at pin " + std::to_string(i) + ": incremental " +
-             std::to_string(inc.arrival[i]) + " vs full " + std::to_string(full.arrival[i]);
-    }
-    if (!near(inc.slew[i], full.slew[i], 1e-9)) {
-      return "slew diverges at pin " + std::to_string(i);
-    }
-  }
-  if (!near(inc.wns, full.wns, 1e-9)) return "WNS diverges";
-  if (!near(inc.tns, full.tns, 1e-9)) return "TNS diverges";
-  if (inc.num_violations != full.num_violations) return "violation count diverges";
-  if (inc.num_slew_violations != full.num_slew_violations) return "slew-violation count diverges";
-  if (inc.num_cap_violations != full.num_cap_violations) return "cap-violation count diverges";
-  return {};
-}
-
 std::string bits_compare(const std::vector<double>& a, const std::vector<double>& b,
                          const char* what) {
   if (a.size() != b.size()) return std::string(what) + " size mismatch";
@@ -75,6 +52,29 @@ std::string bits_compare(const std::vector<double>& a, const std::vector<double>
       }
     }
   }
+  return {};
+}
+
+/// Bit-level comparison of IncrementalSta against the full pass: every
+/// StaResult field, no epsilon. The incremental path prunes on bit equality,
+/// so its contract is exactness.
+std::string compare_sta(const StaResult& inc, const StaResult& full) {
+  const auto bits_eq = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  std::string msg = bits_compare(inc.arrival, full.arrival, "arrival");
+  if (msg.empty()) msg = bits_compare(inc.slew, full.slew, "slew");
+  if (msg.empty() && inc.endpoints != full.endpoints) msg = "endpoint list diverges";
+  if (msg.empty()) msg = bits_compare(inc.endpoint_slack, full.endpoint_slack, "endpoint slack");
+  if (!msg.empty()) return msg;
+  if (!bits_eq(inc.wns, full.wns)) return "WNS not bit-identical";
+  if (!bits_eq(inc.tns, full.tns)) return "TNS not bit-identical";
+  if (!bits_eq(inc.max_arrival, full.max_arrival)) return "max arrival not bit-identical";
+  if (!bits_eq(inc.worst_slew_ns, full.worst_slew_ns)) return "worst slew not bit-identical";
+  if (!bits_eq(inc.worst_cap_pf, full.worst_cap_pf)) return "worst cap not bit-identical";
+  if (inc.num_violations != full.num_violations) return "violation count diverges";
+  if (inc.num_slew_violations != full.num_slew_violations) return "slew-violation count diverges";
+  if (inc.num_cap_violations != full.num_cap_violations) return "cap-violation count diverges";
   return {};
 }
 
@@ -152,8 +152,8 @@ std::string oracle_sta_incremental(OracleContext& ctx) {
     std::vector<int> dirty;
     for (std::size_t m = 0; m < picks.size(); ++m) {
       SteinerTree& tree = cur.trees[static_cast<std::size_t>(picks[m])];
-      // Mutation needs a move large enough that skipping the net is always
-      // visible above the comparison tolerance.
+      // Mutation needs a move large enough that skipping the net always
+      // changes the timing.
       const double dist = mutate_now && m + 1 == picks.size()
                               ? std::max(c.disturb_dist, die_w / 3.0)
                               : c.disturb_dist;
@@ -190,7 +190,7 @@ std::string oracle_sta_incremental(OracleContext& ctx) {
 // --- oracle: IncrementalSignoff vs full Flow::run_signoff ------------------
 
 /// Bit-level comparison of an incremental sign-off against the golden
-/// pipeline: metrics, STA arrays, and every routed path. No epsilon — the
+/// pipeline: metrics, every routed path, and every STA field. No epsilon — the
 /// incremental path's contract is exactness.
 std::string compare_signoff(const IncrementalSignoff::Result& inc, const FlowResult& full) {
   const auto bits_eq = [](double a, double b) {
@@ -228,12 +228,7 @@ std::string compare_signoff(const IncrementalSignoff::Result& inc, const FlowRes
       return "routed path diverges at connection " + std::to_string(i);
     }
   }
-  std::string msg = bits_compare(inc.sta->arrival, full.sta.arrival, "STA arrival");
-  if (msg.empty()) msg = bits_compare(inc.sta->slew, full.sta.slew, "STA slew");
-  if (msg.empty()) {
-    msg = bits_compare(inc.sta->endpoint_slack, full.sta.endpoint_slack, "endpoint slack");
-  }
-  return msg;
+  return compare_sta(*inc.sta, full.sta);
 }
 
 /// Move every Steiner node of one tree toward the die's far side by `dist` —
@@ -418,16 +413,8 @@ std::string oracle_thread_width(OracleContext& ctx) {
     wide = run_sta(c.design, wide_forest, nullptr);
   }
 
-  std::string msg = bits_compare(serial.arrival, wide.arrival, "STA arrival (width 1 vs 4)");
-  if (msg.empty()) msg = bits_compare(serial.slew, wide.slew, "STA slew (width 1 vs 4)");
-  if (msg.empty()) {
-    msg = bits_compare(serial.endpoint_slack, wide.endpoint_slack,
-                       "endpoint slack (width 1 vs 4)");
-  }
-  if (msg.empty() && std::memcmp(&serial.wns, &wide.wns, sizeof(double)) != 0) {
-    msg = "WNS not bit-identical across widths";
-  }
-  if (!msg.empty()) return msg;
+  std::string msg = compare_sta(serial, wide);
+  if (!msg.empty()) return "STA width 1 vs 4: " + msg;
 
   // The gradient path (GNN forward + penalty backward) under both widths.
   if (c.forest.num_movable() == 0) return {};

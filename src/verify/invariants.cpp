@@ -246,11 +246,9 @@ std::string check_keep_best_monotone(const RefineResult& result) {
     return "keep-best TNS regressed: init " + std::to_string(result.init_tns) + " -> best " +
            std::to_string(result.best_tns);
   }
-  if (static_cast<int>(result.wns_trace.size()) != result.iterations ||
-      static_cast<int>(result.tns_trace.size()) != result.iterations) {
-    return "trace length " + std::to_string(result.wns_trace.size()) + "/" +
-           std::to_string(result.tns_trace.size()) + " does not cover " +
-           std::to_string(result.iterations) + " iterations";
+  if (static_cast<int>(result.iteration_log.size()) != result.iterations) {
+    return "iteration log length " + std::to_string(result.iteration_log.size()) +
+           " does not cover " + std::to_string(result.iterations) + " iterations";
   }
   return {};
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
 #include "sta/incremental.hpp"
@@ -42,14 +44,27 @@ int move_one_net(SteinerForest& forest, std::size_t tree_idx, double dx) {
   return t.net;
 }
 
-void expect_results_equal(const StaResult& a, const StaResult& b) {
-  ASSERT_EQ(a.arrival.size(), b.arrival.size());
-  for (std::size_t i = 0; i < a.arrival.size(); ++i) {
-    EXPECT_NEAR(a.arrival[i], b.arrival[i], 1e-9) << "pin " << i;
-    EXPECT_NEAR(a.slew[i], b.slew[i], 1e-9) << "pin " << i;
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+void expect_bits_equal(const std::vector<double>& a, const std::vector<double>& b,
+                       const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(same_bits(a[i], b[i])) << what << " " << i << ": " << a[i] << " vs " << b[i];
   }
-  EXPECT_NEAR(a.wns, b.wns, 1e-9);
-  EXPECT_NEAR(a.tns, b.tns, 1e-9);
+}
+
+/// Every StaResult field, by bits: incremental STA is exact, not close.
+void expect_results_equal(const StaResult& a, const StaResult& b) {
+  expect_bits_equal(a.arrival, b.arrival, "arrival at pin");
+  expect_bits_equal(a.slew, b.slew, "slew at pin");
+  EXPECT_EQ(a.endpoints, b.endpoints);
+  expect_bits_equal(a.endpoint_slack, b.endpoint_slack, "slack at endpoint");
+  EXPECT_TRUE(same_bits(a.wns, b.wns)) << a.wns << " vs " << b.wns;
+  EXPECT_TRUE(same_bits(a.tns, b.tns)) << a.tns << " vs " << b.tns;
+  EXPECT_TRUE(same_bits(a.max_arrival, b.max_arrival)) << a.max_arrival << " vs " << b.max_arrival;
+  EXPECT_TRUE(same_bits(a.worst_slew_ns, b.worst_slew_ns));
+  EXPECT_TRUE(same_bits(a.worst_cap_pf, b.worst_cap_pf));
   EXPECT_EQ(a.num_violations, b.num_violations);
   EXPECT_EQ(a.num_slew_violations, b.num_slew_violations);
   EXPECT_EQ(a.num_cap_violations, b.num_cap_violations);

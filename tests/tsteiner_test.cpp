@@ -216,7 +216,7 @@ TEST(Refine, KeepsTopologyAndStaysInBounds) {
     }
   }
   EXPECT_GT(r.iterations, 0);
-  EXPECT_EQ(r.wns_trace.size(), static_cast<std::size_t>(r.iterations));
+  EXPECT_EQ(r.iteration_log.size(), static_cast<std::size_t>(r.iterations));
 }
 
 TEST(Refine, BestNeverWorseThanInit) {
@@ -314,7 +314,9 @@ TEST(Refine, GammaRelativeOverrideAccepted) {
   opts.weights.gamma_relative = 0.5;
   const RefineResult r = refine_steiner_points(f.design, f.forest, model, opts);
   EXPECT_GE(r.iterations, 1);
-  for (double w : r.wns_trace) EXPECT_TRUE(std::isfinite(w));
+  for (const obs::RefineIterationRecord& rec : r.iteration_log) {
+    EXPECT_TRUE(std::isfinite(rec.wns));
+  }
 }
 
 TEST(RandomMove, StaysInBoundsAndKeepsPins) {
