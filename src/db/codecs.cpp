@@ -62,6 +62,61 @@ PointI take_point_i(ByteReader& r) {
 
 }  // namespace
 
+std::vector<std::uint8_t> encode_meta(const Meta& meta) {
+  ByteWriter w;
+  w.str(meta.kind);
+  w.str(meta.tag);
+  w.u32(meta.design_count);
+  w.u8(meta.has_model ? 1 : 0);
+  w.f64(meta.final_train_loss);
+  w.u32(meta.library_fingerprint);
+  return w.take();
+}
+
+std::optional<Meta> decode_meta(const std::uint8_t* data, std::size_t size) {
+  ByteReader r(data, size);
+  Meta m;
+  m.kind = r.str();
+  m.tag = r.str();
+  m.design_count = r.u32();
+  m.has_model = r.u8() != 0;
+  m.final_train_loss = r.f64();
+  m.library_fingerprint = r.u32();
+  if (!r.done()) return std::nullopt;
+  return m;
+}
+
+std::optional<Meta> read_meta(const DbReader& reader) {
+  const ChunkInfo* chunk = reader.find(kChunkMeta);
+  if (chunk == nullptr) return std::nullopt;
+  return decode_meta(reader.payload(*chunk), static_cast<std::size_t>(chunk->size));
+}
+
+std::vector<std::uint8_t> index_prefixed(std::uint32_t index,
+                                         const std::vector<std::uint8_t>& payload) {
+  ByteWriter w;
+  w.u32(index);
+  w.raw(payload);
+  return w.take();
+}
+
+std::optional<std::vector<std::span<const std::uint8_t>>> collect_indexed(
+    const DbReader& reader, std::uint32_t type, std::uint32_t count) {
+  const std::vector<const ChunkInfo*> chunks = reader.find_all(type);
+  // Exactly once means one chunk per index; checking the count first also
+  // keeps a hostile design count from sizing the table.
+  if (chunks.size() != count) return std::nullopt;
+  std::vector<std::span<const std::uint8_t>> out(count);
+  for (const ChunkInfo* chunk : chunks) {
+    if (chunk->size < 4) return std::nullopt;
+    ByteReader r(reader.payload(*chunk), 4);
+    const std::uint32_t index = r.u32();
+    if (index >= count || out[index].data() != nullptr) return std::nullopt;
+    out[index] = {reader.payload(*chunk) + 4, static_cast<std::size_t>(chunk->size) - 4};
+  }
+  return out;
+}
+
 std::vector<std::uint8_t> encode_library(const CellLibrary& lib) {
   ByteWriter w;
   w.f64(lib.wire_res_kohm_per_dbu());

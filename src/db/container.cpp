@@ -1,6 +1,9 @@
 #include "db/container.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 
@@ -27,12 +30,20 @@ std::string fourcc_name(std::uint32_t type) {
 }
 
 DbWriter::~DbWriter() {
-  if (file_ != nullptr) std::fclose(static_cast<std::FILE*>(file_));
+  if (file_ != nullptr) {
+    std::fclose(static_cast<std::FILE*>(file_));
+    std::remove(temp_path_.c_str());
+  }
 }
 
 bool DbWriter::open(const std::string& path) {
   if (file_ != nullptr) return false;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Unique per process and per writer, so concurrent writers of one path
+  // never share a temp file; the last rename wins.
+  static std::atomic<unsigned> sequence{0};
+  path_ = path;
+  temp_path_ = path + ".tmp." + std::to_string(getpid()) + "." + std::to_string(sequence++);
+  std::FILE* f = std::fopen(temp_path_.c_str(), "wb");
   if (f == nullptr) return false;
   file_ = f;
   ByteWriter header;
@@ -60,11 +71,13 @@ bool DbWriter::add_chunk(std::uint32_t type, const std::vector<std::uint8_t>& pa
 
 bool DbWriter::finish() {
   if (file_ == nullptr) return false;
-  const bool ok = add_chunk(kChunkEnd, {}) &&
-                  std::fflush(static_cast<std::FILE*>(file_)) == 0;
-  std::fclose(static_cast<std::FILE*>(file_));
+  const bool written = add_chunk(kChunkEnd, {}) &&
+                       std::fflush(static_cast<std::FILE*>(file_)) == 0;
+  const bool closed = std::fclose(static_cast<std::FILE*>(file_)) == 0;
   file_ = nullptr;
-  return ok && !failed_;
+  if (written && closed && std::rename(temp_path_.c_str(), path_.c_str()) == 0) return true;
+  std::remove(temp_path_.c_str());
+  return false;
 }
 
 bool DbReader::open(const std::string& path, std::string* error) {

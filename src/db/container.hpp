@@ -51,7 +51,10 @@ inline constexpr std::uint32_t kChunkSample = fourcc("SMPL");
 inline constexpr std::uint32_t kChunkEnd = fourcc("FEND");
 
 /// Streaming writer: header on open, one chunk per add, end marker on
-/// finish. The file is invalid (no FEND) until finish() succeeds.
+/// finish. Everything goes to a temp sibling of the path, which finish()
+/// renames onto it, so readers see either the old file or the complete new
+/// one. A write that fails or is abandoned (destroyed before finish())
+/// removes the temp file and leaves the path untouched.
 class DbWriter {
  public:
   ~DbWriter();
@@ -61,11 +64,14 @@ class DbWriter {
 
   bool open(const std::string& path);
   bool add_chunk(std::uint32_t type, const std::vector<std::uint8_t>& payload);
-  /// Writes the end chunk and closes; returns false on any I/O failure.
+  /// Writes the end chunk, closes and publishes the file; returns false on
+  /// any I/O failure.
   bool finish();
 
  private:
   void* file_ = nullptr;  // FILE*, kept out of the header
+  std::string path_;
+  std::string temp_path_;
   bool failed_ = false;
 };
 

@@ -30,21 +30,8 @@ int env_epochs(int fallback) {
 }
 
 PreparedDesign prepare_design(const CellLibrary& lib, const BenchmarkSpec& spec, double scale,
-                              const FlowOptions& flow_options,
-                              const std::string& snapshot_path) {
+                              const FlowOptions& flow_options) {
   TS_TRACE_SPAN_CAT("experiment.prepare_design", "flow");
-  static obs::Counter& m_snap_hit = obs::metrics().counter("db.design_snapshot_hit");
-  static obs::Counter& m_snap_miss = obs::metrics().counter("db.design_snapshot_miss");
-  if (!snapshot_path.empty()) {
-    if (auto restored = load_design_snapshot(snapshot_path, lib, flow_options)) {
-      if (restored->spec.name == spec.name && restored->spec.seed == spec.seed) {
-        TS_VERBOSE("restored %s from snapshot %s", spec.name.c_str(), snapshot_path.c_str());
-        m_snap_hit.add();
-        return std::move(*restored);
-      }
-    }
-    m_snap_miss.add();
-  }
   PreparedDesign pd;
   pd.spec = spec;
   const GeneratorParams params = params_for(spec, scale);
@@ -57,7 +44,6 @@ PreparedDesign prepare_design(const CellLibrary& lib, const BenchmarkSpec& spec,
   TS_VERBOSE("prepared %s: %lld cells, %lld steiner pts, clock %.3f ns",
              spec.name.c_str(), pd.design->stats().num_cells,
              pd.flow->initial_forest().num_steiner_nodes(), pd.design->clock_period());
-  if (!snapshot_path.empty()) save_design_snapshot(pd, lib, snapshot_path);
   return pd;
 }
 

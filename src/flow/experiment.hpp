@@ -27,13 +27,9 @@ struct PreparedDesign {
   std::shared_ptr<const GraphCache> cache;  ///< topology of the initial forest
 };
 
-/// Generate, place and flow-prepare one benchmark design. When
-/// `snapshot_path` is non-empty, a valid TSteinerDB design snapshot at that
-/// path is restored instead (skipping generation, placement and flow
-/// calibration), and a fresh preparation is saved there for the next run.
+/// Generate, place and flow-prepare one benchmark design.
 PreparedDesign prepare_design(const CellLibrary& lib, const BenchmarkSpec& spec, double scale,
-                              const FlowOptions& flow_options = {},
-                              const std::string& snapshot_path = {});
+                              const FlowOptions& flow_options = {});
 
 /// Label a forest variant by running the golden sign-off flow on it.
 TrainingSample make_training_sample(const PreparedDesign& pd, const SteinerForest& forest);

@@ -4,7 +4,6 @@
 
 #include "db/bytes.hpp"
 #include "db/codecs.hpp"
-#include "db/container.hpp"
 #include "db/crc32.hpp"
 #include "gnn/serialize.hpp"
 #include "obs/trace.hpp"
@@ -15,7 +14,6 @@ namespace tsteiner {
 namespace {
 
 constexpr char kSuiteKind[] = "suite";
-constexpr char kDesignKind[] = "design";
 
 void encode_flow_options(db::ByteWriter& w, const FlowOptions& f) {
   w.i64(f.router.gcell_size);
@@ -36,105 +34,6 @@ void encode_flow_options(db::ByteWriter& w, const FlowOptions& f) {
   w.i32(f.rsmt.max_steiner_per_net);
   w.u8(f.edge_shifting ? 1 : 0);
   w.f64(kClockTightness);
-}
-
-std::vector<std::uint8_t> index_prefixed(std::uint32_t index,
-                                         const std::vector<std::uint8_t>& payload) {
-  db::ByteWriter w;
-  w.u32(index);
-  w.raw(payload);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_calibration(std::uint32_t index, const FlowCalibration& cal) {
-  db::ByteWriter w;
-  w.u32(index);
-  w.f64(cal.clock_period_ns);
-  w.f64(cal.fixed_h_cap);
-  w.f64(cal.fixed_v_cap);
-  return w.take();
-}
-
-std::optional<FlowCalibration> decode_calibration(db::ByteReader& r) {
-  FlowCalibration cal;
-  cal.clock_period_ns = r.f64();
-  cal.fixed_h_cap = r.f64();
-  cal.fixed_v_cap = r.f64();
-  if (!r.done()) return std::nullopt;
-  return cal;
-}
-
-std::vector<std::uint8_t> encode_sample(std::uint32_t index, const TrainingSample& s) {
-  db::ByteWriter w;
-  w.u32(index);
-  w.str(s.design_name);
-  w.f64_vec(s.xs);
-  w.f64_vec(s.ys);
-  w.f64_vec(s.arrival_label);
-  w.i32_vec(s.endpoint_pins);
-  return w.take();
-}
-
-std::optional<TrainingSample> decode_sample(db::ByteReader& r) {
-  TrainingSample s;
-  s.design_name = r.str();
-  s.xs = r.f64_vec();
-  s.ys = r.f64_vec();
-  s.arrival_label = r.f64_vec();
-  s.endpoint_pins = r.i32_vec();
-  if (!r.done() || s.xs.size() != s.ys.size()) return std::nullopt;
-  return s;
-}
-
-struct Meta {
-  std::string kind;
-  std::string tag;
-  std::uint32_t design_count = 0;
-  bool has_model = false;
-  double final_train_loss = 0.0;
-  std::uint32_t library_fingerprint = 0;
-};
-
-std::vector<std::uint8_t> encode_meta(const Meta& m) {
-  db::ByteWriter w;
-  w.str(m.kind);
-  w.str(m.tag);
-  w.u32(m.design_count);
-  w.u8(m.has_model ? 1 : 0);
-  w.f64(m.final_train_loss);
-  w.u32(m.library_fingerprint);
-  return w.take();
-}
-
-std::optional<Meta> decode_meta(const std::uint8_t* data, std::size_t size) {
-  db::ByteReader r(data, size);
-  Meta m;
-  m.kind = r.str();
-  m.tag = r.str();
-  m.design_count = r.u32();
-  m.has_model = r.u8() != 0;
-  m.final_train_loss = r.f64();
-  m.library_fingerprint = r.u32();
-  if (!r.done()) return std::nullopt;
-  return m;
-}
-
-/// Per-design chunks keyed by their leading u32 index; returns false when a
-/// chunk family does not cover 0..count-1 exactly once.
-bool collect_indexed(const db::DbReader& reader, std::uint32_t type, std::uint32_t count,
-                     std::vector<std::pair<const std::uint8_t*, std::size_t>>* out) {
-  out->assign(count, {nullptr, 0});
-  for (const db::ChunkInfo* chunk : reader.find_all(type)) {
-    if (chunk->size < 4) return false;
-    db::ByteReader r(reader.payload(*chunk), 4);
-    const std::uint32_t index = r.u32();
-    if (index >= count || (*out)[index].first != nullptr) return false;
-    (*out)[index] = {reader.payload(*chunk) + 4, static_cast<std::size_t>(chunk->size) - 4};
-  }
-  for (const auto& [data, size] : *out) {
-    if (data == nullptr) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -167,6 +66,101 @@ std::string suite_options_tag(const SuiteOptions& options) {
   return tag;
 }
 
+std::vector<std::uint8_t> encode_calibration(const FlowCalibration& cal) {
+  db::ByteWriter w;
+  w.f64(cal.clock_period_ns);
+  w.f64(cal.fixed_h_cap);
+  w.f64(cal.fixed_v_cap);
+  return w.take();
+}
+
+std::optional<FlowCalibration> decode_calibration(std::span<const std::uint8_t> payload) {
+  db::ByteReader r(payload.data(), payload.size());
+  FlowCalibration cal;
+  cal.clock_period_ns = r.f64();
+  cal.fixed_h_cap = r.f64();
+  cal.fixed_v_cap = r.f64();
+  if (!r.done()) return std::nullopt;
+  return cal;
+}
+
+bool write_design_record(db::DbWriter& writer, std::uint32_t index, const BenchmarkSpec& spec,
+                         const Design& design, const FlowCalibration* calibration,
+                         const SteinerForest& forest) {
+  return writer.add_chunk(db::kChunkDesign,
+                          db::index_prefixed(index, db::encode_design(spec, design))) &&
+         (calibration == nullptr ||
+          writer.add_chunk(db::kChunkFlowCal,
+                           db::index_prefixed(index, encode_calibration(*calibration)))) &&
+         writer.add_chunk(db::kChunkForest, db::index_prefixed(index, db::encode_forest(forest)));
+}
+
+std::optional<std::vector<DesignRecord>> read_design_records(const db::DbReader& reader,
+                                                             std::uint32_t count,
+                                                             const CellLibrary& lib,
+                                                             std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return std::nullopt;
+  };
+  const auto designs = db::collect_indexed(reader, db::kChunkDesign, count);
+  const auto forests = db::collect_indexed(reader, db::kChunkForest, count);
+  const bool has_cals = reader.find(db::kChunkFlowCal) != nullptr;
+  const auto cals = db::collect_indexed(reader, db::kChunkFlowCal, has_cals ? count : 0);
+  const std::string cover = " chunks do not cover each design index exactly once";
+  if (!designs) return fail("DSGN" + cover);
+  if (!forests) return fail("FRST" + cover);
+  if (!cals) return fail("FCAL" + cover);
+
+  std::vector<DesignRecord> records;
+  records.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::string which = "design " + std::to_string(i) + ": ";
+    auto decoded = db::decode_design((*designs)[i].data(), (*designs)[i].size(), lib);
+    if (!decoded) return fail(which + "DSGN chunk does not decode");
+    auto forest = db::decode_forest((*forests)[i].data(), (*forests)[i].size());
+    if (!forest) return fail(which + "FRST chunk does not decode");
+    if (forest->net_to_tree.size() != decoded->design.nets().size()) {
+      return fail(which + "FRST chunk does not match the design's net count");
+    }
+    std::optional<FlowCalibration> cal;
+    if (has_cals) {
+      cal = decode_calibration((*cals)[i]);
+      if (!cal) return fail(which + "FCAL chunk is malformed");
+    }
+    records.push_back({std::move(decoded->spec), std::move(decoded->design), cal,
+                       std::move(*forest)});
+  }
+  return records;
+}
+
+std::vector<std::uint8_t> encode_sample(const TrainingSample& sample) {
+  db::ByteWriter w;
+  w.str(sample.design_name);
+  w.f64_vec(sample.xs);
+  w.f64_vec(sample.ys);
+  w.f64_vec(sample.arrival_label);
+  w.i32_vec(sample.endpoint_pins);
+  return w.take();
+}
+
+std::optional<TrainingSample> decode_sample(std::span<const std::uint8_t> payload,
+                                            const DesignRecord& record) {
+  db::ByteReader r(payload.data(), payload.size());
+  TrainingSample s;
+  s.design_name = r.str();
+  s.xs = r.f64_vec();
+  s.ys = r.f64_vec();
+  s.arrival_label = r.f64_vec();
+  s.endpoint_pins = r.i32_vec();
+  if (!r.done() || s.xs.size() != s.ys.size() || s.design_name != record.spec.name ||
+      s.arrival_label.size() != record.design.pins().size() ||
+      s.xs.size() != record.forest.num_movable()) {
+    return std::nullopt;
+  }
+  return s;
+}
+
 bool save_suite_snapshot(const TrainedSuite& suite, const SuiteOptions& options,
                          const std::string& path) {
   TS_TRACE_SPAN_CAT("db.save_suite_snapshot", "db");
@@ -174,33 +168,31 @@ bool save_suite_snapshot(const TrainedSuite& suite, const SuiteOptions& options,
   db::DbWriter writer;
   if (!writer.open(path)) return false;
 
-  Meta meta;
+  db::Meta meta;
   meta.kind = kSuiteKind;
   meta.tag = suite_options_tag(options);
   meta.design_count = static_cast<std::uint32_t>(suite.designs.size());
   meta.has_model = suite.model != nullptr;
   meta.final_train_loss = suite.final_train_loss;
   meta.library_fingerprint = db::library_fingerprint(*suite.lib);
-  bool ok = writer.add_chunk(db::kChunkMeta, encode_meta(meta));
-  ok = ok && writer.add_chunk(db::kChunkLibrary, db::encode_library(*suite.lib));
+  bool ok = writer.add_chunk(db::kChunkMeta, db::encode_meta(meta)) &&
+            writer.add_chunk(db::kChunkLibrary, db::encode_library(*suite.lib));
 
   for (std::size_t i = 0; ok && i < suite.designs.size(); ++i) {
     const PreparedDesign& pd = suite.designs[i];
     const std::uint32_t index = static_cast<std::uint32_t>(i);
-    ok = writer.add_chunk(db::kChunkDesign,
-                          index_prefixed(index, db::encode_design(pd.spec, *pd.design))) &&
-         writer.add_chunk(db::kChunkFlowCal,
-                          encode_calibration(index, pd.flow->calibration())) &&
-         writer.add_chunk(db::kChunkForest,
-                          index_prefixed(index, db::encode_forest(pd.flow->initial_forest())));
+    const FlowCalibration cal = pd.flow->calibration();
+    ok = write_design_record(writer, index, pd.spec, *pd.design, &cal,
+                             pd.flow->initial_forest());
     if (ok && i < suite.base_samples.size()) {
-      ok = writer.add_chunk(db::kChunkSample, encode_sample(index, suite.base_samples[i]));
+      ok = writer.add_chunk(db::kChunkSample,
+                            db::index_prefixed(index, encode_sample(suite.base_samples[i])));
     }
   }
   if (ok && suite.model != nullptr) {
     ok = writer.add_chunk(db::kChunkModel, encode_model_payload(*suite.model, meta.tag));
   }
-  return writer.finish() && ok;
+  return ok && writer.finish();
 }
 
 std::optional<TrainedSuite> load_suite_snapshot(const std::string& path,
@@ -212,10 +204,7 @@ std::optional<TrainedSuite> load_suite_snapshot(const std::string& path,
     TS_VERBOSE("suite snapshot rejected: %s", error.c_str());
     return std::nullopt;
   }
-  const db::ChunkInfo* meta_chunk = reader.find(db::kChunkMeta);
-  if (meta_chunk == nullptr) return std::nullopt;
-  const auto meta =
-      decode_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
+  const auto meta = db::read_meta(reader);
   if (!meta || meta->kind != kSuiteKind) return std::nullopt;
   if (meta->tag != suite_options_tag(options)) {
     TS_VERBOSE("suite snapshot rejected: options tag mismatch (stored \"%s\")",
@@ -233,43 +222,26 @@ std::optional<TrainedSuite> load_suite_snapshot(const std::string& path,
   suite.lib = std::make_unique<CellLibrary>(std::move(*lib));
   suite.final_train_loss = meta->final_train_loss;
 
-  std::vector<std::pair<const std::uint8_t*, std::size_t>> designs, cals, forests, samples;
-  if (!collect_indexed(reader, db::kChunkDesign, meta->design_count, &designs) ||
-      !collect_indexed(reader, db::kChunkFlowCal, meta->design_count, &cals) ||
-      !collect_indexed(reader, db::kChunkForest, meta->design_count, &forests) ||
-      !collect_indexed(reader, db::kChunkSample, meta->design_count, &samples)) {
+  auto records = read_design_records(reader, meta->design_count, *suite.lib, &error);
+  if (!records) {
+    TS_VERBOSE("suite snapshot rejected: %s", error.c_str());
     return std::nullopt;
   }
-
+  const auto samples = db::collect_indexed(reader, db::kChunkSample, meta->design_count);
+  if (!samples) return std::nullopt;
   for (std::uint32_t i = 0; i < meta->design_count; ++i) {
-    auto decoded = db::decode_design(designs[i].first, designs[i].second, *suite.lib);
-    if (!decoded) return std::nullopt;
-    db::ByteReader cal_reader(cals[i].first, cals[i].second);
-    const auto cal = decode_calibration(cal_reader);
-    auto forest = db::decode_forest(forests[i].first, forests[i].second);
-    if (!cal || !forest) return std::nullopt;
-    if (forest->net_to_tree.size() != decoded->design.nets().size()) return std::nullopt;
+    DesignRecord& record = (*records)[i];
+    auto sample = decode_sample((*samples)[i], record);
+    if (!record.calibration || !sample) return std::nullopt;
 
     PreparedDesign pd;
-    pd.spec = std::move(decoded->spec);
-    pd.design = std::make_unique<Design>(std::move(decoded->design));
-    pd.flow = std::make_unique<Flow>(
-        Flow::from_snapshot(pd.design.get(), options.flow, *cal, std::move(*forest)));
+    pd.spec = std::move(record.spec);
+    pd.design = std::make_unique<Design>(std::move(record.design));
+    pd.flow = std::make_unique<Flow>(Flow::from_snapshot(
+        pd.design.get(), options.flow, *record.calibration, std::move(record.forest)));
     pd.cache = build_graph_cache(*pd.design, pd.flow->initial_forest());
-    suite.designs.push_back(std::move(pd));
-  }
-
-  for (std::uint32_t i = 0; i < meta->design_count; ++i) {
-    db::ByteReader sample_reader(samples[i].first, samples[i].second);
-    auto sample = decode_sample(sample_reader);
-    if (!sample) return std::nullopt;
-    const PreparedDesign& pd = suite.designs[i];
-    if (sample->design_name != pd.spec.name ||
-        sample->arrival_label.size() != pd.design->pins().size() ||
-        sample->xs.size() != pd.flow->initial_forest().num_movable()) {
-      return std::nullopt;
-    }
     sample->cache = pd.cache;
+    suite.designs.push_back(std::move(pd));
     suite.base_samples.push_back(std::move(*sample));
   }
 
@@ -283,68 +255,6 @@ std::optional<TrainedSuite> load_suite_snapshot(const std::string& path,
     suite.model = std::make_unique<TimingGnn>(std::move(*model));
   }
   return suite;
-}
-
-bool save_design_snapshot(const PreparedDesign& pd, const CellLibrary& lib,
-                          const std::string& path) {
-  TS_TRACE_SPAN_CAT("db.save_design_snapshot", "db");
-  db::DbWriter writer;
-  if (!writer.open(path)) return false;
-  Meta meta;
-  meta.kind = kDesignKind;
-  meta.design_count = 1;
-  meta.library_fingerprint = db::library_fingerprint(lib);
-  const bool ok =
-      writer.add_chunk(db::kChunkMeta, encode_meta(meta)) &&
-      writer.add_chunk(db::kChunkDesign,
-                       index_prefixed(0, db::encode_design(pd.spec, *pd.design))) &&
-      writer.add_chunk(db::kChunkFlowCal, encode_calibration(0, pd.flow->calibration())) &&
-      writer.add_chunk(db::kChunkForest,
-                       index_prefixed(0, db::encode_forest(pd.flow->initial_forest())));
-  return writer.finish() && ok;
-}
-
-std::optional<PreparedDesign> load_design_snapshot(const std::string& path,
-                                                   const CellLibrary& lib,
-                                                   const FlowOptions& options) {
-  TS_TRACE_SPAN_CAT("db.load_design_snapshot", "db");
-  db::DbReader reader;
-  std::string error;
-  if (!reader.open(path, &error)) {
-    TS_VERBOSE("design snapshot rejected: %s", error.c_str());
-    return std::nullopt;
-  }
-  const db::ChunkInfo* meta_chunk = reader.find(db::kChunkMeta);
-  if (meta_chunk == nullptr) return std::nullopt;
-  const auto meta =
-      decode_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
-  if (!meta || meta->kind != kDesignKind || meta->design_count != 1) return std::nullopt;
-  if (meta->library_fingerprint != db::library_fingerprint(lib)) {
-    TS_VERBOSE("design snapshot rejected: library fingerprint mismatch");
-    return std::nullopt;
-  }
-
-  std::vector<std::pair<const std::uint8_t*, std::size_t>> designs, cals, forests;
-  if (!collect_indexed(reader, db::kChunkDesign, 1, &designs) ||
-      !collect_indexed(reader, db::kChunkFlowCal, 1, &cals) ||
-      !collect_indexed(reader, db::kChunkForest, 1, &forests)) {
-    return std::nullopt;
-  }
-  auto decoded = db::decode_design(designs[0].first, designs[0].second, lib);
-  if (!decoded) return std::nullopt;
-  db::ByteReader cal_reader(cals[0].first, cals[0].second);
-  const auto cal = decode_calibration(cal_reader);
-  auto forest = db::decode_forest(forests[0].first, forests[0].second);
-  if (!cal || !forest) return std::nullopt;
-  if (forest->net_to_tree.size() != decoded->design.nets().size()) return std::nullopt;
-
-  PreparedDesign pd;
-  pd.spec = std::move(decoded->spec);
-  pd.design = std::make_unique<Design>(std::move(decoded->design));
-  pd.flow = std::make_unique<Flow>(
-      Flow::from_snapshot(pd.design.get(), options, *cal, std::move(*forest)));
-  pd.cache = build_graph_cache(*pd.design, pd.flow->initial_forest());
-  return pd;
 }
 
 }  // namespace tsteiner

@@ -1,9 +1,32 @@
 #include "gnn/serialize.hpp"
 
-#include "db/bytes.hpp"
-#include "db/container.hpp"
+#include "db/codecs.hpp"
 
 namespace tsteiner {
+
+void encode_tensors(db::ByteWriter& w, const std::vector<Tensor>& params) {
+  w.u32(static_cast<std::uint32_t>(params.size()));
+  for (const Tensor& p : params) {
+    w.u64(p.rows());
+    w.u64(p.cols());
+    w.f64_vec(p.data());
+  }
+}
+
+bool decode_tensors(db::ByteReader& r, std::vector<Tensor>& params) {
+  const std::uint32_t count = r.u32();
+  if (!r.ok() || count != params.size()) return false;
+  for (Tensor& p : params) {
+    const std::uint64_t rows = r.u64();
+    const std::uint64_t cols = r.u64();
+    std::vector<double> values = r.f64_vec();
+    if (!r.ok() || rows != p.rows() || cols != p.cols() || values.size() != p.size()) {
+      return false;
+    }
+    p.data() = std::move(values);
+  }
+  return true;
+}
 
 std::vector<std::uint8_t> encode_model_payload(const TimingGnn& model, const std::string& tag) {
   db::ByteWriter w;
@@ -16,12 +39,7 @@ std::vector<std::uint8_t> encode_model_payload(const TimingGnn& model, const std
   w.f64(c.soft_abs_delta);
   w.u8(c.physics_anchor ? 1 : 0);
   w.u64(c.seed);
-  w.u32(static_cast<std::uint32_t>(model.parameters().size()));
-  for (const Tensor& p : model.parameters()) {
-    w.u64(p.rows());
-    w.u64(p.cols());
-    w.f64_vec(p.data());
-  }
+  encode_tensors(w, model.parameters());
   return w.take();
 }
 
@@ -64,18 +82,7 @@ std::optional<TimingGnn> decode_model_common(const std::uint8_t* data, std::size
   }
 
   TimingGnn model(stored, num_cell_types);
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count != model.parameters().size()) return std::nullopt;
-  for (Tensor& p : model.parameters()) {
-    const std::uint64_t rows = r.u64();
-    const std::uint64_t cols = r.u64();
-    std::vector<double> values = r.f64_vec();
-    if (!r.ok() || rows != p.rows() || cols != p.cols() || values.size() != p.size()) {
-      return std::nullopt;
-    }
-    p.data() = std::move(values);
-  }
-  if (!r.done()) return std::nullopt;
+  if (!decode_tensors(r, model.parameters()) || !r.done()) return std::nullopt;
   return model;
 }
 
@@ -93,8 +100,12 @@ std::optional<TimingGnn> decode_model_payload_any(const std::uint8_t* data, std:
 }
 
 bool save_model(const TimingGnn& model, const std::string& path, const std::string& tag) {
+  db::Meta meta;
+  meta.kind = "model-cache";
+  meta.tag = tag;
+  meta.has_model = true;
   db::DbWriter writer;
-  return writer.open(path) &&
+  return writer.open(path) && writer.add_chunk(db::kChunkMeta, db::encode_meta(meta)) &&
          writer.add_chunk(db::kChunkModel, encode_model_payload(model, tag)) &&
          writer.finish();
 }

@@ -1,11 +1,12 @@
 // Model parameter serialization: lets a trained evaluator be cached on disk
 // and shared across bench binaries (training dominates suite runtime).
 //
-// The on-disk format is a TSteinerDB container (src/db) holding one MODL
-// chunk — binary, integrity-checked, and rejected with a clean nullopt on
-// truncation, corruption or any file that is not a container. Loading
-// validates config, tag and tensor shapes, so a stale cache (different
-// architecture / training setup) is rejected rather than misloaded.
+// The on-disk format is a TSteinerDB container (src/db) holding a META chunk
+// (kind "model-cache") and one MODL chunk — binary, integrity-checked, and
+// rejected with a clean nullopt on truncation, corruption or any file that
+// is not a container. Loading validates config, tag and tensor shapes, so a
+// stale cache (different architecture / training setup) is rejected rather
+// than misloaded.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +14,16 @@
 #include <string>
 #include <vector>
 
+#include "db/bytes.hpp"
 #include "gnn/model.hpp"
 
 namespace tsteiner {
+
+/// Parameter-tensor list shared by the MODL and SMDL payloads: u32 count,
+/// then per tensor u64 rows, u64 cols and the f64 values.
+void encode_tensors(db::ByteWriter& w, const std::vector<Tensor>& params);
+/// Reads a list into `params`, whose count and shapes it must match.
+bool decode_tensors(db::ByteReader& r, std::vector<Tensor>& params);
 
 /// Write the model's configuration and parameters as a TSteinerDB container.
 /// `tag` is an arbitrary caller string (e.g. encoding training scale/epochs)

@@ -8,11 +8,10 @@
 #include <mutex>
 #include <stdexcept>
 #include <tuple>
-#include <unistd.h>
 
-#include "db/bytes.hpp"
-#include "db/container.hpp"
+#include "db/codecs.hpp"
 #include "gnn/adam.hpp"
+#include "gnn/serialize.hpp"
 #include "netlist/netlist.hpp"
 #include "steiner/rsmt.hpp"
 
@@ -52,17 +51,17 @@ std::optional<SteinerPredictor> load_cached_weights(const SteinerPredictorConfig
 }
 
 void save_cached_weights(const SteinerPredictor& predictor) {
-  // Write-to-temp + rename keeps concurrent test binaries from ever seeing a
-  // half-written cache (and DbReader's CRCs catch anything that slips by).
-  char tmp[64];
-  std::snprintf(tmp, sizeof(tmp), "%s.tmp.%d", kWeightCachePath, static_cast<int>(getpid()));
+  // DbWriter publishes the file by rename, so concurrent test binaries never
+  // see a half-written cache; one that fails to write is retrained next time.
+  db::Meta meta;
+  meta.kind = "steiner-cache";
+  meta.tag = cache_tag(predictor.config());
   db::DbWriter writer;
-  const bool ok =
-      writer.open(tmp) &&
+  if (writer.open(kWeightCachePath) && writer.add_chunk(db::kChunkMeta, db::encode_meta(meta)) &&
       writer.add_chunk(db::kChunkSteinerModel,
-                       encode_steiner_predictor_payload(predictor, cache_tag(predictor.config()))) &&
-      writer.finish();
-  if (!ok || std::rename(tmp, kWeightCachePath) != 0) std::remove(tmp);
+                       encode_steiner_predictor_payload(predictor, meta.tag))) {
+    writer.finish();
+  }
 }
 
 }  // namespace
@@ -241,13 +240,7 @@ std::vector<std::uint8_t> encode_steiner_predictor_payload(const SteinerPredicto
   w.i32(c.train_nets);
   w.i32(c.train_steps);
   w.f64(c.learning_rate);
-  const std::vector<Tensor>& params = predictor.parameters();
-  w.u32(static_cast<std::uint32_t>(params.size()));
-  for (const Tensor& p : params) {
-    w.u64(p.rows());
-    w.u64(p.cols());
-    w.f64_vec(p.data());
-  }
+  encode_tensors(w, predictor.parameters());
   return w.take();
 }
 
@@ -268,17 +261,7 @@ std::optional<SteinerPredictor> decode_steiner_predictor_payload_any(const std::
   if (c.train_steps < 0 || c.train_steps > (1 << 20)) return std::nullopt;
 
   SteinerPredictor predictor(c);
-  const std::uint32_t count = r.u32();
-  if (!r.ok() || count != predictor.parameters().size()) return std::nullopt;
-  for (Tensor& p : predictor.parameters()) {
-    const std::uint64_t rows = r.u64();
-    const std::uint64_t cols = r.u64();
-    std::vector<double> values = r.f64_vec();
-    if (!r.ok()) return std::nullopt;
-    if (rows != p.rows() || cols != p.cols() || values.size() != p.size()) return std::nullopt;
-    p.data() = std::move(values);
-  }
-  if (!r.done()) return std::nullopt;
+  if (!decode_tensors(r, predictor.parameters()) || !r.done()) return std::nullopt;
   if (tag_out != nullptr) *tag_out = tag;
   return predictor;
 }

@@ -24,9 +24,9 @@
 // construction, class-weighted BCE, Adam — and the result is cached both per
 // process and on disk (same discipline as the evaluator's model cache), so
 // the training cost is paid once per build directory, not per Flow. Trained
-// weights persist through serve snapshots as an SMDL chunk (same ByteWriter
-// discipline as the MODL codec) so the serve `wirelength` op reproduces the
-// exact in-process estimates.
+// weights persist through serve snapshots as an SMDL chunk (its tensor list
+// is the MODL codec's) so the serve `wirelength` op reproduces the exact
+// in-process estimates.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +98,8 @@ class SteinerPredictor {
   std::vector<Tensor> params_;
 };
 
-/// SMDL chunk payload codec (config + tag + parameter tensors), mirroring
-/// the MODL codec in gnn/serialize.
+/// SMDL chunk payload codec: tag, config, then the parameter-tensor list
+/// shared with MODL (gnn/serialize).
 std::vector<std::uint8_t> encode_steiner_predictor_payload(const SteinerPredictor& predictor,
                                                            const std::string& tag);
 /// Self-describing decode: adopts the stored config, returns the stored tag

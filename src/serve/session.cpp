@@ -4,10 +4,9 @@
 #include <cstdio>
 #include <fstream>
 
-#include "db/bytes.hpp"
 #include "db/codecs.hpp"
-#include "db/container.hpp"
 #include "db/crc32.hpp"
+#include "flow/snapshot.hpp"
 #include "gnn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -22,57 +21,6 @@ constexpr char kServeKind[] = "serve";
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-// Same META payload layout as flow/snapshot (str kind, str tag, u32
-// design_count, u8 has_model, f64 final_train_loss, u32 library_fingerprint)
-// so `tsteiner_db info` prints serve snapshots like any other container.
-std::vector<std::uint8_t> encode_serve_meta(bool has_model, std::uint32_t lib_fingerprint) {
-  db::ByteWriter w;
-  w.str(kServeKind);
-  w.str("");  // tag unused: serve snapshots are self-describing
-  w.u32(1);   // design_count
-  w.u8(has_model ? 1 : 0);
-  w.f64(0.0);  // final_train_loss (not applicable)
-  w.u32(lib_fingerprint);
-  return w.take();
-}
-
-struct ServeMeta {
-  bool has_model = false;
-  std::uint32_t library_fingerprint = 0;
-};
-
-std::optional<ServeMeta> decode_serve_meta(const std::uint8_t* data, std::size_t size) {
-  db::ByteReader r(data, size);
-  const std::string kind = r.str();
-  r.str();  // tag
-  const std::uint32_t design_count = r.u32();
-  ServeMeta m;
-  m.has_model = r.u8() != 0;
-  r.f64();  // final_train_loss
-  m.library_fingerprint = r.u32();
-  if (!r.done() || kind != kServeKind || design_count != 1) return std::nullopt;
-  return m;
-}
-
-std::vector<std::uint8_t> index_prefixed(const std::vector<std::uint8_t>& payload) {
-  db::ByteWriter w;
-  w.u32(0);
-  w.raw(payload);
-  return w.take();
-}
-
-/// Indexed single chunk (leading u32 index 0, as flow/snapshot writes them).
-bool indexed_payload(const db::DbReader& reader, std::uint32_t type, const std::uint8_t** data,
-                     std::size_t* size) {
-  const db::ChunkInfo* chunk = reader.find(type);
-  if (chunk == nullptr || chunk->size < 4) return false;
-  db::ByteReader r(reader.payload(*chunk), 4);
-  if (r.u32() != 0) return false;
-  *data = reader.payload(*chunk) + 4;
-  *size = static_cast<std::size_t>(chunk->size) - 4;
-  return true;
 }
 
 /// Rough resident-size estimate for cache accounting. It only has to rank
@@ -104,18 +52,14 @@ bool save_session_snapshot(const BenchmarkSpec& spec, const Design& design,
   TS_TRACE_SPAN_CAT("serve.save_session_snapshot", "db");
   db::DbWriter writer;
   if (!writer.open(path)) return false;
-  db::ByteWriter cal_w;
-  cal_w.u32(0);
-  cal_w.f64(cal.clock_period_ns);
-  cal_w.f64(cal.fixed_h_cap);
-  cal_w.f64(cal.fixed_v_cap);
-  bool ok =
-      writer.add_chunk(db::kChunkMeta,
-                       encode_serve_meta(model != nullptr, db::library_fingerprint(lib))) &&
-      writer.add_chunk(db::kChunkLibrary, db::encode_library(lib)) &&
-      writer.add_chunk(db::kChunkDesign, index_prefixed(db::encode_design(spec, design))) &&
-      writer.add_chunk(db::kChunkFlowCal, cal_w.take()) &&
-      writer.add_chunk(db::kChunkForest, index_prefixed(db::encode_forest(forest)));
+  db::Meta meta;
+  meta.kind = kServeKind;  // tag unused: serve snapshots are self-describing
+  meta.design_count = 1;
+  meta.has_model = model != nullptr;
+  meta.library_fingerprint = db::library_fingerprint(lib);
+  bool ok = writer.add_chunk(db::kChunkMeta, db::encode_meta(meta)) &&
+            writer.add_chunk(db::kChunkLibrary, db::encode_library(lib)) &&
+            write_design_record(writer, 0, spec, design, &cal, forest);
   if (ok && model != nullptr) {
     ok = writer.add_chunk(db::kChunkModel, encode_model_payload(*model, kServeKind));
   }
@@ -123,7 +67,7 @@ bool save_session_snapshot(const BenchmarkSpec& spec, const Design& design,
     ok = writer.add_chunk(db::kChunkSteinerModel,
                           encode_steiner_predictor_payload(*steiner_model, kServeKind));
   }
-  return writer.finish() && ok;
+  return ok && writer.finish();
 }
 
 std::string snapshot_fingerprint(const std::string& path, std::string* error) {
@@ -160,13 +104,8 @@ std::shared_ptr<LoadedDesign> load_session_design(const std::string& path,
     return nullptr;
   }
 
-  const db::ChunkInfo* meta_chunk = reader.find(db::kChunkMeta);
-  const auto meta =
-      meta_chunk == nullptr
-          ? std::nullopt
-          : decode_serve_meta(reader.payload(*meta_chunk),
-                              static_cast<std::size_t>(meta_chunk->size));
-  if (!meta) {
+  const auto meta = db::read_meta(reader);
+  if (!meta || meta->kind != kServeKind || meta->design_count != 1) {
     fail(error, "snapshot '" + path + "' is not a serve-kind container");
     return nullptr;
   }
@@ -186,45 +125,21 @@ std::shared_ptr<LoadedDesign> load_session_design(const std::string& path,
     return nullptr;
   }
 
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-  if (!indexed_payload(reader, db::kChunkDesign, &data, &size)) {
-    fail(error, "snapshot '" + path + "' has no design chunk");
+  std::string record_error;
+  auto records = read_design_records(reader, 1, *loaded->lib, &record_error);
+  if (!records) {
+    fail(error, "snapshot '" + path + "' rejected: " + record_error);
     return nullptr;
   }
-  auto decoded = db::decode_design(data, size, *loaded->lib);
-  if (!decoded) {
-    fail(error, "snapshot '" + path + "' design chunk is malformed");
-    return nullptr;
-  }
-  loaded->spec = std::move(decoded->spec);
-  loaded->design = std::make_unique<Design>(std::move(decoded->design));
-
-  if (!indexed_payload(reader, db::kChunkFlowCal, &data, &size)) {
+  DesignRecord& record = records->front();
+  if (!record.calibration) {
     fail(error, "snapshot '" + path + "' has no calibration chunk");
     return nullptr;
   }
-  db::ByteReader cal_reader(data, size);
-  FlowCalibration cal;
-  cal.clock_period_ns = cal_reader.f64();
-  cal.fixed_h_cap = cal_reader.f64();
-  cal.fixed_v_cap = cal_reader.f64();
-  if (!cal_reader.done()) {
-    fail(error, "snapshot '" + path + "' calibration chunk is malformed");
-    return nullptr;
-  }
-
-  if (!indexed_payload(reader, db::kChunkForest, &data, &size)) {
-    fail(error, "snapshot '" + path + "' has no forest chunk");
-    return nullptr;
-  }
-  auto forest = db::decode_forest(data, size);
-  if (!forest || forest->net_to_tree.size() != loaded->design->nets().size()) {
-    fail(error, "snapshot '" + path + "' forest chunk is malformed");
-    return nullptr;
-  }
-  loaded->flow = std::make_unique<Flow>(
-      Flow::from_snapshot(loaded->design.get(), flow_options, cal, std::move(*forest)));
+  loaded->spec = std::move(record.spec);
+  loaded->design = std::make_unique<Design>(std::move(record.design));
+  loaded->flow = std::make_unique<Flow>(Flow::from_snapshot(
+      loaded->design.get(), flow_options, *record.calibration, std::move(record.forest)));
 
   if (meta->has_model) {
     const db::ChunkInfo* model_chunk = reader.find(db::kChunkModel);

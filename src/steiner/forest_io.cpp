@@ -1,16 +1,8 @@
 #include "steiner/forest_io.hpp"
 
-#include <cmath>
 #include <fstream>
 
 namespace tsteiner {
-
-namespace {
-// Upper bound on any count read from a forest file. Generous for real designs
-// (the paper's largest has ~2M nets) while keeping a corrupted or malicious
-// count from driving a multi-gigabyte reserve before parsing fails.
-constexpr std::size_t kMaxForestCount = 50'000'000;
-}  // namespace
 
 void write_forest(const SteinerForest& forest, std::ostream& out) {
   out << "tsteiner-forest-v1\n";
@@ -34,61 +26,6 @@ bool write_forest_file(const SteinerForest& forest, const std::string& path) {
   if (!out) return false;
   write_forest(forest, out);
   return static_cast<bool>(out);
-}
-
-std::optional<SteinerForest> read_forest(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != "tsteiner-forest-v1") return std::nullopt;
-  std::string key;
-  std::size_t num_nets = 0, num_trees = 0;
-  if (!(in >> key >> num_nets) || key != "nets") return std::nullopt;
-  if (!(in >> key >> num_trees) || key != "trees") return std::nullopt;
-  if (num_nets > kMaxForestCount || num_trees > num_nets) return std::nullopt;
-
-  SteinerForest f;
-  f.net_to_tree.assign(num_nets, -1);
-  f.trees.reserve(num_trees);
-  for (std::size_t t = 0; t < num_trees; ++t) {
-    int net = -1, driver = -1;
-    std::size_t nodes = 0, edges = 0;
-    if (!(in >> key >> net >> driver >> nodes >> edges) || key != "tree") return std::nullopt;
-    if (net < 0 || net >= static_cast<int>(num_nets)) return std::nullopt;
-    if (f.net_to_tree[static_cast<std::size_t>(net)] != -1) return std::nullopt;
-    if (nodes > kMaxForestCount || edges > kMaxForestCount) return std::nullopt;
-    if (driver < 0 || driver >= static_cast<int>(nodes)) return std::nullopt;
-    SteinerTree tree;
-    tree.net = net;
-    tree.driver_node = driver;
-    tree.nodes.reserve(nodes);
-    for (std::size_t n = 0; n < nodes; ++n) {
-      SteinerNode node;
-      if (!(in >> node.pin >> node.pos.x >> node.pos.y)) return std::nullopt;
-      if (node.pin < -1) return std::nullopt;
-      if (!std::isfinite(node.pos.x) || !std::isfinite(node.pos.y)) return std::nullopt;
-      tree.nodes.push_back(node);
-    }
-    tree.edges.reserve(edges);
-    for (std::size_t e = 0; e < edges; ++e) {
-      SteinerEdge edge;
-      if (!(in >> edge.a >> edge.b)) return std::nullopt;
-      if (edge.a < 0 || edge.b < 0 || edge.a >= static_cast<int>(nodes) ||
-          edge.b >= static_cast<int>(nodes)) {
-        return std::nullopt;
-      }
-      tree.edges.push_back(edge);
-    }
-    if (!tree.is_valid_tree()) return std::nullopt;
-    f.net_to_tree[static_cast<std::size_t>(net)] = static_cast<int>(f.trees.size());
-    f.trees.push_back(std::move(tree));
-  }
-  f.build_movable_index();
-  return f;
-}
-
-std::optional<SteinerForest> read_forest_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  return read_forest(in);
 }
 
 }  // namespace tsteiner

@@ -1,9 +1,10 @@
-// Plain-text Steiner-forest serialization: persists a tree set (e.g. a
-// TSteiner-refined solution) against a design whose pin ids it references.
+// Plain-text Steiner-forest writer: dumps a tree set (e.g. a TSteiner-refined
+// solution, or `tsteiner_db extract FRST`) for human inspection against the
+// design whose pin ids it references. Forests are read back only from the
+// binary FRST chunk (db/codecs).
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "steiner/steiner_tree.hpp"
@@ -12,9 +13,5 @@ namespace tsteiner {
 
 void write_forest(const SteinerForest& forest, std::ostream& out);
 bool write_forest_file(const SteinerForest& forest, const std::string& path);
-
-/// Returns nullopt on malformed input. The movable index is rebuilt.
-std::optional<SteinerForest> read_forest(std::istream& in);
-std::optional<SteinerForest> read_forest_file(const std::string& path);
 
 }  // namespace tsteiner

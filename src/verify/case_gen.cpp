@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "db/bytes.hpp"
 #include "db/codecs.hpp"
-#include "db/container.hpp"
+#include "flow/snapshot.hpp"
 #include "place/placer.hpp"
 #include "sta/sta.hpp"
 #include "steiner/rsmt.hpp"
@@ -118,18 +117,11 @@ bool save_case_snapshot(const FuzzCase& c, const std::string& path) {
   db::DbWriter writer;
   if (!writer.open(path)) return false;
 
-  // META mirrors the layout flow/snapshot writes and tools/tsteiner_db
-  // parses: kind, tag, design count, model flag, loss, library fingerprint.
-  db::ByteWriter meta;
-  meta.str("fuzz-case");
-  meta.str("seed=" + std::to_string(c.seed) + " scale=" + c.scale);
-  meta.u32(1);
-  meta.u8(0);
-  meta.f64(0.0);
-  meta.u32(db::library_fingerprint(fuzz_library()));
-  if (!writer.add_chunk(db::kChunkMeta, meta.bytes())) return false;
-
-  if (!writer.add_chunk(db::kChunkLibrary, db::encode_library(fuzz_library()))) return false;
+  db::Meta meta;
+  meta.kind = "fuzz-case";
+  meta.tag = "seed=" + std::to_string(c.seed) + " scale=" + c.scale;
+  meta.design_count = 1;
+  meta.library_fingerprint = db::library_fingerprint(fuzz_library());
 
   BenchmarkSpec spec;
   spec.name = c.params.name;
@@ -137,19 +129,11 @@ bool save_case_snapshot(const FuzzCase& c, const std::string& path) {
   spec.endpoints = static_cast<int>(c.design.endpoint_pins().size());
   spec.seed = c.seed;
 
-  // DSGN/FRST payloads carry the same u32 design-index prefix the suite
-  // snapshots use, so tsteiner_db verify/extract decode them unchanged.
-  db::ByteWriter design_payload;
-  design_payload.u32(0);
-  design_payload.raw(db::encode_design(spec, c.design));
-  if (!writer.add_chunk(db::kChunkDesign, design_payload.bytes())) return false;
-
-  db::ByteWriter forest_payload;
-  forest_payload.u32(0);
-  forest_payload.raw(db::encode_forest(c.forest));
-  if (!writer.add_chunk(db::kChunkForest, forest_payload.bytes())) return false;
-
-  return writer.finish();
+  // No FCAL: a case's clock lives in its design and it has no pinned
+  // routing capacities.
+  return writer.add_chunk(db::kChunkMeta, db::encode_meta(meta)) &&
+         writer.add_chunk(db::kChunkLibrary, db::encode_library(fuzz_library())) &&
+         write_design_record(writer, 0, spec, c.design, nullptr, c.forest) && writer.finish();
 }
 
 }  // namespace tsteiner::verify

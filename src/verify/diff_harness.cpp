@@ -7,11 +7,10 @@
 #include <filesystem>
 #include <fstream>
 
-#include "db/bytes.hpp"
 #include "db/codecs.hpp"
-#include "db/container.hpp"
 #include "flow/flow.hpp"
 #include "flow/incremental_signoff.hpp"
+#include "flow/snapshot.hpp"
 #include "gnn/graph_cache.hpp"
 #include "gnn/model.hpp"
 #include "gnn/steiner_predictor.hpp"
@@ -468,51 +467,37 @@ std::string oracle_db_roundtrip(OracleContext& ctx) {
   if (!reader.open(path1, &error)) return "reader rejected snapshot: " + error;
 
   const db::ChunkInfo* lib_chunk = reader.find(db::kChunkLibrary);
-  const db::ChunkInfo* design_chunk = reader.find(db::kChunkDesign);
-  const db::ChunkInfo* forest_chunk = reader.find(db::kChunkForest);
-  if (lib_chunk == nullptr || design_chunk == nullptr || forest_chunk == nullptr) {
-    return "snapshot missing LIBR/DSGN/FRST chunks";
-  }
-
+  if (lib_chunk == nullptr) return "snapshot missing LIBR chunk";
   const auto lib = db::decode_library(reader.payload(*lib_chunk),
                                       static_cast<std::size_t>(lib_chunk->size));
   if (!lib) return "LIBR chunk does not decode";
-  const auto design = db::decode_design(reader.payload(*design_chunk) + 4,
-                                        static_cast<std::size_t>(design_chunk->size) - 4, *lib);
-  if (!design) return "DSGN chunk does not decode";
-  const auto forest = db::decode_forest(reader.payload(*forest_chunk) + 4,
-                                        static_cast<std::size_t>(forest_chunk->size) - 4);
-  if (!forest) return "FRST chunk does not decode";
+  auto records = read_design_records(reader, 1, *lib, &error);
+  if (!records) return "snapshot does not decode: " + error;
+  const DesignRecord& record = records->front();
 
   // Re-encode the decoded objects: every chunk payload must reproduce the
   // stored bytes exactly (save -> load -> save is the identity).
-  const std::vector<std::uint8_t> lib_again = db::encode_library(*lib);
-  if (lib_again.size() != lib_chunk->size ||
-      std::memcmp(lib_again.data(), reader.payload(*lib_chunk), lib_again.size()) != 0) {
+  const auto byte_stable = [&reader](std::uint32_t type, const std::vector<std::uint8_t>& again) {
+    const db::ChunkInfo* chunk = reader.find(type);
+    return chunk != nullptr && again.size() == chunk->size &&
+           std::memcmp(again.data(), reader.payload(*chunk), again.size()) == 0;
+  };
+  if (!byte_stable(db::kChunkLibrary, db::encode_library(*lib))) {
     return "library payload not byte-stable across decode/encode";
   }
-  db::ByteWriter design_again;
-  design_again.u32(0);
-  design_again.raw(db::encode_design(design->spec, design->design));
-  if (design_again.bytes().size() != design_chunk->size ||
-      std::memcmp(design_again.bytes().data(), reader.payload(*design_chunk),
-                  design_again.bytes().size()) != 0) {
+  if (!byte_stable(db::kChunkDesign,
+                   db::index_prefixed(0, db::encode_design(record.spec, record.design)))) {
     return "design payload not byte-stable across decode/encode";
   }
-  db::ByteWriter forest_again;
-  forest_again.u32(0);
-  forest_again.raw(db::encode_forest(*forest));
-  if (forest_again.bytes().size() != forest_chunk->size ||
-      std::memcmp(forest_again.bytes().data(), reader.payload(*forest_chunk),
-                  forest_again.bytes().size()) != 0) {
+  if (!byte_stable(db::kChunkForest, db::index_prefixed(0, db::encode_forest(record.forest)))) {
     return "forest payload not byte-stable across decode/encode";
   }
 
   // Whole-file check: a second save built from the decoded state must be
   // byte-identical to the first container.
   FuzzCase reloaded = c;
-  reloaded.design = design->design;
-  reloaded.forest = *forest;
+  reloaded.design = record.design;
+  reloaded.forest = record.forest;
   if (!save_case_snapshot(reloaded, path2)) return "cannot write second snapshot";
   const std::vector<std::uint8_t> bytes1 = read_case_file(path1);
   const std::vector<std::uint8_t> bytes2 = read_case_file(path2);

@@ -1,14 +1,18 @@
 // TSteinerDB container, codec, and snapshot-restore coverage: CRC vectors,
-// byte-level round-trips, corruption/truncation rejection, and field-for-field
-// equality of restored libraries, designs, forests, models and suites.
+// byte-level round-trips, corruption/truncation rejection, atomic writes, the
+// exactly-once design-index rule, and field-for-field equality of restored
+// META, libraries, designs, forests, models and suites.
 #include <gtest/gtest.h>
 
 #include "testutil.hpp"
 
-#include <cstdio>
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <limits>
 
 #include "db/bytes.hpp"
 #include "db/codecs.hpp"
@@ -19,7 +23,6 @@
 #include "gnn/serialize.hpp"
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
-#include "steiner/forest_io.hpp"
 #include "steiner/rsmt.hpp"
 
 namespace tsteiner {
@@ -190,6 +193,71 @@ TEST(Container, RejectsBadMagicAndVersion) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
+/// Entries of `dir` other than `keep`: a finished or failed write must not
+/// leave its temp file behind.
+std::vector<std::string> stray_files(const std::string& dir, const std::string& keep) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename() != keep) out.push_back(entry.path().filename().string());
+  }
+  return out;
+}
+
+TEST(Container, AbandonedWriteLeavesExistingFileIntact) {
+  const std::string dir = testutil::test_tmp_dir();
+  const std::string path = dir + "/kept.tsdb";
+  {
+    db::DbWriter writer;
+    ASSERT_TRUE(writer.open(path));
+    ASSERT_TRUE(writer.add_chunk(db::kChunkMeta, {1, 2, 3}));
+    ASSERT_TRUE(writer.finish());
+  }
+  const std::vector<std::uint8_t> before = read_file(path);
+  {
+    db::DbWriter writer;
+    ASSERT_TRUE(writer.open(path));
+    ASSERT_TRUE(writer.add_chunk(db::kChunkMeta, {4, 5, 6, 7}));
+    // Destroyed without finish(): the old file stays the published one.
+  }
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_TRUE(stray_files(dir, "kept.tsdb").empty());
+}
+
+TEST(Container, FailedWriteLeavesExistingFileIntact) {
+  const std::string dir = testutil::test_tmp_dir();
+  const std::string path = dir + "/kept.tsdb";
+  {
+    db::DbWriter writer;
+    ASSERT_TRUE(writer.open(path));
+    ASSERT_TRUE(writer.add_chunk(db::kChunkMeta, {1, 2, 3}));
+    ASSERT_TRUE(writer.finish());
+  }
+  const std::vector<std::uint8_t> before = read_file(path);
+
+  // A real I/O failure: cap this process's file size below the container,
+  // so the flush in finish() fails with EFBIG (SIGXFSZ ignored). The payload
+  // is small enough to sit in the stdio buffer until then.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit capped = saved;
+  capped.rlim_cur = 64;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+  bool finished = true;
+  {
+    db::DbWriter writer;
+    finished = writer.open(path) &&
+               writer.add_chunk(db::kChunkMeta, std::vector<std::uint8_t>(1024, 0xAB)) &&
+               writer.finish();
+  }
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_FALSE(finished);
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_TRUE(stray_files(dir, "kept.tsdb").empty());
+}
+
 TEST(Codecs, LibraryRoundTripFieldForField) {
   const std::vector<std::uint8_t> bytes = db::encode_library(lib());
   const auto loaded = db::decode_library(bytes.data(), bytes.size());
@@ -301,34 +369,116 @@ TEST(Codecs, ForestRoundTripAndRejection) {
   }
 }
 
-TEST(ForestIo, TextReaderRejectsHostileInput) {
+TEST(Codecs, ForestRejectsHostileInput) {
+  // One-tree FRST payloads; every field but the one under test is valid.
+  struct Node {
+    int pin;
+    double x, y;
+  };
+  const auto payload = [](std::uint64_t num_nets, std::uint32_t num_trees, int net, int driver,
+                          const std::vector<Node>& nodes, int copies = 1) {
+    db::ByteWriter w;
+    w.u64(num_nets);
+    w.u32(num_trees);
+    for (int t = 0; t < copies; ++t) {
+      w.i32(net);
+      w.i32(driver);
+      w.u32(static_cast<std::uint32_t>(nodes.size()));
+      w.u32(static_cast<std::uint32_t>(nodes.size() - 1));
+      for (const Node& n : nodes) {
+        w.i32(n.pin);
+        w.f64(n.x);
+        w.f64(n.y);
+      }
+      for (std::size_t e = 1; e < nodes.size(); ++e) {
+        w.i32(0);
+        w.i32(static_cast<int>(e));
+      }
+    }
+    return w.take();
+  };
+  const auto decodes = [](const std::vector<std::uint8_t>& bytes) {
+    return db::decode_forest(bytes.data(), bytes.size()).has_value();
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  EXPECT_TRUE(decodes(payload(1, 1, 0, 0, {{0, 0, 0}, {1, 5, 5}})));
   // Non-finite coordinate.
-  std::stringstream nan_coord(
-      "tsteiner-forest-v1\nnets 1\ntrees 1\ntree 0 0 2 1\n0 nan 0\n1 5 5\n0 1\n");
-  EXPECT_FALSE(read_forest(nan_coord).has_value());
-  std::stringstream inf_coord(
-      "tsteiner-forest-v1\nnets 1\ntrees 1\ntree 0 0 2 1\n0 inf 0\n1 5 5\n0 1\n");
-  EXPECT_FALSE(read_forest(inf_coord).has_value());
+  EXPECT_FALSE(decodes(payload(1, 1, 0, 0, {{0, nan, 0}, {1, 5, 5}})));
+  EXPECT_FALSE(decodes(payload(1, 1, 0, 0, {{0, inf, 0}, {1, 5, 5}})));
   // Pin id below -1.
-  std::stringstream bad_pin(
-      "tsteiner-forest-v1\nnets 1\ntrees 1\ntree 0 0 2 1\n-7 0 0\n1 5 5\n0 1\n");
-  EXPECT_FALSE(read_forest(bad_pin).has_value());
+  EXPECT_FALSE(decodes(payload(1, 1, 0, 0, {{-7, 0, 0}, {1, 5, 5}})));
   // Driver node out of range.
-  std::stringstream bad_driver(
-      "tsteiner-forest-v1\nnets 1\ntrees 1\ntree 0 5 2 1\n0 0 0\n1 5 5\n0 1\n");
-  EXPECT_FALSE(read_forest(bad_driver).has_value());
-  // Absurd counts must fail before any large allocation.
-  std::stringstream huge_nets("tsteiner-forest-v1\nnets 99999999999 trees 1\n");
-  EXPECT_FALSE(read_forest(huge_nets).has_value());
-  std::stringstream huge_nodes(
-      "tsteiner-forest-v1\nnets 1\ntrees 1\ntree 0 0 99999999999 0\n");
-  EXPECT_FALSE(read_forest(huge_nodes).has_value());
+  EXPECT_FALSE(decodes(payload(1, 1, 0, 5, {{0, 0, 0}, {1, 5, 5}})));
   // Two trees claiming the same net.
-  std::stringstream dup_net(
-      "tsteiner-forest-v1\nnets 1\ntrees 2\n"
-      "tree 0 0 1 0\n0 0 0\n"
-      "tree 0 0 1 0\n0 1 1\n");
-  EXPECT_FALSE(read_forest(dup_net).has_value());
+  EXPECT_FALSE(decodes(payload(1, 2, 0, 0, {{0, 0, 0}}, /*copies=*/2)));
+  // Absurd counts must fail before any large allocation.
+  EXPECT_FALSE(decodes(payload(99999999999ull, 1, 0, 0, {{0, 0, 0}})));
+  db::ByteWriter huge_nodes;
+  huge_nodes.u64(1);
+  huge_nodes.u32(1);
+  huge_nodes.i32(0);
+  huge_nodes.i32(0);
+  huge_nodes.u32(0xFFFFFFFFu);
+  huge_nodes.u32(0);
+  EXPECT_FALSE(decodes(huge_nodes.take()));
+}
+
+TEST(Codecs, MetaRoundTripFieldForField) {
+  db::Meta meta;
+  meta.kind = "suite";
+  meta.tag = "scale=0.1 seed=3";
+  meta.design_count = 6;
+  meta.has_model = true;
+  meta.final_train_loss = 0.0123456789;
+  meta.library_fingerprint = 0xCAFEF00Du;
+  const std::vector<std::uint8_t> bytes = db::encode_meta(meta);
+  const auto loaded = db::decode_meta(bytes.data(), bytes.size());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->kind, meta.kind);
+  EXPECT_EQ(loaded->tag, meta.tag);
+  EXPECT_EQ(loaded->design_count, meta.design_count);
+  EXPECT_EQ(loaded->has_model, meta.has_model);
+  EXPECT_EQ(loaded->final_train_loss, meta.final_train_loss);
+  EXPECT_EQ(loaded->library_fingerprint, meta.library_fingerprint);
+  EXPECT_FALSE(db::decode_meta(bytes.data(), bytes.size() - 1).has_value());
+}
+
+TEST(Codecs, IndexedChunksMustCoverEachIndexExactlyOnce) {
+  const std::string path = temp_path("indexed.tsdb");
+  // Writes one FRST chunk per entry of `indices` (payload = its index byte).
+  const auto collect = [&path](const std::vector<std::uint32_t>& indices, std::uint32_t count) {
+    db::DbWriter writer;
+    EXPECT_TRUE(writer.open(path));
+    for (std::uint32_t i : indices) {
+      EXPECT_TRUE(writer.add_chunk(
+          db::kChunkForest, db::index_prefixed(i, {static_cast<std::uint8_t>(i)})));
+    }
+    EXPECT_TRUE(writer.finish());
+    db::DbReader reader;
+    EXPECT_TRUE(reader.open(path));
+    const auto payloads = db::collect_indexed(reader, db::kChunkForest, count);
+    std::vector<int> out;
+    if (!payloads) return std::optional<std::vector<int>>{};
+    for (const auto& p : *payloads) out.push_back(p.size() == 1 ? p[0] : -1);
+    return std::optional<std::vector<int>>{out};
+  };
+  EXPECT_EQ(collect({1, 0}, 2), (std::vector<int>{0, 1}));  // file order is free
+  EXPECT_EQ(collect({}, 0), (std::vector<int>{}));
+  EXPECT_FALSE(collect({0, 0}, 2).has_value());  // duplicate + gap
+  EXPECT_FALSE(collect({0, 0}, 1).has_value());  // duplicate
+  EXPECT_FALSE(collect({7}, 1).has_value());     // index past the count
+  EXPECT_FALSE(collect({0}, 2).has_value());     // gap
+  EXPECT_FALSE(collect({0}, 0).has_value());     // stray chunk
+
+  db::DbWriter writer;
+  ASSERT_TRUE(writer.open(path));
+  ASSERT_TRUE(writer.add_chunk(db::kChunkForest, {0, 0}));  // shorter than the prefix
+  ASSERT_TRUE(writer.finish());
+  db::DbReader reader;
+  ASSERT_TRUE(reader.open(path));
+  EXPECT_FALSE(db::collect_indexed(reader, db::kChunkForest, 1).has_value());
 }
 
 TEST(ModelSerialize, ContainerRoundTripAndMismatchRejection) {
@@ -379,30 +529,6 @@ TEST(Snapshot, SuiteOptionsTagPinned) {
   // constants.
   EXPECT_EQ(suite_options_tag(SuiteOptions{}),
             "scale=0.1200 seed=2023 epochs=60 opts=F02A1931");
-}
-
-TEST(Snapshot, DesignSnapshotReproducesSignoffBitExactly) {
-  BenchmarkSpec spec;
-  spec.name = "snap_design";
-  spec.target_cells = 400;
-  spec.endpoints = 40;
-  spec.seed = 7;
-  const std::string path = temp_path("design_snap.tsdb");
-  std::remove(path.c_str());
-
-  FlowOptions fopts;
-  PreparedDesign cold = prepare_design(lib(), spec, 1.0, fopts, path);
-  ASSERT_NE(cold.design, nullptr);
-  PreparedDesign warm = prepare_design(lib(), spec, 1.0, fopts, path);
-  ASSERT_NE(warm.design, nullptr);
-
-  EXPECT_EQ(warm.design->cells().size(), cold.design->cells().size());
-  EXPECT_DOUBLE_EQ(warm.design->clock_period(), cold.design->clock_period());
-  const FlowResult a = cold.flow->run_signoff(cold.flow->initial_forest());
-  const FlowResult b = warm.flow->run_signoff(warm.flow->initial_forest());
-  EXPECT_EQ(std::memcmp(&a.metrics, &b.metrics, sizeof(a.metrics)), 0);
-  EXPECT_DOUBLE_EQ(a.sta.wns, b.sta.wns);
-  EXPECT_DOUBLE_EQ(a.sta.tns, b.sta.tns);
 }
 
 TEST(Snapshot, SuiteRoundTripRestoresEverything) {

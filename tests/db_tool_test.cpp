@@ -7,10 +7,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "testutil.hpp"
+#include "db/bytes.hpp"
+#include "db/codecs.hpp"
+#include "flow/flow.hpp"
+#include "gnn/serialize.hpp"
+#include "serve/session.hpp"
 #include "verify/case_gen.hpp"
 
 namespace tsteiner {
@@ -41,6 +48,97 @@ std::string make_snapshot(const std::string& dir) {
   const verify::FuzzCase c = verify::make_case(101, "tiny");
   EXPECT_TRUE(verify::save_case_snapshot(c, path));
   return path;
+}
+
+/// A serve snapshot of fuzz case 7, as `tsteiner_serve mksnap --seed 7`
+/// writes it (optionally with both models).
+std::string make_serve_snapshot(const std::string& dir, bool with_models) {
+  const std::string path = dir + (with_models ? "/serve_models.tsdb" : "/serve.tsdb");
+  const verify::FuzzCase c = verify::make_case(7, "tiny");
+  Design design = c.design;
+  const Flow flow(&design);
+  BenchmarkSpec spec;
+  spec.name = c.params.name;
+  spec.target_cells = static_cast<int>(c.num_cells());
+  spec.endpoints = static_cast<int>(design.endpoint_pins().size());
+  spec.seed = 7;
+  GnnConfig cfg;
+  cfg.hidden = 6;
+  cfg.type_embed = 4;
+  cfg.delay_hidden = 8;
+  const TimingGnn model(cfg, verify::fuzz_library().num_types());
+  const SteinerPredictor steiner(SteinerPredictorConfig{});
+  EXPECT_TRUE(serve::save_session_snapshot(spec, design, flow.calibration(),
+                                           flow.initial_forest(), verify::fuzz_library(),
+                                           with_models ? &model : nullptr,
+                                           with_models ? &steiner : nullptr, path));
+  return path;
+}
+
+using Chunk = std::pair<std::uint32_t, std::vector<std::uint8_t>>;
+
+/// Copy the container at `src` to `dst` chunk by chunk (CRCs recomputed),
+/// letting `edit` replace each chunk with any number of chunks.
+void rewrite(const std::string& src, const std::string& dst,
+             const std::function<std::vector<Chunk>(Chunk)>& edit) {
+  db::DbReader reader;
+  ASSERT_TRUE(reader.open(src));
+  db::DbWriter writer;
+  ASSERT_TRUE(writer.open(dst));
+  for (const db::ChunkInfo& c : reader.chunks()) {
+    const std::uint8_t* data = reader.payload(c);
+    for (const Chunk& out : edit({c.type, std::vector<std::uint8_t>(data, data + c.size)})) {
+      ASSERT_TRUE(writer.add_chunk(out.first, out.second));
+    }
+  }
+  ASSERT_TRUE(writer.finish());
+}
+
+bool is_per_design(std::uint32_t type) {
+  return type == db::kChunkDesign || type == db::kChunkFlowCal || type == db::kChunkForest;
+}
+
+TEST(DbTool, VerifyPassesEveryContainerKind) {
+  const std::string dir = testutil::test_tmp_dir();
+  EXPECT_EQ(run_tool("verify " + make_snapshot(dir)), 0);             // fuzz-case
+  EXPECT_EQ(run_tool("verify " + make_serve_snapshot(dir, false)), 0);  // serve
+  EXPECT_EQ(run_tool("verify " + make_serve_snapshot(dir, true)), 0);   // serve + models
+  const std::string model_cache = dir + "/model_cache.bin";
+  GnnConfig cfg;
+  cfg.hidden = 6;
+  ASSERT_TRUE(save_model(TimingGnn(cfg, verify::fuzz_library().num_types()), model_cache, "t"));
+  EXPECT_EQ(run_tool("verify " + model_cache), 0);
+}
+
+TEST(DbTool, VerifyAndServeRejectDesignIndexBeyondCount) {
+  const std::string dir = testutil::test_tmp_dir();
+  const std::string bad = dir + "/index7.tsdb";
+  rewrite(make_serve_snapshot(dir, false), bad, [](Chunk c) {
+    if (is_per_design(c.first)) {
+      db::ByteReader r(c.second.data(), 4);
+      EXPECT_EQ(r.u32(), 0u);
+      c.second = db::index_prefixed(7, std::vector<std::uint8_t>(c.second.begin() + 4,
+                                                                 c.second.end()));
+    }
+    return std::vector<Chunk>{c};
+  });
+  EXPECT_EQ(run_tool("verify " + bad), 1);
+  std::string error;
+  EXPECT_EQ(serve::load_session_design(bad, FlowOptions{}, &error), nullptr);
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(DbTool, VerifyAndServeRejectDuplicateDesignChunk) {
+  const std::string dir = testutil::test_tmp_dir();
+  const std::string bad = dir + "/dup.tsdb";
+  rewrite(make_serve_snapshot(dir, false), bad, [](Chunk c) {
+    if (c.first == db::kChunkDesign) return std::vector<Chunk>{c, c};
+    return std::vector<Chunk>{c};
+  });
+  EXPECT_EQ(run_tool("verify " + bad), 1);
+  std::string error;
+  EXPECT_EQ(serve::load_session_design(bad, FlowOptions{}, &error), nullptr);
+  EXPECT_NE(error.find("DSGN"), std::string::npos) << error;
 }
 
 TEST(DbTool, InfoAndVerifySucceedOnValidContainer) {

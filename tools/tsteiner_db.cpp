@@ -1,56 +1,31 @@
 // tsteiner_db: inspect, verify and unpack TSteinerDB snapshot containers.
 //
 //   tsteiner_db info <file>                 header + chunk table + meta summary
-//   tsteiner_db verify <file>               structure, CRCs, and decode probes
+//   tsteiner_db verify <file>               structure, CRCs, and the loaders'
+//                                           decode and index rules
 //   tsteiner_db extract <file> <TYPE> <out> [n]
 //                                           nth chunk of TYPE (default 0):
-//                                           FRST decodes to the text forest
-//                                           format, everything else dumps the
-//                                           raw payload bytes
+//                                           FRST decodes design n's forest to
+//                                           the text forest format, everything
+//                                           else dumps the raw payload bytes
 //
 // verify exits nonzero on any problem, so CI can gate on snapshot health.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "db/bytes.hpp"
 #include "db/codecs.hpp"
 #include "db/container.hpp"
+#include "flow/snapshot.hpp"
 #include "steiner/forest_io.hpp"
 
 namespace {
 
-using tsteiner::db::ByteReader;
 using tsteiner::db::ChunkInfo;
 using tsteiner::db::DbReader;
-
-struct MetaView {
-  std::string kind;
-  std::string tag;
-  std::uint32_t design_count = 0;
-  bool has_model = false;
-  double final_train_loss = 0.0;
-  std::uint32_t library_fingerprint = 0;
-  bool ok = false;
-};
-
-// Mirrors the META layout written by flow/snapshot (kind, tag, design count,
-// model flag, final loss, library fingerprint).
-MetaView parse_meta(const std::uint8_t* data, std::size_t size) {
-  ByteReader r(data, size);
-  MetaView m;
-  m.kind = r.str();
-  m.tag = r.str();
-  m.design_count = r.u32();
-  m.has_model = r.u8() != 0;
-  m.final_train_loss = r.f64();
-  m.library_fingerprint = r.u32();
-  m.ok = r.done();
-  return m;
-}
 
 int cmd_info(const std::string& path) {
   DbReader reader;
@@ -67,14 +42,12 @@ int cmd_info(const std::string& path) {
                 static_cast<unsigned long long>(c.offset),
                 static_cast<unsigned long long>(c.size), c.crc);
   }
-  if (const ChunkInfo* meta_chunk = reader.find(tsteiner::db::kChunkMeta)) {
-    const MetaView m =
-        parse_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
-    if (m.ok) {
-      std::printf("meta: kind=%s designs=%u model=%s loss=%.6f libfp=%08X\n", m.kind.c_str(),
-                  m.design_count, m.has_model ? "yes" : "no", m.final_train_loss,
-                  m.library_fingerprint);
-      if (!m.tag.empty()) std::printf("tag:  %s\n", m.tag.c_str());
+  if (reader.find(tsteiner::db::kChunkMeta) != nullptr) {
+    if (const auto m = tsteiner::db::read_meta(reader)) {
+      std::printf("meta: kind=%s designs=%u model=%s loss=%.6f libfp=%08X\n", m->kind.c_str(),
+                  m->design_count, m->has_model ? "yes" : "no", m->final_train_loss,
+                  m->library_fingerprint);
+      if (!m->tag.empty()) std::printf("tag:  %s\n", m->tag.c_str());
     } else {
       std::printf("meta: (unparseable)\n");
     }
@@ -82,9 +55,11 @@ int cmd_info(const std::string& path) {
   return 0;
 }
 
-// Decode every chunk whose payload is self-contained. Chunks that need
-// external context to decode (MODL wants the GnnConfig, DSGN wants the cell
-// library when none is embedded) are only CRC/structure-checked by open().
+// Decode the container the way its loaders do: META, the library, every
+// design's DSGN/FCAL/FRST through read_design_records (each indexed family
+// must cover META's design count exactly once) and every SMPL against its
+// design. MODL and SMDL are only CRC/structure-checked by open(): the model
+// architecture they must match lives with the caller.
 int cmd_verify(const std::string& path) {
   DbReader reader;
   std::string error;
@@ -93,63 +68,41 @@ int cmd_verify(const std::string& path) {
     return 1;
   }
   int failures = 0;
-  auto fail = [&failures](const char* what) {
-    std::fprintf(stderr, "FAIL: %s\n", what);
+  auto fail = [&failures](const std::string& what) {
+    std::fprintf(stderr, "FAIL: %s\n", what.c_str());
     ++failures;
   };
 
-  const ChunkInfo* meta_chunk = reader.find(tsteiner::db::kChunkMeta);
-  MetaView meta;
-  if (meta_chunk == nullptr) {
-    fail("missing META chunk");
-  } else {
-    meta = parse_meta(reader.payload(*meta_chunk), static_cast<std::size_t>(meta_chunk->size));
-    if (!meta.ok) fail("META chunk does not parse");
-  }
+  const auto meta = tsteiner::db::read_meta(reader);
+  if (!meta) fail("META chunk missing or malformed");
+  const std::uint32_t count = meta ? meta->design_count : 0;
 
-  std::optional<tsteiner::CellLibrary> lib;
+  // Design-free containers (the weight caches) embed no library; the empty
+  // one still rejects stray per-design chunks through the index rule.
+  tsteiner::CellLibrary lib;
   if (const ChunkInfo* c = reader.find(tsteiner::db::kChunkLibrary)) {
-    lib = tsteiner::db::decode_library(reader.payload(*c), static_cast<std::size_t>(c->size));
-    if (!lib) fail("LIBR chunk does not decode");
+    auto decoded =
+        tsteiner::db::decode_library(reader.payload(*c), static_cast<std::size_t>(c->size));
+    if (decoded) {
+      lib = std::move(*decoded);
+    } else {
+      fail("LIBR chunk does not decode");
+    }
+  } else if (count > 0) {
+    fail("META counts designs but there is no LIBR chunk");
   }
 
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkForest)) {
-    if (c->size < 4) {
-      fail("FRST chunk shorter than its index prefix");
-      continue;
+  const auto records = tsteiner::read_design_records(reader, count, lib, &error);
+  if (!records) {
+    fail(error);
+  } else if (reader.find(tsteiner::db::kChunkSample) != nullptr) {
+    const auto samples = tsteiner::db::collect_indexed(reader, tsteiner::db::kChunkSample, count);
+    if (!samples) fail("SMPL chunks do not cover each design index exactly once");
+    for (std::size_t i = 0; samples && i < samples->size(); ++i) {
+      if (!tsteiner::decode_sample((*samples)[i], (*records)[i])) {
+        fail("design " + std::to_string(i) + ": SMPL chunk does not match its design");
+      }
     }
-    if (!tsteiner::db::decode_forest(reader.payload(*c) + 4,
-                                     static_cast<std::size_t>(c->size) - 4)) {
-      fail("FRST chunk does not decode to a valid forest");
-    }
-  }
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkDesign)) {
-    if (c->size < 4) {
-      fail("DSGN chunk shorter than its index prefix");
-      continue;
-    }
-    if (lib && !tsteiner::db::decode_design(reader.payload(*c) + 4,
-                                            static_cast<std::size_t>(c->size) - 4, *lib)) {
-      fail("DSGN chunk does not decode against the embedded library");
-    }
-  }
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkFlowCal)) {
-    ByteReader r(reader.payload(*c), static_cast<std::size_t>(c->size));
-    r.u32();  // index
-    r.f64();  // clock period
-    r.f64();  // fixed H capacity
-    r.f64();  // fixed V capacity
-    if (!r.done()) fail("FCAL chunk has the wrong size");
-  }
-  for (const ChunkInfo* c : reader.find_all(tsteiner::db::kChunkSample)) {
-    ByteReader r(reader.payload(*c), static_cast<std::size_t>(c->size));
-    r.u32();  // index
-    r.str();  // design name
-    const std::size_t nx = r.f64_vec().size();
-    const std::size_t ny = r.f64_vec().size();
-    r.f64_vec();  // arrival labels
-    r.i32_vec();  // endpoint pins
-    if (!r.done() || nx != ny) fail("SMPL chunk does not parse");
   }
 
   if (failures == 0) {
@@ -184,12 +137,15 @@ int cmd_extract(const std::string& path, const std::string& type_name,
   const ChunkInfo& chunk = *matches[static_cast<std::size_t>(nth)];
 
   if (type == tsteiner::db::kChunkForest) {
-    if (chunk.size < 4) {
-      std::fprintf(stderr, "error: FRST chunk shorter than its index prefix\n");
-      return 1;
+    // FRST n is design n's forest, found by the loaders' index rule.
+    const auto meta = tsteiner::db::read_meta(reader);
+    const auto forests = tsteiner::db::collect_indexed(reader, tsteiner::db::kChunkForest,
+                                                       meta ? meta->design_count : 0);
+    std::optional<tsteiner::SteinerForest> forest;
+    if (forests) {
+      const auto payload = (*forests)[static_cast<std::size_t>(nth)];
+      forest = tsteiner::db::decode_forest(payload.data(), payload.size());
     }
-    auto forest = tsteiner::db::decode_forest(reader.payload(chunk) + 4,
-                                              static_cast<std::size_t>(chunk.size) - 4);
     if (!forest) {
       std::fprintf(stderr, "error: FRST chunk does not decode\n");
       return 1;
