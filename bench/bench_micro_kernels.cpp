@@ -120,11 +120,11 @@ void BM_EvaluatorRecord(benchmark::State& state) {
 BENCHMARK(BM_EvaluatorRecord)->Arg(200)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 // NOTE: the replay bench queries the evaluator at *unchanged* coordinates,
-// so dirty tracking memoizes the whole forward pass after the first
+// so dirty tracking skips the whole forward pass after the first
 // iteration: it measures the pruned backward replay alone (the refinement
-// loop's marginal gradient cost — its gradient call always follows a
-// keep-best evaluation of the same coordinates). Use bench_refine_replay
-// for the full moving-coordinates loop.
+// loop's gradient cost back at the kept iterate after a rejected step,
+// whose trial evaluation leaves the program in place). Use
+// bench_refine_replay for the full moving-coordinates loop.
 void BM_EvaluatorReplayGrad(benchmark::State& state) {
   Prepared p = prepare(static_cast<int>(state.range(0)));
   GnnConfig cfg;

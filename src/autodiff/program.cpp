@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace tsteiner {
 
@@ -15,8 +18,9 @@ void TapeProgram::reset() {
   leaf_group_.clear();
   pending_dirty_ = 0;
   needs_grad_.clear();
+  mutable_ids_.clear();
+  node_mask_.clear();
   forward_schedule_.clear();
-  forward_mask_.clear();
   backward_schedule_.clear();
   src_sched_.clear();
   redirect_.clear();
@@ -26,10 +30,19 @@ void TapeProgram::reset() {
   fresh_.clear();
   grad_stamp_.clear();
   epoch_ = 0;
+  trial_schedule_.clear();
+  trial_slot_.clear();
+  trial_output_.clear();
+  trial_staged_.clear();
+  trial_arena_.clear();
+  trial_argmax_.clear();
+  trial_pending_ = 0;
+  trial_live_ = 0;
 }
 
 void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
-                           const std::vector<Value>& grad_targets) {
+                           const std::vector<Value>& grad_targets,
+                           const std::vector<Value>& trial_outputs) {
   if (finalized_) throw std::runtime_error("TapeProgram: already finalized");
   const std::size_t n = tape_.nodes_.size();
   if (!root.valid() || static_cast<std::size_t>(root.id) >= n) {
@@ -50,6 +63,7 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
         !tape_.is_leaf(static_cast<std::size_t>(v.id))) {
       throw std::runtime_error("TapeProgram: mutable handle is not a leaf");
     }
+    if (!mutable_leaf_[static_cast<std::size_t>(v.id)]) mutable_ids_.push_back(v.id);
     mutable_leaf_[static_cast<std::size_t>(v.id)] = 1;
     leaf_group_[static_cast<std::size_t>(v.id)] |=
         std::uint64_t{1} << std::min<std::uint64_t>(next_group++, 63);
@@ -58,20 +72,17 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
   // Forward schedule: every op reachable from a mutable leaf, in recording
   // (= topological) order, tagged with the groups it depends on. Clean ops
   // keep their record-time values.
-  std::vector<std::uint64_t> node_mask(n, 0);
+  node_mask_.assign(n, 0);
   std::vector<int> ins;
   for (std::size_t i = 0; i < n; ++i) {
     if (tape_.is_leaf(i)) {
-      node_mask[i] = leaf_group_[i];
+      node_mask_[i] = leaf_group_[i];
       continue;
     }
     ins.clear();
     tape_.append_inputs(i, ins);
-    for (int a : ins) node_mask[i] |= node_mask[static_cast<std::size_t>(a)];
-    if (node_mask[i] != 0) {
-      forward_schedule_.push_back(static_cast<int>(i));
-      forward_mask_.push_back(node_mask[i]);
-    }
+    for (int a : ins) node_mask_[i] |= node_mask_[static_cast<std::size_t>(a)];
+    if (node_mask_[i] != 0) forward_schedule_.push_back(static_cast<int>(i));
   }
 
   // Backward pruning. needs_grad: the node lies on a path *to* a gradient
@@ -205,8 +216,151 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
 
   grad_stamp_.assign(n, std::numeric_limits<std::uint32_t>::max());
   pending_dirty_ = 0;  // recorded values are current
+  std::vector<Value> outputs = trial_outputs;
+  outputs.push_back(root);
+  plan_trial(outputs);
   tape_.freeze();
   finalized_ = true;
+}
+
+namespace {
+
+/// Offset allocator for the trial arena plan: best-fit over coalesced free
+/// blocks, growing the arena's end only when no block fits. Units are
+/// doubles, and every block is rounded up to whole 64-byte lines.
+class ArenaPlanner {
+ public:
+  static std::size_t round_up(std::size_t len) { return (len + 7) & ~std::size_t{7}; }
+
+  std::size_t take(std::size_t len) {
+    len = round_up(len);
+    if (len == 0) return 0;
+    auto fit = by_len_.lower_bound({len, 0});
+    if (fit != by_len_.end()) {
+      const auto [blen, off] = *fit;
+      by_len_.erase(fit);
+      by_off_.erase(off);
+      if (blen > len) insert(off + len, blen - len);
+      return off;
+    }
+    std::size_t off = end_;
+    if (!by_off_.empty()) {  // a free block at the end grows in place
+      const auto last = std::prev(by_off_.end());
+      if (last->first + last->second == end_) {
+        off = last->first;
+        by_len_.erase({last->second, last->first});
+        by_off_.erase(last);
+      }
+    }
+    end_ = off + len;
+    return off;
+  }
+
+  void give(std::size_t off, std::size_t len) {
+    len = round_up(len);
+    if (len == 0) return;
+    auto next = by_off_.lower_bound(off);
+    if (next != by_off_.end() && off + len == next->first) {
+      len += next->second;
+      by_len_.erase({next->second, next->first});
+      next = by_off_.erase(next);
+    }
+    if (next != by_off_.begin()) {
+      const auto prev = std::prev(next);
+      if (prev->first + prev->second == off) {
+        off = prev->first;
+        len += prev->second;
+        by_len_.erase({prev->second, prev->first});
+        by_off_.erase(prev);
+      }
+    }
+    insert(off, len);
+  }
+
+  std::size_t peak() const { return end_; }
+
+ private:
+  void insert(std::size_t off, std::size_t len) {
+    by_off_.emplace(off, len);
+    by_len_.emplace(len, off);
+  }
+
+  std::map<std::size_t, std::size_t> by_off_;           // free offset -> length
+  std::set<std::pair<std::size_t, std::size_t>> by_len_;  // (length, offset)
+  std::size_t end_ = 0;
+};
+
+}  // namespace
+
+void TapeProgram::plan_trial(const std::vector<Value>& outputs) {
+  const std::size_t n = tape_.nodes_.size();
+  trial_output_.assign(n, 0);
+  std::vector<std::uint8_t> needed(n, 0);
+  for (Value v : outputs) {
+    if (!v.valid() || static_cast<std::size_t>(v.id) >= n) {
+      throw std::runtime_error("TapeProgram: invalid trial output");
+    }
+    trial_output_[static_cast<std::size_t>(v.id)] = 1;
+    needed[static_cast<std::size_t>(v.id)] = 1;
+  }
+  std::vector<int> ins;
+  for (std::size_t i = n; i-- > 0;) {
+    if (!needed[i]) continue;
+    ins.clear();
+    tape_.append_inputs(i, ins);
+    for (int a : ins) needed[static_cast<std::size_t>(a)] = 1;
+  }
+  std::size_t argmax_cells = 0;
+  for (int id : forward_schedule_) {
+    const auto i = static_cast<std::size_t>(id);
+    if (!needed[i]) continue;
+    trial_schedule_.push_back(id);
+    const Tape::OpRecord& op = tape_.ops_[i];
+    if (op.code == Tape::OpCode::kSegmentMax) {
+      argmax_cells = std::max(argmax_cells, op.dim0 * tape_.nodes_[i].value.cols());
+    }
+  }
+
+  // Liveness over the all-groups-dirty pass: a slot is free again once the
+  // last scheduled reader of its node has run. Any real pass runs a subset
+  // in the same order, and a recomputed node's readers all recompute too,
+  // so the plan holds for every dirty set. The staged leaf copies are live
+  // from staging; outputs stay pinned so trial_value() can read them.
+  constexpr int kPinned = std::numeric_limits<int>::max();
+  std::vector<int> last_read(n, -1);
+  for (std::size_t k = 0; k < trial_schedule_.size(); ++k) {
+    ins.clear();
+    tape_.append_inputs(static_cast<std::size_t>(trial_schedule_[k]), ins);
+    for (int a : ins) last_read[static_cast<std::size_t>(a)] = static_cast<int>(k);
+  }
+  trial_slot_.assign(n, 0);
+  ArenaPlanner planner;
+  const auto size_of = [&](std::size_t i) { return tape_.nodes_[i].value.size(); };
+  for (int id : mutable_ids_) {
+    const auto i = static_cast<std::size_t>(id);
+    trial_slot_[i] = planner.take(size_of(i));
+    if (trial_output_[i] || last_read[i] < 0) last_read[i] = kPinned;
+  }
+  for (std::size_t k = 0; k < trial_schedule_.size(); ++k) {
+    const auto i = static_cast<std::size_t>(trial_schedule_[k]);
+    trial_slot_[i] = planner.take(size_of(i));  // never aliases a live operand
+    if (trial_output_[i]) last_read[i] = kPinned;
+    ins.clear();
+    tape_.append_inputs(i, ins);
+    for (int a : ins) {
+      const auto ai = static_cast<std::size_t>(a);
+      // Only arena residents (mutable leaves, trial ops) hold a slot; a
+      // repeated operand is released once.
+      if (node_mask_[ai] == 0 || last_read[ai] != static_cast<int>(k)) continue;
+      planner.give(trial_slot_[ai], size_of(ai));
+      last_read[ai] = -1;
+    }
+  }
+  trial_arena_.assign(planner.peak(), 0.0);
+  trial_argmax_.assign(argmax_cells, -1);
+  trial_staged_.assign(n, 0);
+  trial_pending_ = 0;
+  trial_live_ = 0;
 }
 
 void TapeProgram::check_mutable(Value leaf) const {
@@ -252,15 +406,78 @@ void TapeProgram::replay_forward() {
     return;
   }
   std::uint64_t executed = 0;
-  for (std::size_t k = 0; k < forward_schedule_.size(); ++k) {
-    if (forward_mask_[k] & pending_dirty_) {
-      tape_.run_forward(static_cast<std::size_t>(forward_schedule_[k]));
+  for (int id : forward_schedule_) {
+    if (node_mask_[static_cast<std::size_t>(id)] & pending_dirty_) {
+      tape_.run_forward(static_cast<std::size_t>(id));
       ++executed;
     }
   }
   replay_counters_.ops_executed += executed;
   replay_counters_.ops_skipped += forward_schedule_.size() - executed;
   pending_dirty_ = 0;
+}
+
+void TapeProgram::set_trial_leaf(Value leaf, std::span<const double> values) {
+  if (!finalized_) throw std::runtime_error("TapeProgram: finalize before a trial");
+  check_mutable(leaf);
+  const auto id = static_cast<std::size_t>(leaf.id);
+  const Tensor& main = tape_.nodes_[id].value;
+  if (values.size() != main.size()) {
+    throw std::runtime_error(
+        "TapeProgram: trial leaf size mismatch — graph topology changed, re-record the "
+        "program");
+  }
+  if (!values.empty() &&
+      std::memcmp(main.data().data(), values.data(), values.size() * sizeof(double)) != 0) {
+    trial_pending_ |= leaf_group_[id];
+  }
+  std::copy(values.begin(), values.end(),
+            trial_arena_.begin() + static_cast<std::ptrdiff_t>(trial_slot_[id]));
+  trial_staged_[id] = 1;
+}
+
+void TapeProgram::trial_forward() {
+  if (!finalized_) throw std::runtime_error("TapeProgram: finalize before a trial");
+  if (pending_dirty_ != 0) {
+    throw std::logic_error(
+        "TapeProgram: trial pass with set_leaf changes pending — replay_forward first");
+  }
+  ++replay_counters_.trial_forwards;
+  trial_live_ = trial_pending_;
+  trial_pending_ = 0;
+  for (int id : mutable_ids_) {
+    const auto i = static_cast<std::size_t>(id);
+    // A leaf sharing a live group (past 64 leaves) but not staged this time
+    // must read as its main value.
+    if (!trial_staged_[i] && (leaf_group_[i] & trial_live_) != 0) {
+      const Tensor& main = tape_.nodes_[i].value;
+      std::copy(main.data().begin(), main.data().end(),
+                trial_arena_.begin() + static_cast<std::ptrdiff_t>(trial_slot_[i]));
+    }
+    trial_staged_[i] = 0;
+  }
+  if (trial_live_ == 0) return;
+  const Tape::Binding binding{node_mask_.data(), trial_live_, trial_slot_.data(),
+                              trial_arena_.data(), trial_argmax_.data()};
+  std::uint64_t executed = 0;
+  for (int id : trial_schedule_) {
+    if (node_mask_[static_cast<std::size_t>(id)] & trial_live_) {
+      tape_.run_forward(static_cast<std::size_t>(id), binding);
+      ++executed;
+    }
+  }
+  replay_counters_.trial_ops_executed += executed;
+}
+
+std::span<const double> TapeProgram::trial_value(Value v) const {
+  if (!finalized_ || !v.valid() || static_cast<std::size_t>(v.id) >= trial_output_.size() ||
+      !trial_output_[static_cast<std::size_t>(v.id)]) {
+    throw std::runtime_error("TapeProgram: not a declared trial output");
+  }
+  const auto id = static_cast<std::size_t>(v.id);
+  const std::vector<double>& main = tape_.nodes_[id].value.data();
+  if ((node_mask_[id] & trial_live_) == 0) return main;
+  return {trial_arena_.data() + trial_slot_[id], main.size()};
 }
 
 void TapeProgram::replay_backward() {

@@ -3,16 +3,15 @@
 // The refinement loop (Algorithm 1) evaluates the same penalty graph dozens
 // of times per (design, forest) pair; only the Steiner coordinate leaves and
 // the lambda weights change between iterations. TapeProgram wraps a Tape,
-// freezes it after recording, and precomputes two schedules:
+// freezes it after recording, and precomputes three schedules:
 //
 //  * a forward schedule — the ops downstream of the declared mutable leaves
 //    (everything else keeps its record-time value). Each mutable leaf gets a
 //    dirty-group bit and each scheduled op the OR of the groups it depends
 //    on, so a replay re-executes only ops downstream of leaves whose bytes
 //    actually changed since the last replay (set_leaf compares before
-//    copying). In the refinement loop this makes the gradient call after a
-//    keep-best evaluation of the same coordinates skip the whole forward,
-//    and a lambda-only change replay just the final penalty combination.
+//    copying). A replay at unchanged leaves skips the whole forward, and a
+//    lambda-only change replays just the final penalty combination.
 //  * a backward schedule — the ops through which gradient can flow from the
 //    root to the declared gradient targets, with a per-node mask so kernels
 //    skip operand gradients nobody asked for (e.g. the GNN weight halves of
@@ -24,14 +23,25 @@
 //    receive no other contribution — are dropped from the schedule
 //    entirely, their operands' gradients *forwarded* to the op's own slot
 //    instead of copied.
+//  * a trial schedule — the forward-schedule ops the declared trial outputs
+//    depend on, with a liveness-planned scratch arena. trial_forward()
+//    scores candidate leaf values (a refine step, a search edit) without
+//    touching the program: recomputed nodes live in arena slots, each slot
+//    reused once its node's last reader has run, and everything clean is
+//    read from the main values. The kept iterate's forward, its op scratch
+//    (segment_max argmax, log_sum_exp m/z) and its dirty bits survive, so
+//    the gradient call after a rejected step replays only what its own leaf
+//    changes dirty.
 //
-// replay_forward()/replay_backward() re-execute those schedules with the
-// *same* switch kernels the eager recording used, over the same
-// preallocated buffers: results are bit-identical to re-recording a fresh
-// tape at the new leaf values, at any thread-pool width, with zero
-// steady-state heap allocation (see docs/autodiff.md).
+// replay_forward()/replay_backward()/trial_forward() execute those schedules
+// with the *same* switch kernels the eager recording used: results are
+// bit-identical to re-recording a fresh tape at the new leaf values, at any
+// thread-pool width, with zero steady-state heap allocation (see
+// docs/autodiff.md).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "autodiff/tape.hpp"
@@ -44,14 +54,18 @@ class TapeProgram {
   Tape& tape() { return tape_; }
   const Tape& tape() const { return tape_; }
 
-  /// Freeze the recording and compile the replay schedules.
+  /// Freeze the recording, compile the replay schedules and plan (and
+  /// allocate) the trial arena.
   ///  * `root` — the scalar node replay_backward() seeds with gradient 1;
   ///  * `mutable_leaves` — the leaves set_leaf() may overwrite between
   ///    replays (the forward schedule covers exactly their descendants);
   ///  * `grad_targets` — the leaves whose gradients replay_backward() must
-  ///    produce; empty means every requires_grad leaf.
+  ///    produce; empty means every requires_grad leaf;
+  ///  * `trial_outputs` — the nodes trial_value() may read after a trial
+  ///    pass, besides the root (their arena slots are pinned).
   void finalize(Value root, const std::vector<Value>& mutable_leaves,
-                const std::vector<Value>& grad_targets = {});
+                const std::vector<Value>& grad_targets = {},
+                const std::vector<Value>& trial_outputs = {});
   bool finalized() const { return finalized_; }
   Value root() const { return root_; }
 
@@ -74,6 +88,22 @@ class TapeProgram {
   /// freshly recorded tape bit-for-bit.
   void replay_backward();
 
+  /// Forward-only trial pass. set_trial_leaf() stages a candidate value for
+  /// a mutable leaf (a mutable leaf left unstaged keeps its main value);
+  /// trial_forward() then runs exactly the trial-schedule ops downstream of
+  /// the staged leaves whose bytes differ from the main ones, in schedule
+  /// order, into the scratch arena. The program's values, op scratch and
+  /// dirty bits are left as they were. It throws while set_leaf() changes
+  /// are pending a replay_forward(): clean operands are read from the main
+  /// values, which must be current.
+  void set_trial_leaf(Value leaf, std::span<const double> values);
+  void set_trial_leaf_scalar(Value leaf, double s) { set_trial_leaf(leaf, {&s, 1}); }
+  void trial_forward();
+  /// A trial output (or the root) as of the last trial_forward(): its arena
+  /// slot when the pass recomputed it, else the main value. Valid until the
+  /// next set_trial_leaf(), trial_forward() or replay_forward().
+  std::span<const double> trial_value(Value v) const;
+
   const Tensor& value(Value v) const { return tape_.value(v); }
   /// Gradient after the last replay_backward(); slots no gradient reached
   /// this replay read as zeros (matching a fresh tape's untouched buffers).
@@ -83,17 +113,25 @@ class TapeProgram {
   /// Cumulative buffer allocations inside the tape; constant across
   /// steady-state replays (asserted in tests/replay_test.cpp).
   std::uint64_t allocation_count() const { return tape_.stats().allocations; }
+  /// Bytes of the trial pass's scratch (value arena + segment_max winners),
+  /// planned and allocated once at finalize() for the all-leaves-dirty case.
+  std::size_t trial_scratch_bytes() const {
+    return trial_arena_.size() * sizeof(double) + trial_argmax_.size() * sizeof(int);
+  }
 
-  /// Cumulative dirty-group effectiveness of replay_forward(). Raw counters
-  /// (no dependency on the obs layer — GradientEvaluator translates deltas
-  /// into obs metrics): how many replays ran, how many were skipped outright
-  /// because no leaf byte changed, and of the scheduled ops considered, how
-  /// many executed vs. were masked off as clean.
+  /// Cumulative dirty-group effectiveness of replay_forward(), and the work
+  /// of trial_forward(). Raw counters (no dependency on the obs layer —
+  /// GradientEvaluator translates deltas into obs metrics): how many replays
+  /// ran, how many were skipped outright because no leaf byte changed, of
+  /// the scheduled ops considered how many executed vs. were masked off as
+  /// clean, and how many trial passes ran how many ops.
   struct ReplayCounters {
     std::uint64_t forward_replays = 0;      ///< replay_forward() calls
     std::uint64_t full_forward_skips = 0;   ///< ... that returned with zero dirty groups
     std::uint64_t ops_executed = 0;         ///< scheduled ops re-run
     std::uint64_t ops_skipped = 0;          ///< scheduled ops masked off as clean
+    std::uint64_t trial_forwards = 0;       ///< trial_forward() calls
+    std::uint64_t trial_ops_executed = 0;   ///< trial-schedule ops run into the arena
   };
   const ReplayCounters& replay_counters() const { return replay_counters_; }
 
@@ -106,6 +144,7 @@ class TapeProgram {
  private:
   void check_mutable(Value leaf) const;
   void mark_dirty(Value leaf, bool changed);
+  void plan_trial(const std::vector<Value>& outputs);
 
   Tape tape_;
   Value root_{};
@@ -114,8 +153,9 @@ class TapeProgram {
   std::vector<std::uint64_t> leaf_group_;      // by node id: dirty-group bit
   std::uint64_t pending_dirty_ = 0;            // groups changed since last replay
   std::vector<std::uint8_t> needs_grad_;       // grad reaches a target from here
+  std::vector<int> mutable_ids_;               // declared mutable leaves
+  std::vector<std::uint64_t> node_mask_;       // by node id: groups it depends on
   std::vector<int> forward_schedule_;          // mutable-dependent ops, ascending
-  std::vector<std::uint64_t> forward_mask_;    // per scheduled op: groups it depends on
   std::vector<int> backward_schedule_;         // grad-path ops, descending
   std::vector<int> src_sched_;                 // physical grad slot per scheduled op
   std::vector<int> redirect_;                  // by node id: forwarded grad slot, -1 = own
@@ -125,6 +165,14 @@ class TapeProgram {
   std::vector<std::uint8_t> fresh_;            // by node id: first-touch flag (transient)
   std::vector<std::uint32_t> grad_stamp_;      // slot cleared/written this epoch?
   std::uint32_t epoch_ = 0;
+  std::vector<int> trial_schedule_;            // forward ops a trial output needs
+  std::vector<std::size_t> trial_slot_;        // by node id: arena offset, in doubles
+  std::vector<std::uint8_t> trial_output_;     // by node id: pinned, readable after a pass
+  std::vector<std::uint8_t> trial_staged_;     // by node id: set_trial_leaf since last pass
+  std::vector<double> trial_arena_;
+  std::vector<int> trial_argmax_;              // shared segment_max winners (never read)
+  std::uint64_t trial_pending_ = 0;            // staged groups that differ from main
+  std::uint64_t trial_live_ = 0;               // groups the last trial pass recomputed
   ReplayCounters replay_counters_;
 };
 

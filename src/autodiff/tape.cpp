@@ -1,6 +1,7 @@
 #include "autodiff/tape.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -397,25 +398,59 @@ Value Tape::mse(Value prediction, const Tensor& target) {
 
 // --- forward executor ------------------------------------------------------
 //
-// One kernel per opcode, shared by eager recording and TapeProgram replay:
-// whatever path triggers the execution, the arithmetic, iteration order and
-// parallel chunking are the same, so results are bit-identical.
+// One kernel per opcode, shared by eager recording, TapeProgram's main replay
+// and its trial pass: whatever path triggers the execution, the arithmetic,
+// iteration order and parallel chunking are the same, so results are
+// bit-identical. Only the storage the kernel reads and writes is resolved
+// through the Binding.
 
-void Tape::run_forward(std::size_t i) {
+namespace {
+
+/// Row-major view of one node's storage: its own value buffer, or a slot of
+/// a trial arena.
+template <class T>
+struct View {
+  T* p;
+  std::size_t r, c;
+  std::size_t rows() const { return r; }
+  std::size_t cols() const { return c; }
+  std::size_t size() const { return r * c; }
+  T& at(std::size_t row, std::size_t col) const {
+    assert(row < r && col < c);
+    return p[row * c + col];
+  }
+  T& operator[](std::size_t k) const {
+    assert(k < r * c);
+    return p[k];
+  }
+  T* begin() const { return p; }
+  T* end() const { return p + r * c; }
+};
+
+}  // namespace
+
+void Tape::run_forward(std::size_t i, const Binding& b) {
   OpRecord& r = ops_[i];
-  Tensor& vo = nodes_[i].value;
+  const auto in = [&](int id) {
+    const Tensor& t = nodes_[static_cast<std::size_t>(id)].value;
+    const double* p = b.mask != nullptr && (b.mask[id] & b.live) != 0
+                          ? b.arena + b.slot[id]
+                          : t.data().data();
+    return View<const double>{p, t.rows(), t.cols()};
+  };
+  Tensor& own = nodes_[i].value;
+  const View<double> vo{b.mask != nullptr ? b.arena + b.slot[i] : own.data().data(), own.rows(),
+                        own.cols()};
   switch (r.code) {
     case OpCode::kLeaf:
       return;
     case OpCode::kAdd: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
-      const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
+      const auto ta = in(r.a), tb = in(r.b);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] + tb[k]; });
       return;
     }
     case OpCode::kAddBroadcast: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
-      const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
+      const auto ta = in(r.a), tb = in(r.b);
       parallel_for(0, ta.rows(), ta.cols(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t row = lo; row < hi; ++row) {
           for (std::size_t c = 0; c < ta.cols(); ++c) vo.at(row, c) = ta.at(row, c) + tb.at(0, c);
@@ -424,33 +459,30 @@ void Tape::run_forward(std::size_t i) {
       return;
     }
     case OpCode::kSub: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
-      const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
+      const auto ta = in(r.a), tb = in(r.b);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] - tb[k]; });
       return;
     }
     case OpCode::kMul: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
-      const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
+      const auto ta = in(r.a), tb = in(r.b);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] * tb[k]; });
       return;
     }
     case OpCode::kScale: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const double s = r.s0;
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] * s; });
       return;
     }
     case OpCode::kAddScalar: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const double s = r.s0;
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] + s; });
       return;
     }
     case OpCode::kMatmul: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
-      const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
-      std::fill(vo.data().begin(), vo.data().end(), 0.0);
+      const auto ta = in(r.a), tb = in(r.b);
+      std::fill(vo.begin(), vo.end(), 0.0);
       parallel_for(0, ta.rows(), ta.cols() * tb.cols(),
                    [&](std::size_t lo, std::size_t hi) {
                      for (std::size_t row = lo; row < hi; ++row) {
@@ -466,27 +498,27 @@ void Tape::run_forward(std::size_t i) {
       return;
     }
     case OpCode::kRelu: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = std::max(0.0, ta[k]); });
       return;
     }
     case OpCode::kTanh: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = std::tanh(ta[k]); });
       return;
     }
     case OpCode::kSigmoid: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = 1.0 / (1.0 + std::exp(-ta[k])); });
       return;
     }
     case OpCode::kAbs: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = std::fabs(ta[k]); });
       return;
     }
     case OpCode::kSmoothAbs: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const double delta = r.s0;
       pointwise(vo.size(), [&](std::size_t k) {
         const double x = ta[k];
@@ -495,7 +527,7 @@ void Tape::run_forward(std::size_t i) {
       return;
     }
     case OpCode::kSoftplus: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       pointwise(vo.size(), [&](std::size_t k) {
         const double x = ta[k];
         vo[k] = std::log1p(std::exp(-std::fabs(x))) + std::max(x, 0.0);
@@ -505,7 +537,7 @@ void Tape::run_forward(std::size_t i) {
     case OpCode::kConcatCols: {
       std::size_t off = 0;
       for (int pid : r.inputs) {
-        const Tensor& tp = nodes_[static_cast<std::size_t>(pid)].value;
+        const auto tp = in(pid);
         parallel_for(0, tp.rows(), tp.cols(), [&](std::size_t lo, std::size_t hi) {
           for (std::size_t row = lo; row < hi; ++row) {
             for (std::size_t c = 0; c < tp.cols(); ++c) vo.at(row, off + c) = tp.at(row, c);
@@ -516,7 +548,7 @@ void Tape::run_forward(std::size_t i) {
       return;
     }
     case OpCode::kGatherRows: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const std::vector<int>& idx = r.indices;
       parallel_for(0, idx.size(), ta.cols(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
@@ -527,9 +559,9 @@ void Tape::run_forward(std::size_t i) {
       return;
     }
     case OpCode::kScatterAddRows: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const std::vector<int>& idx = r.indices;
-      std::fill(vo.data().begin(), vo.data().end(), 0.0);
+      std::fill(vo.begin(), vo.end(), 0.0);
       parallel_for(0, ta.cols(), idx.size(), [&](std::size_t clo, std::size_t chi) {
         for (std::size_t k = 0; k < idx.size(); ++k) {
           const auto dst = static_cast<std::size_t>(idx[k]);
@@ -539,21 +571,21 @@ void Tape::run_forward(std::size_t i) {
       return;
     }
     case OpCode::kSegmentMax: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const std::vector<int>& seg = r.indices;
-      std::fill(vo.data().begin(), vo.data().end(), r.s0);
+      std::fill(vo.begin(), vo.end(), r.s0);
       const std::size_t scratch = r.dim0 * ta.cols();
-      if (r.argmax.size() != scratch) {
+      if (b.mask == nullptr && r.argmax.size() != scratch) {
         r.argmax.assign(scratch, -1);
         ++allocations_;
-      } else {
-        std::fill(r.argmax.begin(), r.argmax.end(), -1);
       }
-      // argmax row per (segment, col) for the backward pass. Column-parallel:
+      // argmax row per (segment, col) for the backward pass (a trial pass
+      // writes its own buffer, which no backward reads). Column-parallel:
       // each (s, c) cell is owned by exactly one column chunk, and rows are
       // visited in serial order, so ties resolve identically to the serial
       // code.
-      std::vector<int>& am = r.argmax;
+      int* const am = b.mask != nullptr ? b.argmax : r.argmax.data();
+      std::fill(am, am + scratch, -1);
       parallel_for(0, ta.cols(), seg.size(), [&](std::size_t clo, std::size_t chi) {
         for (std::size_t k = 0; k < seg.size(); ++k) {
           const auto s = static_cast<std::size_t>(seg[k]);
@@ -577,34 +609,35 @@ void Tape::run_forward(std::size_t i) {
             vo[k] = 0.0;
             continue;
           }
-          const Tensor& src =
-              nodes_[static_cast<std::size_t>(r.inputs[static_cast<std::size_t>(slot)])].value;
+          const auto src = in(r.inputs[static_cast<std::size_t>(slot)]);
           vo[k] = 0.0 + src[static_cast<std::size_t>(sr[2 * k + 1])];
         }
       });
       return;
     }
     case OpCode::kSumAll: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       double s = 0.0;
-      for (double x : ta.data()) s += x;
+      for (double x : ta) s += x;
       vo[0] = s;
       return;
     }
     case OpCode::kLogSumExp: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const double gamma = r.s0;
       double m = ta[0];
-      for (double x : ta.data()) m = std::max(m, x);
+      for (double x : ta) m = std::max(m, x);
       double z = 0.0;
-      for (double x : ta.data()) z += std::exp((x - m) / gamma);
+      for (double x : ta) z += std::exp((x - m) / gamma);
       vo[0] = m + gamma * std::log(z);
-      r.m = m;
-      r.z = z;
+      if (b.mask == nullptr) {  // the backward's scratch; a trial pass keeps it
+        r.m = m;
+        r.z = z;
+      }
       return;
     }
     case OpCode::kSoftMin0: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       const double gamma = r.s0;
       pointwise(vo.size(), [&](std::size_t k) {
         const double t = -ta[k] / gamma;
@@ -615,7 +648,7 @@ void Tape::run_forward(std::size_t i) {
       return;
     }
     case OpCode::kMse: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
+      const auto ta = in(r.a);
       double s = 0.0;
       for (std::size_t k = 0; k < ta.size(); ++k) {
         const double d = ta[k] - r.constant[k];

@@ -177,10 +177,27 @@ class Tape {
     bool requires_grad = false;  // leaves only; interior nodes always get grad
   };
 
+  /// Where one forward execution reads its operands and writes its result
+  /// and value-dependent scratch. The default binds every node to its own
+  /// value buffer and op record (eager recording, TapeProgram's main
+  /// replay). TapeProgram's trial pass binds each node whose dirty-group
+  /// mask meets `live` to its slot of a scratch arena and hands segment_max
+  /// a trial-owned argmax buffer (log_sum_exp keeps its m/z local), so the
+  /// node values and the op scratch the next backward reads stay untouched.
+  struct Binding {
+    const std::uint64_t* mask = nullptr;  ///< by node id; null = own buffers
+    std::uint64_t live = 0;               ///< groups recomputed into the arena
+    const std::size_t* slot = nullptr;    ///< by node id: arena offset, in doubles
+    double* arena = nullptr;
+    int* argmax = nullptr;                ///< segment_max winners, sized by the planner
+  };
+
   /// Append a node + record and eagerly execute its forward kernel.
   Value push(std::size_t rows, std::size_t cols, OpRecord op);
-  /// Recompute node i's value from its operands (same kernel record + replay).
-  void run_forward(std::size_t i);
+  /// Recompute node i's value from its operands — the one kernel set behind
+  /// eager recording, the main replay and the trial pass.
+  void run_forward(std::size_t i, const Binding& b);
+  void run_forward(std::size_t i) { run_forward(i, Binding{}); }
   /// Accumulate node i's gradient into its operands. `need` restricts
   /// accumulation to operand ids with a nonzero entry (nullptr = all).
   /// `fresh` marks operands whose gradient slot is logically zero but not

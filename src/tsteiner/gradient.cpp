@@ -75,13 +75,18 @@ void GradientEvaluator::rebind(const TimingGnn& model, const GraphCache& cache,
   num_movable_ = xs.size();
   // Only the coordinate and lambda leaves vary between refine iterations;
   // gradients are needed for the coordinates alone, which lets the reverse
-  // schedule drop the model-parameter halves of every matmul/concat.
-  program_.finalize(penalty_, {vx_, vy_, lambda_w_, lambda_t_}, {vx_, vy_});
+  // schedule drop the model-parameter halves of every matmul/concat. A
+  // trial pass reads the penalty and the endpoint slacks.
+  program_.finalize(penalty_, {vx_, vy_, lambda_w_, lambda_t_}, {vx_, vy_}, {slack_});
+  if (obs::metrics_enabled()) {
+    static obs::Gauge& m_scratch = obs::metrics().gauge("grad.trial_scratch_mb");
+    m_scratch.set(static_cast<double>(program_.trial_scratch_bytes()) / (1024.0 * 1024.0));
+  }
 }
 
-GradientResult GradientEvaluator::replay(const std::vector<double>& xs,
-                                         const std::vector<double>& ys,
-                                         const PenaltyWeights& weights, bool with_backward) {
+void GradientEvaluator::check_query(const std::vector<double>& xs,
+                                    const std::vector<double>& ys,
+                                    const PenaltyWeights& weights) const {
   if (xs.size() != num_movable_ || ys.size() != num_movable_) {
     throw std::runtime_error(
         "GradientEvaluator: movable-point count changed — the forest topology differs "
@@ -92,6 +97,12 @@ GradientResult GradientEvaluator::replay(const std::vector<double>& xs,
         "GradientEvaluator: gamma differs from the recorded program — construct a new "
         "evaluator");
   }
+}
+
+GradientResult GradientEvaluator::gradients(const std::vector<double>& xs,
+                                            const std::vector<double>& ys,
+                                            const PenaltyWeights& weights) {
+  check_query(xs, ys, weights);
   program_.set_leaf(vx_, xs);
   program_.set_leaf(vy_, ys);
   program_.set_leaf_scalar(lambda_w_, weights.lambda_w);
@@ -114,29 +125,39 @@ GradientResult GradientEvaluator::replay(const std::vector<double>& xs,
 
   GradientResult r;
   r.penalty = program_.value(penalty_)[0];
-  hard_slack_metrics(program_.value(slack_), clock_, &r.eval_wns_ns, &r.eval_tns_ns);
-  if (with_backward) {
-    program_.replay_backward();
-    const Tensor& gx = program_.grad(vx_);
-    const Tensor& gy = program_.grad(vy_);
-    r.grad_x.assign(xs.size(), 0.0);
-    r.grad_y.assign(ys.size(), 0.0);
-    for (std::size_t i = 0; i < gx.size(); ++i) r.grad_x[i] = gx[i];
-    for (std::size_t i = 0; i < gy.size(); ++i) r.grad_y[i] = gy[i];
-  }
+  hard_slack_metrics(program_.value(slack_).data(), clock_, &r.eval_wns_ns, &r.eval_tns_ns);
+  program_.replay_backward();
+  const Tensor& gx = program_.grad(vx_);
+  const Tensor& gy = program_.grad(vy_);
+  r.grad_x.assign(xs.size(), 0.0);
+  r.grad_y.assign(ys.size(), 0.0);
+  for (std::size_t i = 0; i < gx.size(); ++i) r.grad_x[i] = gx[i];
+  for (std::size_t i = 0; i < gy.size(); ++i) r.grad_y[i] = gy[i];
   return r;
-}
-
-GradientResult GradientEvaluator::gradients(const std::vector<double>& xs,
-                                            const std::vector<double>& ys,
-                                            const PenaltyWeights& weights) {
-  return replay(xs, ys, weights, /*with_backward=*/true);
 }
 
 GradientResult GradientEvaluator::evaluate(const std::vector<double>& xs,
                                            const std::vector<double>& ys,
                                            const PenaltyWeights& weights) {
-  return replay(xs, ys, weights, /*with_backward=*/false);
+  check_query(xs, ys, weights);
+  program_.set_trial_leaf(vx_, xs);
+  program_.set_trial_leaf(vy_, ys);
+  program_.set_trial_leaf_scalar(lambda_w_, weights.lambda_w);
+  program_.set_trial_leaf_scalar(lambda_t_, weights.lambda_t);
+  const TapeProgram::ReplayCounters before = program_.replay_counters();
+  program_.trial_forward();
+  if (obs::metrics_enabled()) {
+    const TapeProgram::ReplayCounters& after = program_.replay_counters();
+    static obs::Counter& m_trials = obs::metrics().counter("grad.trial_evals");
+    static obs::Counter& m_ops_run = obs::metrics().counter("grad.trial_ops_executed");
+    m_trials.add(after.trial_forwards - before.trial_forwards);
+    m_ops_run.add(after.trial_ops_executed - before.trial_ops_executed);
+  }
+
+  GradientResult r;
+  r.penalty = program_.trial_value(penalty_)[0];
+  hard_slack_metrics(program_.trial_value(slack_), clock_, &r.eval_wns_ns, &r.eval_tns_ns);
+  return r;
 }
 
 }  // namespace tsteiner

@@ -11,8 +11,11 @@
 //    diagnostics);
 //  * GradientEvaluator records the (design, forest-topology) graph once
 //    into a TapeProgram and replays it in place for every subsequent
-//    (xs, ys, lambda) query — the mode the refinement loop runs in. Replay
-//    results are bit-identical to the fresh-tape path (tests/replay_test).
+//    (xs, ys, lambda) query — the mode the refinement loop runs in.
+//    gradients() moves the program to the queried point; evaluate() scores
+//    a trial point in the program's scratch arena and leaves it where the
+//    last gradients() call put it (the kept iterate, in Algorithm 1). Both
+//    are bit-identical to the fresh-tape path (tests/replay_test).
 #pragma once
 
 #include <vector>
@@ -56,10 +59,15 @@ class GradientEvaluator {
                     const std::vector<double>& xs, const std::vector<double>& ys,
                     const PenaltyWeights& weights);
 
-  /// Replayed equivalent of compute_timing_gradients().
+  /// Replayed equivalent of compute_timing_gradients(): moves the program
+  /// to (xs, ys, weights), replaying the forward ops those leaf changes
+  /// dirty, then the backward.
   GradientResult gradients(const std::vector<double>& xs, const std::vector<double>& ys,
                            const PenaltyWeights& weights);
-  /// Replayed equivalent of evaluate_timing() (forward only).
+  /// Replayed equivalent of evaluate_timing(): a forward-only trial pass
+  /// (TapeProgram::trial_forward) that leaves the program at the point of
+  /// the last gradients() call, so a gradients() call back at that point —
+  /// the refinement loop after a rejected step — replays no coordinate op.
   GradientResult evaluate(const std::vector<double>& xs, const std::vector<double>& ys,
                           const PenaltyWeights& weights);
 
@@ -79,8 +87,8 @@ class GradientEvaluator {
   const TapeProgram& program() const { return program_; }
 
  private:
-  GradientResult replay(const std::vector<double>& xs, const std::vector<double>& ys,
-                        const PenaltyWeights& weights, bool with_backward);
+  void check_query(const std::vector<double>& xs, const std::vector<double>& ys,
+                   const PenaltyWeights& weights) const;
 
   TapeProgram program_;
   Value vx_{}, vy_{};

@@ -35,7 +35,7 @@ PenaltyTerms build_timing_penalty(Tape& tape, const GraphCache& cache, const Des
                        tape.mul(t.smooth_tns, t.lambda_t_leaf));
 
   // Hard metrics from the same arrivals (for Algorithm 1's keep-best test).
-  hard_slack_metrics(tape.value(slack), cache.clock, &t.hard_wns_ns, &t.hard_tns_ns);
+  hard_slack_metrics(tape.value(slack).data(), cache.clock, &t.hard_wns_ns, &t.hard_tns_ns);
   return t;
 }
 
@@ -44,7 +44,8 @@ double penalty_gamma(const PenaltyWeights& weights, double clock) {
                                       : std::max(1e-6, weights.gamma_ns / clock);
 }
 
-void hard_slack_metrics(const Tensor& slack, double clock, double* wns_ns, double* tns_ns) {
+void hard_slack_metrics(std::span<const double> slack, double clock, double* wns_ns,
+                        double* tns_ns) {
   double wns = slack[0];
   double tns = 0.0;
   for (std::size_t i = 0; i < slack.size(); ++i) {

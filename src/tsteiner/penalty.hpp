@@ -9,6 +9,7 @@
 //     minimizing P maximizes weighted slack).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "autodiff/tape.hpp"
@@ -57,9 +58,10 @@ PenaltyTerms build_timing_penalty(Tape& tape, const GraphCache& cache, const Des
 /// resolve to a different gamma.
 double penalty_gamma(const PenaltyWeights& weights, double clock);
 
-/// Hard (non-smoothed) WNS/TNS in ns from a normalized endpoint-slack
-/// tensor. Shared by the recording path and the replay path so both derive
+/// Hard (non-smoothed) WNS/TNS in ns from normalized endpoint slacks.
+/// Shared by the recording path, the replay and the trial pass so all derive
 /// the keep-best metrics with the identical fold.
-void hard_slack_metrics(const Tensor& slack, double clock, double* wns_ns, double* tns_ns);
+void hard_slack_metrics(std::span<const double> slack, double clock, double* wns_ns,
+                        double* tns_ns);
 
 }  // namespace tsteiner

@@ -325,15 +325,28 @@ std::string oracle_replayed_gradients(OracleContext& ctx) {
   std::vector<double> ys = c.forest.gather_y();
 
   GradientEvaluator evaluator(model, *cache, c.design, xs, ys, w);
-  constexpr int kSteps = 3;
+  // The refine loop's call pattern: score a trial step with evaluate(), then
+  // take the next gradient either at the kept point (a rejected trial; odd
+  // steps, where only the lambdas grow) or at a moved one (an accept).
+  constexpr int kSteps = 4;
   for (int step = 0; step < kSteps; ++step) {
     if (step > 0) {
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        xs[i] += static_cast<double>(rng.uniform_int(-3, 3));
-        ys[i] += static_cast<double>(rng.uniform_int(-3, 3));
+      if (step % 2 == 0) {
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          xs[i] += static_cast<double>(rng.uniform_int(-3, 3));
+          ys[i] += static_cast<double>(rng.uniform_int(-3, 3));
+        }
       }
       w.lambda_w *= 1.01;  // the growth schedule's mutable-lambda replay path
       w.lambda_t *= 1.01;
+    }
+    std::vector<double> xs_trial = xs;
+    for (double& x : xs_trial) x += static_cast<double>(rng.uniform_int(-3, 3));
+    const GradientResult trial = evaluator.evaluate(xs_trial, ys, w);
+    const GradientResult trial_fresh =
+        evaluate_timing(model, *cache, c.design, xs_trial, ys, w);
+    if (const std::string msg = bits_compare_grad(trial_fresh, trial); !msg.empty()) {
+      return "step " + std::to_string(step) + ": trial evaluation vs fresh tape: " + msg;
     }
     const GradientResult fresh = compute_timing_gradients(model, *cache, c.design, xs, ys, w);
     std::vector<double> xs_replay = xs;

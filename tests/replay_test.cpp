@@ -1,7 +1,9 @@
 // Retained-program (record/replay) correctness: replayed forward/backward
-// must be bit-identical to a freshly recorded tape at any thread-pool
-// width, steady-state replay must not allocate, and a program must reject
-// inputs from a different topology instead of silently corrupting results.
+// and trial evaluations must be bit-identical to a freshly recorded tape at
+// any thread-pool width, a trial must leave the kept iterate's forward and
+// op scratch intact, steady-state replay must not allocate, and a program
+// must reject inputs from a different topology instead of silently
+// corrupting results.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,6 +11,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "autodiff/program.hpp"
 #include "flow/flow.hpp"
@@ -148,6 +151,13 @@ TEST(Replay, BitIdenticalAcrossThreadWidths) {
         perturb(xs, ys, step);
         w.lambda_w *= 1.01;
         out.push_back(evaluator.gradients(xs, ys, w));
+        // A rejected trial step, then the gradient back at the kept point.
+        auto xt = xs;
+        auto yt = ys;
+        perturb(xt, yt, step + 7);
+        out.push_back(evaluator.evaluate(xt, yt, w));
+        w.lambda_t *= 1.01;
+        out.push_back(evaluator.gradients(xs, ys, w));
       }
       jobs = parallel_jobs() - jobs0;
       return out;
@@ -165,6 +175,118 @@ TEST(Replay, BitIdenticalAcrossThreadWidths) {
       EXPECT_TRUE(results_bit_equal(serial[i], wide[i])) << "step " << i;
     }
   }
+}
+
+TEST(Replay, TrialEvaluationLeavesKeptIterateIntact) {
+  const Fixture f = make_fixture(97);
+  const TimingGnn model = make_model();
+  PenaltyWeights w;
+  const auto xs = f.forest.gather_x();
+  const auto ys = f.forest.gather_y();
+  ASSERT_GT(xs.size(), 0u);
+  GradientEvaluator evaluator(model, *f.cache, f.design, xs, ys, w);
+
+  const GradientResult kept = evaluator.gradients(xs, ys, w);
+  EXPECT_TRUE(results_bit_equal(compute_timing_gradients(model, *f.cache, f.design, xs, ys, w),
+                                kept));
+  // Rejected trials: each must score like a fresh tape at its own point.
+  for (int step = 1; step <= 3; ++step) {
+    auto xt = xs;
+    auto yt = ys;
+    perturb(xt, yt, step);
+    EXPECT_TRUE(results_bit_equal(evaluate_timing(model, *f.cache, f.design, xt, yt, w),
+                                  evaluator.evaluate(xt, yt, w)))
+        << "trial " << step;
+  }
+  // ... and leave the kept iterate's forward in place: the gradient back at
+  // it runs no forward op at all.
+  const TapeProgram::ReplayCounters before = evaluator.program().replay_counters();
+  const GradientResult again = evaluator.gradients(xs, ys, w);
+  const TapeProgram::ReplayCounters& after = evaluator.program().replay_counters();
+  EXPECT_TRUE(results_bit_equal(kept, again));
+  EXPECT_EQ(after.ops_executed, before.ops_executed);
+  EXPECT_EQ(after.full_forward_skips, before.full_forward_skips + 1);
+  EXPECT_EQ(after.trial_forwards, before.trial_forwards);
+
+  // A lambda-only change back at the kept iterate replays just the penalty
+  // tail, a small fraction of what a coordinate move replays.
+  PenaltyWeights grown = w;
+  grown.lambda_w *= 1.01;
+  grown.lambda_t *= 1.01;
+  auto xt = xs;
+  auto yt = ys;
+  perturb(xt, yt, 4);
+  const std::uint64_t trial_ops0 = evaluator.program().replay_counters().trial_ops_executed;
+  (void)evaluator.evaluate(xt, yt, grown);
+  const std::uint64_t trial_ops =
+      evaluator.program().replay_counters().trial_ops_executed - trial_ops0;
+  const std::uint64_t ops0 = evaluator.program().replay_counters().ops_executed;
+  const GradientResult fresh_grown =
+      compute_timing_gradients(model, *f.cache, f.design, xs, ys, grown);
+  EXPECT_TRUE(results_bit_equal(fresh_grown, evaluator.gradients(xs, ys, grown)));
+  const std::uint64_t tail_ops = evaluator.program().replay_counters().ops_executed - ops0;
+  EXPECT_GT(tail_ops, 0u);
+  EXPECT_LT(10 * tail_ops, trial_ops);
+
+  // A trial at the program's own leaves runs nothing and reads the main
+  // values.
+  const std::uint64_t idle0 = evaluator.program().replay_counters().trial_ops_executed;
+  const GradientResult same = evaluator.evaluate(xs, ys, grown);
+  EXPECT_EQ(evaluator.program().replay_counters().trial_ops_executed, idle0);
+  EXPECT_TRUE(
+      results_bit_equal(evaluate_timing(model, *f.cache, f.design, xs, ys, grown), same));
+  EXPECT_GT(evaluator.program().trial_scratch_bytes(), 0u);
+}
+
+TEST(Replay, TrialPassKeepsValueDependentOpScratch) {
+  // segment_max winners and the log_sum_exp max both differ between the
+  // kept point and the trial point, so a trial pass that wrote the main
+  // argmax or m/z would send the next backward down the trial's winners.
+  const auto build = [](Tape& tape, const std::vector<double>& x0) {
+    const Value x = tape.leaf(Tensor::column(x0), /*requires_grad=*/true);
+    const Value seg = tape.segment_max(tape.scale(x, 2.0), {0, 0, 1, 1, 2}, 3);
+    return std::pair{x, tape.log_sum_exp(seg, 0.5)};
+  };
+  const std::vector<double> kept = {1.0, 3.0, 5.0, 2.0, -1.0};   // winners 1, 2, 4
+  const std::vector<double> trial = {4.0, 0.0, 1.0, 6.0, -2.0};  // winners 0, 3, 4
+  const auto fresh = [&](const std::vector<double>& at) {
+    Tape tape;
+    const auto [x, root] = build(tape, at);
+    tape.backward(root);
+    return std::pair{tape.value(root)[0], tape.grad(x).data()};
+  };
+  const auto [kept_root, kept_grad] = fresh(kept);
+  const auto [trial_root, trial_grad] = fresh(trial);
+  ASSERT_FALSE(bits_equal(kept_grad, trial_grad));
+
+  TapeProgram program;
+  const auto [x, root] = build(program.tape(), kept);
+  program.finalize(root, {x}, {x});
+  program.replay_backward();
+  EXPECT_TRUE(bits_equal(program.grad(x).data(), kept_grad));
+
+  const std::uint64_t allocs = program.allocation_count();
+  for (int rep = 0; rep < 2; ++rep) {
+    program.set_trial_leaf(x, trial);
+    program.trial_forward();
+    ASSERT_EQ(program.trial_value(root).size(), 1u);
+    EXPECT_EQ(std::memcmp(&program.trial_value(root)[0], &trial_root, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(program.value(root).data().data(), &kept_root, sizeof(double)), 0);
+    program.replay_forward();  // nothing pending: a no-op
+    program.replay_backward();
+    EXPECT_TRUE(bits_equal(program.grad(x).data(), kept_grad)) << "rep " << rep;
+  }
+  EXPECT_EQ(program.allocation_count(), allocs);
+  EXPECT_EQ(program.replay_counters().ops_executed, 0u);
+
+  // Only declared outputs are readable, and a trial needs current main
+  // values underneath it.
+  EXPECT_THROW((void)program.trial_value(x), std::runtime_error);
+  program.set_leaf(x, trial);
+  EXPECT_THROW(program.trial_forward(), std::logic_error);
+  program.replay_forward();
+  program.replay_backward();
+  EXPECT_TRUE(bits_equal(program.grad(x).data(), trial_grad));
 }
 
 TEST(Replay, NumericGradientAgreesOnReplayedPenalty) {
