@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -225,7 +226,11 @@ GlobalRouterState::GlobalRouterState(const Design* design, const RouterOptions& 
   if (!(options.min_capacity > 0.0) || !std::isfinite(options.min_capacity)) {
     bad("min_capacity must be positive and finite");
   }
-  if (!std::isfinite(options.history_increment)) bad("history_increment must be finite");
+  // Negative history could price a step below 1, and the maze bound
+  // (maze_bound) needs every step to cost at least 1.
+  if (!(options.history_increment >= 0.0) || !std::isfinite(options.history_increment)) {
+    bad("history_increment must be non-negative and finite");
+  }
 }
 
 void GlobalRouterState::fit_kernel() {
@@ -290,6 +295,38 @@ GlobalRouterState::Window GlobalRouterState::maze_window(GCell a, GCell b) const
           static_cast<int>(std::min<long long>(grid.ny() - 1, std::max(a.y, b.y) + m))};
 }
 
+double GlobalRouterState::run_cost(GCell from, GCell to, double cost) const {
+  while (from.x != to.x) {
+    const int x = to.x > from.x ? from.x : from.x - 1;
+    cost += h_cost_[static_cast<std::size_t>(from.y) << shift_ | static_cast<std::size_t>(x)];
+    from.x += to.x > from.x ? 1 : -1;
+  }
+  while (from.y != to.y) {
+    const int y = to.y > from.y ? from.y : from.y - 1;
+    cost += v_cost_[static_cast<std::size_t>(y) << shift_ | static_cast<std::size_t>(from.x)];
+    from.y += to.y > from.y ? 1 : -1;
+  }
+  return cost;
+}
+
+double GlobalRouterState::maze_bound(GCell a, GCell b, const std::vector<GCell>& ripped) const {
+  // Both L-shapes; the parity pattern path is one of them.
+  const GCell hv{b.x, a.y};
+  const GCell vh{a.x, b.y};
+  double bound =
+      std::min(run_cost(hv, b, run_cost(a, hv, 0.0)), run_cost(vh, b, run_cost(a, vh, 0.0)));
+  // The ripped-up path counts only when the search could follow it, i.e.
+  // when it stays inside the window.
+  const Window win = maze_window(a, b);
+  double cost = 0.0;
+  for (std::size_t i = 1; i < ripped.size(); ++i) {
+    const GCell& q = ripped[i];
+    if (q.x < win.x_lo || q.x > win.x_hi || q.y < win.y_lo || q.y > win.y_hi) return bound;
+    cost = run_cost(ripped[i - 1], q, cost);
+  }
+  return std::min(bound, cost);
+}
+
 void GlobalRouterState::heap_sift_up(std::size_t pos) {
   const HeapKey key = heap_[pos];
   while (pos > 0) {
@@ -321,7 +358,8 @@ void GlobalRouterState::heap_sift_down(std::size_t pos) {
   cell_[key_cell(key)].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
-std::vector<GCell> GlobalRouterState::maze_route(GCell a, GCell b, long long& expansions) {
+std::vector<GCell> GlobalRouterState::maze_route(GCell a, GCell b, double bound,
+                                                 long long& expansions) {
   if (a == b) return {a};
   const Window win = maze_window(a, b);
   const std::uint32_t mask = (1U << shift_) - 1U;
@@ -334,12 +372,18 @@ std::vector<GCell> GlobalRouterState::maze_route(GCell a, GCell b, long long& ex
     gen_ = 1;
   }
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Relax v through u only on a strict improvement; a cell not in the heap
-  // (never reached, or already popped) is pushed, otherwise its key drops.
-  const auto relax = [&](std::uint32_t u, double du, std::uint32_t v, double step) {
+  // The maze contract's bound: the slack absorbs the rounding of the float
+  // sums, and an infinite bound prunes nothing.
+  const double limit = bound * (1.0 + 1e-9);
+  // Relax v = (vx, vy) through u only within the bound and on a strict
+  // improvement; a cell not in the heap (never reached, or already popped)
+  // is pushed, otherwise its key drops.
+  const auto relax = [&](std::uint32_t u, double du, std::uint32_t v, int vx, int vy,
+                         double step) {
+    const double nd = du + step;
+    if (nd + static_cast<double>(std::abs(vx - b.x) + std::abs(vy - b.y)) > limit) return;
     MazeCell& c = cell_[v];
     if (c.stamp != gen_) c = {kInf, gen_, kNoCell};
-    const double nd = du + step;
     if (!(nd < c.dist)) return;
     c.dist = nd;
     prev_[v] = u;
@@ -371,14 +415,16 @@ std::vector<GCell> GlobalRouterState::maze_route(GCell a, GCell b, long long& ex
     const double du = cell_[u].dist;
     const int ux = static_cast<int>(u & mask);
     const int uy = static_cast<int>(u >> shift_);
-    if (ux > win.x_lo) relax(u, du, u - 1, h_cost_[u - 1]);
-    if (ux < win.x_hi) relax(u, du, u + 1, h_cost_[u]);
-    if (uy > win.y_lo) relax(u, du, u - stride, v_cost_[u - stride]);
-    if (uy < win.y_hi) relax(u, du, u + stride, v_cost_[u]);
+    if (ux > win.x_lo) relax(u, du, u - 1, ux - 1, uy, h_cost_[u - 1]);
+    if (ux < win.x_hi) relax(u, du, u + 1, ux + 1, uy, h_cost_[u]);
+    if (uy > win.y_lo) relax(u, du, u - stride, ux, uy - 1, v_cost_[u - stride]);
+    if (uy < win.y_hi) relax(u, du, u + stride, ux, uy + 1, v_cost_[u]);
   }
   std::vector<GCell> path;
   if (cell_[target].stamp != gen_ || cell_[target].dist == kInf) {
-    // Unreachable inside a bbox window only with non-finite costs.
+    // Every in-window path crosses a step that costs +inf: a finite but huge
+    // history increment overflows an edge's history, or a path's sum, to
+    // +inf. Then the bound is +inf as well, and the pattern path stands in.
     path = pattern_path(a, b);
   } else {
     for (std::uint32_t v = target; v != kNoCell; v = prev_[v]) {
@@ -398,6 +444,7 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   static obs::Counter& m_replays = obs::metrics().counter("route.incremental_replays");
   static obs::Counter& m_mazes_reused = obs::metrics().counter("route.reused_mazes");
   static obs::Counter& m_expansions = obs::metrics().counter("route.maze_expansions");
+  static obs::Counter& m_searched = obs::metrics().counter("route.mazes_searched");
   static obs::Gauge& m_overflow = obs::metrics().gauge("route.total_overflow");
   const bool replay = tree_dirty != nullptr;
   if (replay) {
@@ -610,6 +657,7 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
     // commit into the field delta at exactly this point of the sequence.
     std::size_t pi = 0;
     long long expansions = 0;
+    long long searched = 0;
     const auto skip_cached_ops_below = [&](int c) {
       while (prev_round && pi < prev_round->size() && (*prev_round)[pi].conn < c) {
         const MazeOp& sk = (*prev_round)[pi];
@@ -653,7 +701,8 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
         ++last_reused_mazes_;
         m_mazes_reused.add();
       } else {
-        conn.path = maze_route(a, b, expansions);
+        conn.path = maze_route(a, b, maze_bound(a, b, op.before), expansions);
+        ++searched;
         if (replay) {
           if (cached == nullptr || conn.path != cached->after) {
             delta.add_path_usage(conn.path, +1);
@@ -666,6 +715,7 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
     }
     skip_cached_ops_below(std::numeric_limits<int>::max());
     m_expansions.add(static_cast<std::uint64_t>(expansions));
+    m_searched.add(static_cast<std::uint64_t>(searched));
     TS_DEBUG("GR round %d: %zu victims, overflow %.1f, reused %lld/%lld mazes", round,
              victims.size(), grid.total_overflow(), last_reused_mazes_, last_total_mazes_);
   }

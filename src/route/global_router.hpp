@@ -95,11 +95,30 @@ GlobalRouteResult global_route(const Design& design, const SteinerForest& forest
 /// Together these fix which of several equal-cost paths wins. Step costs are
 /// 1 + edge_penalty(usage, capacity, history) of the crossed edge, read from
 /// a per-edge field that mirrors the grid from the first negotiation round on.
+///
+/// Bound. Every step costs at least 1 (usage and history are non-negative),
+/// so the Manhattan distance to the target b never overestimates, and it is
+/// consistent. Before a search, U is the cheapest of the two L-shapes from a
+/// to b (the parity pattern path is one of them) and the path just ripped
+/// up, when that path stays inside the window; each is priced as a forward
+/// float sum from a over the step costs the search reads. Float addition is
+/// monotone, so the search's distance of b never exceeds U. The search
+/// relaxes a cell only when dist + manhattan(cell, b) <= U (1 + 1e-9), the
+/// slack covering the rounding of the consistency step. Every cell of the
+/// winning path, and every neighbour that sets its distance, satisfies
+/// dist + manhattan <= dist(b) <= U, so the pruned cells are ones whose
+/// relaxations never reach the path; the survivors keep their keys, their
+/// pop order and their first strict improvements, and the path is the
+/// unpruned search's, bit for bit. Pruning less is always safe; an infinite
+/// U prunes nothing. The pruned search is still a pure function of the
+/// window's step costs and the ripped path, and a cached maze is reused only
+/// when both are unchanged, so reuse stays provable.
 class GlobalRouterState {
  public:
   /// Throws std::invalid_argument on options no route can use: a negative
   /// maze margin or round count, a non-positive or non-finite capacity
-  /// factor or minimum capacity, or a non-finite history increment.
+  /// factor or minimum capacity, or a negative or non-finite history
+  /// increment.
   GlobalRouterState(const Design* design, const RouterOptions& options);
 
   /// Full route of `forest`; rebuilds the replay cache from scratch.
@@ -158,9 +177,15 @@ class GlobalRouterState {
   void commit_usage(const std::vector<GCell>& path, double delta);
   /// The maze search window of connection a -> b.
   Window maze_window(GCell a, GCell b) const;
-  /// Dijkstra maze route inside the window, honouring the maze contract;
-  /// commits usage. `expansions` counts heap pops.
-  std::vector<GCell> maze_route(GCell a, GCell b, long long& expansions);
+  /// `cost` plus the step costs of the axis-aligned run from -> to, added
+  /// in walk order.
+  double run_cost(GCell from, GCell to, double cost) const;
+  /// The maze contract's bound U for a -> b, given the path just ripped up
+  /// (a walk from a to b).
+  double maze_bound(GCell a, GCell b, const std::vector<GCell>& ripped) const;
+  /// Dijkstra maze route inside the window, honouring the maze contract and
+  /// pruned by `bound`; commits usage. `expansions` counts heap pops.
+  std::vector<GCell> maze_route(GCell a, GCell b, double bound, long long& expansions);
   void heap_sift_up(std::size_t pos);
   void heap_sift_down(std::size_t pos);
 

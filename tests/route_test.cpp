@@ -76,6 +76,14 @@ struct RoutedDesign {
   GlobalRouteResult gr;
 };
 
+RoutedDesign route_design(const GeneratorParams& p, const RouterOptions& opts) {
+  RoutedDesign rd{generate_design(lib(), p), {}, {}};
+  place_design(rd.design);
+  rd.forest = build_forest(rd.design);
+  rd.gr = global_route(rd.design, rd.forest, opts);
+  return rd;
+}
+
 RoutedDesign route_small(std::uint64_t seed, RouterOptions opts = {}) {
   GeneratorParams p;
   p.num_comb_cells = 250;
@@ -83,11 +91,7 @@ RoutedDesign route_small(std::uint64_t seed, RouterOptions opts = {}) {
   p.num_primary_inputs = 6;
   p.num_primary_outputs = 6;
   p.seed = seed;
-  RoutedDesign rd{generate_design(lib(), p), {}, {}};
-  place_design(rd.design);
-  rd.forest = build_forest(rd.design);
-  rd.gr = global_route(rd.design, rd.forest, opts);
-  return rd;
+  return route_design(p, opts);
 }
 
 TEST(GlobalRouter, RoutesEveryTreeEdge) {
@@ -236,6 +240,8 @@ TEST(GlobalRouter, RejectsInvalidOptions) {
       {"NaN min_capacity", [](RouterOptions& o) { o.min_capacity = kNan; }},
       {"infinite history_increment", [](RouterOptions& o) { o.history_increment = kInf; }},
       {"NaN history_increment", [](RouterOptions& o) { o.history_increment = kNan; }},
+      // Negative history could price a step below 1 and break the maze bound.
+      {"negative history_increment", [](RouterOptions& o) { o.history_increment = -0.5; }},
   };
   for (const auto& [what, mutate] : cases) {
     RouterOptions opts;
@@ -327,6 +333,51 @@ TEST(GlobalRouter, PathFingerprintPinned) {
     }
     EXPECT_EQ(h, 0xdf6466b17e3a1f4aULL);
   }
+
+  // No margin: each maze window is its connection's bbox, so the maze bound
+  // checks the ripped-up path against the tightest window.
+  {
+    RouterOptions opts;
+    opts.maze_margin = 0;
+    const RoutedDesign rd = route_small(45, opts);
+    EXPECT_GT(rd.gr.rrr_rounds_used, 0);
+    EXPECT_EQ(route_fingerprint(rd.gr), 0xe43f7d6e3b993390ULL);
+  }
+
+  // A 1k-cell design at default options: larger windows, longer paths.
+  {
+    GeneratorParams p;
+    p.seed = 46;
+    const RoutedDesign rd = route_design(p, RouterOptions{});
+    EXPECT_GT(rd.gr.rrr_rounds_used, 0);
+    EXPECT_EQ(route_fingerprint(rd.gr), 0xaa3638e178c6de4aULL);
+  }
+}
+
+TEST(GlobalRouter, InfiniteStepCostsFallBackToPatternPaths) {
+  // A finite but huge history increment over starved capacities: a second
+  // charge, or a sum over two charged edges, overflows to +inf. A maze whose
+  // every in-window path is infinite prunes nothing and keeps the pattern
+  // path. The fingerprint was recorded before the maze bound existed.
+  RouterOptions opts;
+  opts.fixed_h_cap = 2.0;
+  opts.fixed_v_cap = 2.0;
+  opts.history_increment = 1e308;
+  const RoutedDesign rd = route_small(43, opts);
+  EXPECT_GT(rd.gr.rrr_rounds_used, 1);
+  for (const RoutedConnection& c : rd.gr.connections) {
+    const SteinerTree& t = rd.forest.trees[static_cast<std::size_t>(c.tree)];
+    const SteinerEdge& e = t.edges[static_cast<std::size_t>(c.edge)];
+    ASSERT_FALSE(c.path.empty());
+    EXPECT_EQ(c.path.front(), rd.gr.grid.gcell_at(t.nodes[static_cast<std::size_t>(e.a)].pos));
+    EXPECT_EQ(c.path.back(), rd.gr.grid.gcell_at(t.nodes[static_cast<std::size_t>(e.b)].pos));
+    for (std::size_t i = 1; i < c.path.size(); ++i) {
+      const int dx = std::abs(c.path[i].x - c.path[i - 1].x);
+      const int dy = std::abs(c.path[i].y - c.path[i - 1].y);
+      ASSERT_EQ(dx + dy, 1) << "non-adjacent step";
+    }
+  }
+  EXPECT_EQ(route_fingerprint(rd.gr), 0x12d05525948615a3ULL);
 }
 
 TEST(RoutedConnection, BendCounting) {
