@@ -1,15 +1,15 @@
 // Micro-benchmarks (google-benchmark) of the computational kernels under
-// TSteiner: RSMT construction, tape forward/backward (fresh recording vs
-// retained-program replay), golden STA, and global routing throughput.
+// TSteiner: RSMT construction, the tape's dense-layer kernel (forward and
+// backward), golden STA, and global routing throughput. Evaluator record and
+// replay timings live in tsbench's `tape.*` layer metrics.
 #include <benchmark/benchmark.h>
 
+#include "autodiff/tape.hpp"
 #include "flow/flow.hpp"
-#include "gnn/model.hpp"
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
 #include "sta/sta.hpp"
 #include "steiner/rsmt.hpp"
-#include "tsteiner/gradient.hpp"
 
 namespace tsteiner {
 namespace {
@@ -45,7 +45,6 @@ BENCHMARK(BM_RsmtConstruction)->Arg(3)->Arg(6)->Arg(10)->Arg(20)->Arg(40);
 struct Prepared {
   Design design;
   SteinerForest forest;
-  std::shared_ptr<const GraphCache> cache;
 };
 
 Prepared prepare(int comb) {
@@ -55,11 +54,10 @@ Prepared prepare(int comb) {
   p.num_primary_inputs = 8;
   p.num_primary_outputs = 8;
   p.seed = 12;
-  Prepared out{generate_design(lib(), p), {}, nullptr};
+  Prepared out{generate_design(lib(), p), {}};
   place_design(out.design);
   out.forest = build_forest(out.design);
   out.design.set_clock_period(1.0);
-  out.cache = build_graph_cache(out.design, out.forest);
   return out;
 }
 
@@ -79,85 +77,34 @@ void BM_GlobalRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalRoute)->Arg(200)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 
-void BM_EvaluatorForward(benchmark::State& state) {
-  Prepared p = prepare(static_cast<int>(state.range(0)));
-  GnnConfig cfg;
-  const TimingGnn model(cfg, lib().num_types());
-  const auto xs = p.forest.gather_x();
-  const auto ys = p.forest.gather_y();
-  PenaltyWeights w;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluate_timing(model, *p.cache, p.design, xs, ys, w));
-  }
-}
-BENCHMARK(BM_EvaluatorForward)->Arg(200)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
-
-void BM_EvaluatorBackward(benchmark::State& state) {
-  Prepared p = prepare(static_cast<int>(state.range(0)));
-  GnnConfig cfg;
-  const TimingGnn model(cfg, lib().num_types());
-  const auto xs = p.forest.gather_x();
-  const auto ys = p.forest.gather_y();
-  PenaltyWeights w;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_timing_gradients(model, *p.cache, p.design, xs, ys, w));
-  }
-}
-BENCHMARK(BM_EvaluatorBackward)->Arg(200)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
-
-void BM_EvaluatorRecord(benchmark::State& state) {
-  Prepared p = prepare(static_cast<int>(state.range(0)));
-  GnnConfig cfg;
-  const TimingGnn model(cfg, lib().num_types());
-  const auto xs = p.forest.gather_x();
-  const auto ys = p.forest.gather_y();
-  PenaltyWeights w;
-  for (auto _ : state) {
-    GradientEvaluator evaluator(model, *p.cache, p.design, xs, ys, w);
-    benchmark::DoNotOptimize(evaluator.program().stats());
-  }
-}
-BENCHMARK(BM_EvaluatorRecord)->Arg(200)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
-
-// NOTE: the replay bench queries the evaluator at *unchanged* coordinates,
-// so dirty tracking skips the whole forward pass after the first
-// iteration: it measures the pruned backward replay alone (the refinement
-// loop's gradient cost back at the kept iterate after a rejected step,
-// whose trial evaluation leaves the program in place). Use
-// bench_refine_replay for the full moving-coordinates loop.
-void BM_EvaluatorReplayGrad(benchmark::State& state) {
-  Prepared p = prepare(static_cast<int>(state.range(0)));
-  GnnConfig cfg;
-  const TimingGnn model(cfg, lib().num_types());
-  const auto xs = p.forest.gather_x();
-  const auto ys = p.forest.gather_y();
-  PenaltyWeights w;
-  GradientEvaluator evaluator(model, *p.cache, p.design, xs, ys, w);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.gradients(xs, ys, w));
-  }
-}
-BENCHMARK(BM_EvaluatorReplayGrad)
-    ->Arg(200)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TapeMatmul(benchmark::State& state) {
+/// One GNN-shaped layer, act([x1 | x2 | x3] W + b) with 12 + 12 + 1 input
+/// columns (the broadcast message's shape), recorded and back-propagated;
+/// range(1) picks the activation (1 = relu, 2 = tanh).
+void BM_TapeDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const auto act = static_cast<Tape::Act>(state.range(1));
   Rng rng(3);
-  const Tensor a = Tensor::randn(rng, n, 16, 1.0);
-  const Tensor b = Tensor::randn(rng, 16, 16, 1.0);
+  const Tensor x1 = Tensor::randn(rng, n, 12, 1.0);
+  const Tensor x2 = Tensor::randn(rng, n, 12, 1.0);
+  const Tensor x3 = Tensor::randn(rng, n, 1, 1.0);
+  const Tensor w = Tensor::randn(rng, 25, 12, 0.3);
+  const Tensor b = Tensor::randn(rng, 1, 12, 0.1);
   for (auto _ : state) {
     Tape tape;
-    const Value va = tape.leaf(a, true);
-    const Value vb = tape.leaf(b, true);
-    const Value out = tape.sum_all(tape.matmul(va, vb));
-    tape.backward(out);
-    benchmark::DoNotOptimize(tape.grad(va));
+    const Value v1 = tape.leaf(x1, true);
+    const Value vw = tape.leaf(w, true);
+    const Value layer = tape.dense(
+        {{{v1, tape.leaf(x2, true), tape.leaf(x3, true)}, vw}}, tape.leaf(b, true), act);
+    tape.backward(tape.sum_all(layer));
+    benchmark::DoNotOptimize(tape.grad(v1));
+    benchmark::DoNotOptimize(tape.grad(vw));
   }
 }
-BENCHMARK(BM_TapeMatmul)->Arg(1000)->Arg(10000)->Arg(50000)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TapeDense)
+    ->ArgNames({"rows", "act"})
+    ->ArgsProduct({{1000, 10000, 50000},
+                   {static_cast<int>(Tape::Act::kRelu), static_cast<int>(Tape::Act::kTanh)}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace tsteiner

@@ -132,7 +132,8 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
     // run_backward); kernels that touch a subset (relu, gather_rows,
     // segment_max, gather_frontiers) — or an operand the op uses twice,
     // e.g. mul(x, x) — fall back to an explicit zeroing just before the op
-    // runs.
+    // runs. dense writes every operand's gradient in full, parts, weights
+    // and bias alike, whatever its activation masks.
     const auto code = tape_.ops_[idx].code;
     const bool covers_fully = code != Tape::OpCode::kRelu &&
                               code != Tape::OpCode::kGatherRows &&
@@ -409,6 +410,7 @@ void TapeProgram::replay_forward() {
   for (int id : forward_schedule_) {
     if (node_mask_[static_cast<std::size_t>(id)] & pending_dirty_) {
       tape_.run_forward(static_cast<std::size_t>(id));
+      count_op(replay_counters_.forward_kinds, static_cast<std::size_t>(id));
       ++executed;
     }
   }
@@ -463,6 +465,7 @@ void TapeProgram::trial_forward() {
   for (int id : trial_schedule_) {
     if (node_mask_[static_cast<std::size_t>(id)] & trial_live_) {
       tape_.run_forward(static_cast<std::size_t>(id), binding);
+      count_op(replay_counters_.trial_kinds, static_cast<std::size_t>(id));
       ++executed;
     }
   }
@@ -517,12 +520,23 @@ void TapeProgram::replay_backward() {
     }
     tape_.run_backward(idx, &needs_grad_, any_fresh ? &fresh_ : nullptr,
                        src == idx ? -1 : static_cast<int>(src));
+    count_op(replay_counters_.backward_kinds, idx);
     if (any_fresh) {
       for (int j = jb; j < je; ++j) {
         fresh_[static_cast<std::size_t>(bwd_inputs_[static_cast<std::size_t>(j)])] = 0;
       }
     }
   }
+}
+
+void TapeProgram::count_op(OpKindCounts& counts, std::size_t id) const {
+  OpKindCount& c = counts[static_cast<std::size_t>(tape_.ops_[id].code)];
+  ++c.calls;
+  c.elems += tape_.nodes_[id].value.size();
+}
+
+const char* TapeProgram::op_kind_name(std::size_t kind) {
+  return kind < Tape::kNumOpCodes ? Tape::op_name(static_cast<Tape::OpCode>(kind)) : "?";
 }
 
 const Tensor& TapeProgram::grad(Value v) {

@@ -14,8 +14,8 @@
 //    lambda-only change replays just the final penalty combination.
 //  * a backward schedule — the ops through which gradient can flow from the
 //    root to the declared gradient targets, with a per-node mask so kernels
-//    skip operand gradients nobody asked for (e.g. the GNN weight halves of
-//    every matmul). Two memory-traffic optimizations keep replayed results
+//    skip operand gradients nobody asked for (e.g. the weight gradients of
+//    every GNN layer). Two memory-traffic optimizations keep replayed results
 //    bit-identical while avoiding most gradient-arena passes: gradient
 //    slots are never cleared wholesale (each slot is epoch-stamped, and the
 //    first accumulation of a replay writes `0.0 + x` without reading the
@@ -40,6 +40,7 @@
 // docs/autodiff.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -124,7 +125,14 @@ class TapeProgram {
   /// GradientEvaluator translates deltas into obs metrics): how many replays
   /// ran, how many were skipped outright because no leaf byte changed, of
   /// the scheduled ops considered how many executed vs. were masked off as
-  /// clean, and how many trial passes ran how many ops.
+  /// clean, and how many trial passes ran how many ops. Per op kind (indexed
+  /// by op_kind_name's argument), each pass also counts the ops it ran and
+  /// the output elements they covered — two additions per op, no clock.
+  struct OpKindCount {
+    std::uint64_t calls = 0;
+    std::uint64_t elems = 0;
+  };
+  using OpKindCounts = std::array<OpKindCount, Tape::kNumOpCodes>;
   struct ReplayCounters {
     std::uint64_t forward_replays = 0;      ///< replay_forward() calls
     std::uint64_t full_forward_skips = 0;   ///< ... that returned with zero dirty groups
@@ -132,7 +140,12 @@ class TapeProgram {
     std::uint64_t ops_skipped = 0;          ///< scheduled ops masked off as clean
     std::uint64_t trial_forwards = 0;       ///< trial_forward() calls
     std::uint64_t trial_ops_executed = 0;   ///< trial-schedule ops run into the arena
+    OpKindCounts forward_kinds{};           ///< replay_forward() ops, by kind
+    OpKindCounts trial_kinds{};             ///< trial_forward() ops, by kind
+    OpKindCounts backward_kinds{};          ///< replay_backward() ops, by kind
   };
+  /// Name of op kind `kind` < Tape::kNumOpCodes ("dense", "gather_rows", ...).
+  static const char* op_kind_name(std::size_t kind);
   const ReplayCounters& replay_counters() const { return replay_counters_; }
 
   /// Discard the recorded graph and schedules and return to a blank,
@@ -145,6 +158,7 @@ class TapeProgram {
   void check_mutable(Value leaf) const;
   void mark_dirty(Value leaf, bool changed);
   void plan_trial(const std::vector<Value>& outputs);
+  void count_op(OpKindCounts& counts, std::size_t id) const;
 
   Tape tape_;
   Value root_{};

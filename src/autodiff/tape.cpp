@@ -13,11 +13,12 @@ namespace tsteiner {
 namespace {
 
 // Parallelization policy for the dense kernels. Every loop below writes
-// disjoint slots per parallel index (rows for matmul/gather, columns for
-// scatter-style accumulation), and within each slot iterates in the same
-// order as the serial code — so results are bit-identical for any pool
-// width. Each loop states its work per index (a row's columns, a column's
-// rows); util/parallel sizes the chunks and runs small tensors inline.
+// disjoint slots per parallel index (rows for dense/gather, columns for
+// scatter-style accumulation, weight rows for the dense weight gradient),
+// and within each slot iterates in the same order as the serial code — so
+// results are bit-identical for any pool width. Each loop states its work
+// per index (a row's columns, a column's rows); util/parallel sizes the
+// chunks and runs small tensors inline.
 // Scalar whole-tensor folds (sum_all, log_sum_exp, mse) stay serial: they
 // are O(n) with a tiny constant and exact parity with the historical
 // element order matters more than their share of the runtime.
@@ -41,6 +42,22 @@ void accumulate_pointwise(bool fresh, Tensor& dst, std::size_t n, Expr&& expr) {
   } else {
     pointwise(n, [&](std::size_t k) { dst[k] += expr(k); });
   }
+}
+
+/// Weight rows per parallel index of the dense weight gradient.
+constexpr std::size_t kDwBlock = 4;
+
+/// Doubles per cache line, and a weight-gradient row's stride in the dense
+/// scratch: whole lines.
+constexpr std::size_t kLineDoubles = 64 / sizeof(double);
+std::size_t dense_row_stride(std::size_t cols) {
+  return (cols + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
+}
+
+/// First cache-line boundary at or after p.
+double* cache_line_aligned(double* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  return p + ((64 - addr % 64) % 64) / sizeof(double);
 }
 
 }  // namespace
@@ -205,18 +222,6 @@ Value Tape::add_scalar(Value a, double s) {
   return push(rows, cols, std::move(op));
 }
 
-Value Tape::matmul(Value a, Value b) {
-  const Tensor& ta = value(a);
-  const Tensor& tb = value(b);
-  if (ta.cols() != tb.rows()) throw std::runtime_error("matmul: inner dims differ");
-  OpRecord op;
-  op.code = OpCode::kMatmul;
-  op.a = a.id;
-  op.b = b.id;
-  const std::size_t rows = ta.rows(), cols = tb.cols();
-  return push(rows, cols, std::move(op));
-}
-
 Value Tape::relu(Value a) {
   const Tensor& ta = value(a);
   OpRecord op;
@@ -273,18 +278,37 @@ Value Tape::softplus(Value a) {
   return push(rows, cols, std::move(op));
 }
 
-Value Tape::concat_cols(const std::vector<Value>& parts) {
-  if (parts.empty()) throw std::runtime_error("concat_cols: empty");
-  const std::size_t rows = value(parts[0]).rows();
-  std::size_t cols = 0;
-  for (Value p : parts) {
-    if (value(p).rows() != rows) throw std::runtime_error("concat_cols: row mismatch");
-    cols += value(p).cols();
-  }
+Value Tape::dense(const std::vector<DenseTerm>& terms, Value bias, Act act) {
+  if (terms.empty() || terms[0].parts.empty()) throw std::runtime_error("dense: empty term");
+  const std::size_t rows = value(terms[0].parts[0]).rows();
+  const std::size_t cols = value(bias).cols();
+  if (value(bias).rows() != 1) throw std::runtime_error("dense: bias must be a 1xC row");
   OpRecord op;
-  op.code = OpCode::kConcatCols;
-  op.inputs.reserve(parts.size());
-  for (Value p : parts) op.inputs.push_back(p.id);
+  op.code = OpCode::kDense;
+  op.act = act;
+  op.indices.push_back(0);
+  std::size_t k_max = 0;
+  for (const DenseTerm& t : terms) {
+    if (t.parts.empty()) throw std::runtime_error("dense: empty term");
+    std::size_t k = 0;
+    for (Value p : t.parts) {
+      if (value(p).rows() != rows) throw std::runtime_error("dense: row mismatch");
+      k += value(p).cols();
+      op.inputs.push_back(p.id);
+    }
+    if (value(t.weight).rows() != k || value(t.weight).cols() != cols) {
+      throw std::runtime_error("dense: weight shape does not match its parts and the bias");
+    }
+    k_max = std::max(k_max, k);
+    op.indices.push_back(static_cast<int>(op.inputs.size()));
+  }
+  for (const DenseTerm& t : terms) op.inputs.push_back(t.weight.id);
+  op.inputs.push_back(bias.id);
+  const std::size_t scratch = rows * cols + k_max * dense_row_stride(cols) + kLineDoubles;
+  if (dense_scratch_.size() < scratch) {
+    dense_scratch_.resize(scratch);
+    ++allocations_;
+  }
   return push(rows, cols, std::move(op));
 }
 
@@ -480,23 +504,9 @@ void Tape::run_forward(std::size_t i, const Binding& b) {
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] + s; });
       return;
     }
-    case OpCode::kMatmul: {
-      const auto ta = in(r.a), tb = in(r.b);
-      std::fill(vo.begin(), vo.end(), 0.0);
-      parallel_for(0, ta.rows(), ta.cols() * tb.cols(),
-                   [&](std::size_t lo, std::size_t hi) {
-                     for (std::size_t row = lo; row < hi; ++row) {
-                       for (std::size_t k = 0; k < ta.cols(); ++k) {
-                         const double av = ta.at(row, k);
-                         if (av == 0.0) continue;
-                         for (std::size_t c = 0; c < tb.cols(); ++c) {
-                           vo.at(row, c) += av * tb.at(k, c);
-                         }
-                       }
-                     }
-                   });
+    case OpCode::kDense:
+      dense_forward(r, b, vo.p);
       return;
-    }
     case OpCode::kRelu: {
       const auto ta = in(r.a);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = std::max(0.0, ta[k]); });
@@ -532,19 +542,6 @@ void Tape::run_forward(std::size_t i, const Binding& b) {
         const double x = ta[k];
         vo[k] = std::log1p(std::exp(-std::fabs(x))) + std::max(x, 0.0);
       });
-      return;
-    }
-    case OpCode::kConcatCols: {
-      std::size_t off = 0;
-      for (int pid : r.inputs) {
-        const auto tp = in(pid);
-        parallel_for(0, tp.rows(), tp.cols(), [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t row = lo; row < hi; ++row) {
-            for (std::size_t c = 0; c < tp.cols(); ++c) vo.at(row, off + c) = tp.at(row, c);
-          }
-        });
-        off += tp.cols();
-      }
       return;
     }
     case OpCode::kGatherRows: {
@@ -769,59 +766,9 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
                            [&](std::size_t k) { return g[k]; });
       return;
     }
-    case OpCode::kMatmul: {
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
-      const Tensor& tb = nodes_[static_cast<std::size_t>(r.b)].value;
-      if (needed(r.a)) {
-        ensure_grad(va_v);
-        Tensor& ga = grad_ref(va_v);
-        const bool fa = fresh_dst(r.a);
-        // dA = dOut * B^T, row-parallel over A's rows. Four independent
-        // accumulator chains keep the dot off the FP-add latency chain; the
-        // combine order is fixed, so the result is deterministic (and
-        // identical at every thread width — chunking is by row).
-        const std::size_t nc = tb.cols();
-        parallel_for(0, ta.rows(), ta.cols() * nc,
-                     [&](std::size_t lo, std::size_t hi) {
-                       for (std::size_t row = lo; row < hi; ++row) {
-                         const double* gr = g.data().data() + row * nc;
-                         for (std::size_t k = 0; k < ta.cols(); ++k) {
-                           const double* br = tb.data().data() + k * nc;
-                           double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-                           std::size_t c = 0;
-                           for (; c + 4 <= nc; c += 4) {
-                             s0 += gr[c] * br[c];
-                             s1 += gr[c + 1] * br[c + 1];
-                             s2 += gr[c + 2] * br[c + 2];
-                             s3 += gr[c + 3] * br[c + 3];
-                           }
-                           double s = (s0 + s1) + (s2 + s3);
-                           for (; c < nc; ++c) s += gr[c] * br[c];
-                           ga.at(row, k) = (fa ? 0.0 : ga.at(row, k)) + s;
-                         }
-                       }
-                     });
-      }
-      if (needed(r.b)) {
-        ensure_grad(vb_v);
-        Tensor& gb = grad_ref(vb_v);
-        const bool fb = fresh_dst(r.b);
-        // dB = A^T * dOut, row-parallel over B's rows.
-        parallel_for(0, tb.rows(), ta.rows() * tb.cols(),
-                     [&](std::size_t lo, std::size_t hi) {
-                       for (std::size_t k = lo; k < hi; ++k) {
-                         for (std::size_t c = 0; c < tb.cols(); ++c) {
-                           double s = 0.0;
-                           for (std::size_t row = 0; row < ta.rows(); ++row) {
-                             s += ta.at(row, k) * g.at(row, c);
-                           }
-                           gb.at(k, c) = (fb ? 0.0 : gb.at(k, c)) + s;
-                         }
-                       }
-                     });
-      }
+    case OpCode::kDense:
+      dense_backward(i, g, need, fresh);
       return;
-    }
     case OpCode::kRelu: {
       if (!needed(r.a)) return;
       ensure_grad(va_v);
@@ -879,27 +826,6 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       Tensor& ga = grad_ref(va_v);
       accumulate_pointwise(fresh_dst(r.a), ga, g.size(),
                            [&](std::size_t k) { return g[k] / (1.0 + std::exp(-ta[k])); });
-      return;
-    }
-    case OpCode::kConcatCols: {
-      std::size_t off = 0;
-      for (int pid : r.inputs) {
-        const Value p{pid};
-        const std::size_t pcols = nodes_[static_cast<std::size_t>(pid)].value.cols();
-        if (needed(pid)) {
-          ensure_grad(p);
-          Tensor& gp = grad_ref(p);
-          const bool fp = fresh_dst(pid);
-          parallel_for(0, gp.rows(), pcols, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t row = lo; row < hi; ++row) {
-              for (std::size_t c = 0; c < pcols; ++c) {
-                gp.at(row, c) = (fp ? 0.0 : gp.at(row, c)) + g.at(row, off + c);
-              }
-            }
-          });
-        }
-        off += pcols;
-      }
       return;
     }
     case OpCode::kGatherRows: {
@@ -1015,10 +941,269 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
   }
 }
 
+// --- dense layer ---------------------------------------------------------------
+//
+// One op per MLP layer: act(sum_t concat(parts_t) * W_t + bias). The kernels
+// reproduce the bits of the unfused chain (concat, one matmul per term, the
+// adds, the activation) while storing only the activated output; see
+// docs/autodiff.md for the grouping and sign-of-zero rules. Operand layout:
+// term t's parts are inputs[indices[t] .. indices[t + 1]), then one weight
+// per term, then the bias.
+
+namespace {
+
+/// Four-chain dot product: the independent accumulators keep it off the
+/// FP-add latency chain, and the fixed combine order keeps it deterministic.
+double dot4(const double* a, const double* b, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    s0 += a[c] * b[c];
+    s1 += a[c + 1] * b[c + 1];
+    s2 += a[c + 2] * b[c + 2];
+    s3 += a[c + 3] * b[c + 3];
+  }
+  double s = (s0 + s1) + (s2 + s3);
+  for (; c < n; ++c) s += a[c] * b[c];
+  return s;
+}
+
+}  // namespace
+
+void Tape::dense_forward(const OpRecord& r, const Binding& b, double* out) {
+  const auto data = [&](int id) {
+    return b.mask != nullptr && (b.mask[id] & b.live) != 0
+               ? static_cast<const double*>(b.arena + b.slot[id])
+               : nodes_[static_cast<std::size_t>(id)].value.data().data();
+  };
+  const std::size_t num_terms = r.indices.size() - 1;
+  const int* const weight_ids = r.inputs.data() + r.indices.back();
+  const int bias_id = r.inputs.back();
+  const std::size_t cols = nodes_[static_cast<std::size_t>(bias_id)].value.cols();
+  const std::size_t rows = nodes_[static_cast<std::size_t>(r.inputs[0])].value.rows();
+  std::size_t k_total = 0;
+  for (std::size_t t = 0; t < num_terms; ++t) {
+    k_total += nodes_[static_cast<std::size_t>(weight_ids[t])].value.rows();
+  }
+  const double* bias = data(bias_id);
+  double* const partial = dense_scratch_.data();
+  // Row-parallel. Per output element the k order, the zero-input skip and
+  // the +0.0 start are the unfused matmul's; term 0 accumulates in place,
+  // later terms in the scratch block, then join left to right.
+  parallel_for(0, rows, k_total * cols, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t t = 0; t < num_terms; ++t) {
+      double* const acc = t == 0 ? out : partial;
+      std::fill(acc + lo * cols, acc + hi * cols, 0.0);
+      const double* w = data(weight_ids[t]);
+      for (int j = r.indices[t]; j < r.indices[t + 1]; ++j) {
+        const int pid = r.inputs[static_cast<std::size_t>(j)];
+        const std::size_t pc = nodes_[static_cast<std::size_t>(pid)].value.cols();
+        const double* x = data(pid);
+        for (std::size_t row = lo; row < hi; ++row) {
+          double* const a = acc + row * cols;
+          const double* xr = x + row * pc;
+          for (std::size_t k = 0; k < pc; ++k) {
+            const double av = xr[k];
+            if (av == 0.0) continue;
+            const double* wr = w + k * cols;
+            for (std::size_t c = 0; c < cols; ++c) a[c] += av * wr[c];
+          }
+        }
+        w += pc * cols;
+      }
+      if (t > 0) {
+        for (std::size_t k = lo * cols; k < hi * cols; ++k) out[k] += partial[k];
+      }
+    }
+    for (std::size_t row = lo; row < hi; ++row) {
+      double* const o = out + row * cols;
+      for (std::size_t c = 0; c < cols; ++c) o[c] = o[c] + bias[c];
+      switch (r.act) {
+        case Act::kNone:
+          break;
+        case Act::kRelu:
+          for (std::size_t c = 0; c < cols; ++c) o[c] = std::max(0.0, o[c]);
+          break;
+        case Act::kTanh:
+          for (std::size_t c = 0; c < cols; ++c) o[c] = std::tanh(o[c]);
+          break;
+      }
+    }
+  });
+}
+
+void Tape::dense_backward(std::size_t i, const Tensor& g, const std::vector<std::uint8_t>* need,
+                          const std::vector<std::uint8_t>* fresh) {
+  const OpRecord& r = ops_[i];
+  const auto needed = [need](int id) {
+    return need == nullptr || (*need)[static_cast<std::size_t>(id)] != 0;
+  };
+  const auto fresh_dst = [fresh](int id) {
+    return fresh != nullptr && (*fresh)[static_cast<std::size_t>(id)] != 0;
+  };
+  const std::size_t num_terms = r.indices.size() - 1;
+  const int* const weight_ids = r.inputs.data() + r.indices.back();
+  const Tensor& o = nodes_[i].value;
+  const std::size_t rows = o.rows(), cols = o.cols(), n = o.size();
+
+  // Pre-activation gradient, normalized (`0.0 + x`) exactly as the unfused
+  // chain's accumulation onto a zeroed pre-activation slot normalized it.
+  // relu's mask o > 0 holds exactly when the pre-activation is > 0.
+  double* const dpre = dense_scratch_.data();
+  switch (r.act) {
+    case Act::kNone:
+      pointwise(n, [&](std::size_t k) { dpre[k] = 0.0 + g[k]; });
+      break;
+    case Act::kRelu:
+      pointwise(n, [&](std::size_t k) { dpre[k] = o[k] > 0.0 ? 0.0 + g[k] : 0.0; });
+      break;
+    case Act::kTanh:
+      pointwise(n, [&](std::size_t k) { dpre[k] = 0.0 + g[k] * (1.0 - o[k] * o[k]); });
+      break;
+  }
+  // The unfused chain stopped at an all-zero gradient (its later nodes were
+  // skipped), so nothing accumulates — but a first-touch slot must still
+  // read as zero.
+  if (std::all_of(dpre, dpre + n, [](double v) { return v == 0.0; })) {
+    for (int id : r.inputs) {
+      if (!needed(id) || !fresh_dst(id)) continue;
+      ensure_grad(Value{id});
+      std::vector<double>& d = grad_ref(Value{id}).data();
+      std::fill(d.begin(), d.end(), 0.0);
+    }
+    return;
+  }
+
+  // Bias: column sums in row order, accumulated onto the slot.
+  const int bias_id = r.inputs.back();
+  if (needed(bias_id)) {
+    ensure_grad(Value{bias_id});
+    Tensor& gb = grad_ref(Value{bias_id});
+    const bool fb = fresh_dst(bias_id);
+    parallel_for(0, cols, rows, [&](std::size_t clo, std::size_t chi) {
+      for (std::size_t c = clo; c < chi; ++c) {
+        double s = fb ? 0.0 : gb[c];
+        for (std::size_t row = 0; row < rows; ++row) s += dpre[row * cols + c];
+        gb[c] = s;
+      }
+    });
+  }
+
+  // Terms last to first, as the unfused chain's matmuls ran in reverse.
+  for (std::size_t t = num_terms; t-- > 0;) {
+    const int wid = weight_ids[t];
+    const Tensor& w = nodes_[static_cast<std::size_t>(wid)].value;
+    const std::size_t k_rows = w.rows();
+    const auto jb = static_cast<std::size_t>(r.indices[t]);
+    const auto je = static_cast<std::size_t>(r.indices[t + 1]);
+    // A multi-part term was a concat: its matmul wrote `0.0 + s` into the
+    // concat's slot, which the concat then added into the part.
+    const bool multi = je - jb > 1;
+
+    // dX = dpre * W^T, row-parallel.
+    bool any_part = false;
+    for (std::size_t j = jb; j < je; ++j) {
+      if (!needed(r.inputs[j])) continue;
+      ensure_grad(Value{r.inputs[j]});
+      any_part = true;
+    }
+    if (any_part) {
+      parallel_for(0, rows, k_rows * cols, [&](std::size_t lo, std::size_t hi) {
+        std::size_t k0 = 0;
+        for (std::size_t j = jb; j < je; ++j) {
+          const int pid = r.inputs[j];
+          Node& part = nodes_[static_cast<std::size_t>(pid)];
+          const std::size_t pc = part.value.cols();
+          if (needed(pid)) {
+            const bool fp = fresh_dst(pid);
+            for (std::size_t row = lo; row < hi; ++row) {
+              const double* gr = dpre + row * cols;
+              double* const dst = part.grad.data().data() + row * pc;
+              for (std::size_t k = 0; k < pc; ++k) {
+                const double s = dot4(gr, w.data().data() + (k0 + k) * cols, cols);
+                dst[k] = (fp ? 0.0 : dst[k]) + (multi ? 0.0 + s : s);
+              }
+            }
+          }
+          k0 += pc;
+        }
+      });
+    }
+
+    // dW = X^T * dpre, parallel over blocks of kDwBlock weight rows. Each
+    // block accumulates its partial sums row-major (for each input row, for
+    // each k, for each c), so every element still sums over input rows in
+    // order from +0.0, and adds the sum onto the slot once. A block reuses
+    // each dpre row for all its k. Each weight row's partial sums start on
+    // their own cache line, so blocks on different workers never write one
+    // line.
+    if (!needed(wid)) continue;
+    ensure_grad(Value{wid});
+    Tensor& gw = grad_ref(Value{wid});
+    const bool fw = fresh_dst(wid);
+    const std::size_t ld = dense_row_stride(cols);
+    double* const acc = cache_line_aligned(dpre + n);
+    const std::size_t blocks = (k_rows + kDwBlock - 1) / kDwBlock;
+    parallel_for(0, blocks, kDwBlock * rows * cols, [&](std::size_t blo, std::size_t bhi) {
+      const std::size_t klo = blo * kDwBlock, khi = std::min(k_rows, bhi * kDwBlock);
+      for (std::size_t k = klo; k < khi; ++k) std::fill(acc + k * ld, acc + k * ld + cols, 0.0);
+      std::size_t k0 = 0;
+      for (std::size_t j = jb; j < je; ++j) {
+        const Tensor& x = nodes_[static_cast<std::size_t>(r.inputs[j])].value;
+        const std::size_t pc = x.cols();
+        const std::size_t lo = std::max(klo, k0), hi = std::min(khi, k0 + pc);
+        for (std::size_t row = 0; lo < hi && row < rows; ++row) {
+          const double* gr = dpre + row * cols;
+          const double* xr = x.data().data() + row * pc;
+          for (std::size_t k = lo; k < hi; ++k) {
+            const double av = xr[k - k0];
+            double* const a = acc + k * ld;
+            for (std::size_t c = 0; c < cols; ++c) a[c] += av * gr[c];
+          }
+        }
+        k0 += pc;
+      }
+      for (std::size_t k = klo; k < khi; ++k) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          gw[k * cols + c] = (fw ? 0.0 : gw[k * cols + c]) + acc[k * ld + c];
+        }
+      }
+    });
+  }
+}
+
+const char* Tape::op_name(OpCode code) {
+  switch (code) {
+    case OpCode::kLeaf: return "leaf";
+    case OpCode::kAdd: return "add";
+    case OpCode::kAddBroadcast: return "add_broadcast";
+    case OpCode::kSub: return "sub";
+    case OpCode::kMul: return "mul";
+    case OpCode::kScale: return "scale";
+    case OpCode::kAddScalar: return "add_scalar";
+    case OpCode::kDense: return "dense";
+    case OpCode::kRelu: return "relu";
+    case OpCode::kTanh: return "tanh";
+    case OpCode::kSigmoid: return "sigmoid";
+    case OpCode::kAbs: return "abs";
+    case OpCode::kSmoothAbs: return "smooth_abs";
+    case OpCode::kSoftplus: return "softplus";
+    case OpCode::kGatherRows: return "gather_rows";
+    case OpCode::kScatterAddRows: return "scatter_add_rows";
+    case OpCode::kSegmentMax: return "segment_max";
+    case OpCode::kGatherFrontiers: return "gather_frontiers";
+    case OpCode::kSumAll: return "sum_all";
+    case OpCode::kLogSumExp: return "log_sum_exp";
+    case OpCode::kSoftMin0: return "soft_min0";
+    case OpCode::kMse: return "mse";
+  }
+  return "?";
+}
+
 void Tape::append_inputs(std::size_t i, std::vector<int>& out) const {
   const OpRecord& r = ops_[i];
   if (r.code == OpCode::kLeaf) return;
-  if (r.code == OpCode::kConcatCols || r.code == OpCode::kGatherFrontiers) {
+  if (r.code == OpCode::kDense || r.code == OpCode::kGatherFrontiers) {
     out.insert(out.end(), r.inputs.begin(), r.inputs.end());
     return;
   }

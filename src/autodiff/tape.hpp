@@ -5,7 +5,7 @@
 // accumulates gradients into every leaf marked requires_grad — in TSteiner's
 // case, the Steiner-point coordinate vectors (X_s, Y_s) and the model
 // weights. The op set is exactly what the customized GNN and the smoothed
-// WNS/TNS penalty need: dense linear algebra, pointwise nonlinearities,
+// WNS/TNS penalty need: fused dense layers, pointwise nonlinearities,
 // gather/scatter for message passing, frontier gathers for level-by-level
 // propagation, segment reductions for max-style aggregation, and
 // numerically stable Log-Sum-Exp (Eq. 5).
@@ -75,7 +75,6 @@ class Tape {
   Value scale(Value a, double s);
   Value add_scalar(Value a, double s);
   Value neg(Value a) { return scale(a, -1.0); }
-  Value matmul(Value a, Value b);
   Value relu(Value a);
   Value tanh_op(Value a);
   Value sigmoid(Value a);
@@ -89,8 +88,27 @@ class Tape {
   /// Numerically stable log(1 + e^x); smooth non-negative delay head.
   Value softplus(Value a);
 
+  // --- dense layers ----------------------------------------------------------
+  /// Activation applied by dense().
+  enum class Act : std::uint8_t { kNone, kRelu, kTanh };
+  /// One input term of dense(): the column concatenation of `parts` (all
+  /// with the same row count) times `weight` (rows = the parts' total
+  /// column count).
+  struct DenseTerm {
+    std::vector<Value> parts;
+    Value weight;
+  };
+  /// One MLP layer as one node: act(sum_t concat(parts_t) * W_t + bias),
+  /// with `bias` a 1xC row and every W_t C columns wide. Only the activated
+  /// output is stored — no concatenation, product or pre-activation tensor
+  /// — and the result bits equal the unfused chain's: each term accumulates
+  /// over its concatenated columns in order from +0.0 (skipping zero
+  /// inputs), terms are added left to right, then the bias, then `act`. A
+  /// head whose nonlinearity needs the pre-activation in its backward
+  /// (softplus) records dense(..., kNone) and applies it as a separate op.
+  Value dense(const std::vector<DenseTerm>& terms, Value bias, Act act);
+
   // --- structure ops --------------------------------------------------------
-  Value concat_cols(const std::vector<Value>& parts);
   /// out.row(i) = a.row(indices[i]); rows may repeat.
   Value gather_rows(Value a, std::vector<int> indices);
   /// out has out_rows rows; out.row(indices[i]) += a.row(i).
@@ -137,14 +155,13 @@ class Tape {
     kMul,
     kScale,          // s0 = factor
     kAddScalar,      // s0 = addend
-    kMatmul,
+    kDense,          // inputs = parts..., weights..., bias; indices = term part offsets
     kRelu,
     kTanh,
     kSigmoid,
     kAbs,
     kSmoothAbs,      // s0 = delta
     kSoftplus,
-    kConcatCols,     // inputs = parts
     kGatherRows,     // indices = source rows
     kScatterAddRows, // indices = destination rows, dim0 = out_rows
     kSegmentMax,     // indices = segments, dim0 = num_segments, s0 = empty_fill
@@ -152,8 +169,10 @@ class Tape {
     kSumAll,
     kLogSumExp,      // s0 = gamma; m/z recomputed by every forward
     kSoftMin0,       // s0 = gamma
-    kMse,            // constant = target
+    kMse,            // constant = target; the last code (kNumOpCodes)
   };
+  static constexpr std::size_t kNumOpCodes = static_cast<std::size_t>(OpCode::kMse) + 1;
+  static const char* op_name(OpCode code);
 
   struct OpRecord {
     OpCode code = OpCode::kLeaf;
@@ -162,7 +181,8 @@ class Tape {
     double s0 = 0.0;            ///< immediate (scale / gamma / delta / fill)
     std::size_t dim0 = 0;       ///< out_rows / num_segments
     std::vector<int> indices;   ///< gather / scatter / segment map
-    std::vector<int> inputs;    ///< concat operands / frontier sources
+    std::vector<int> inputs;    ///< dense operands / frontier sources
+    Act act = Act::kNone;       ///< dense activation
     Tensor constant;            ///< mse target
     // Value-dependent scratch, overwritten by every forward execution and
     // consumed by the matching backward (preallocated at first execution).
@@ -217,6 +237,11 @@ class Tape {
   bool grad_nonzero(std::size_t i) const;
   /// Allocate-or-zero one node's gradient buffer.
   void reset_grad(std::size_t i);
+  /// The dense op's kernels; both work in dense_scratch_.
+  void dense_forward(const OpRecord& r, const Binding& b, double* out);
+  void dense_backward(std::size_t i, const Tensor& g,
+                      const std::vector<std::uint8_t>* need,
+                      const std::vector<std::uint8_t>* fresh);
   void check_recordable() const;
   void freeze() { frozen_ = true; }
 
@@ -225,6 +250,11 @@ class Tape {
 
   std::vector<Node> nodes_;
   std::vector<OpRecord> ops_;
+  /// Shared dense-op scratch: a rows x C block (a later term's partial
+  /// products in the forward, the pre-activation gradient in the backward)
+  /// followed by K line-padded rows of C (weight-gradient partial sums).
+  /// Grown at record time to the largest dense op; kernels never allocate.
+  std::vector<double> dense_scratch_;
   std::uint64_t allocations_ = 0;
   bool frozen_ = false;
 };

@@ -159,6 +159,7 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
   static obs::Counter& m_forwards = obs::metrics().counter("gnn.forwards");
   m_forwards.add();
   const auto P = [&bound](ParamId id) { return bound.handles[id]; };
+  using Act = Tape::Act;
   const auto S = static_cast<std::size_t>(g.num_snodes);
   const double len_scale = 1.0 / (4.0 * g.gcell);
   const double wl_scale = 1.0 / (8.0 * g.gcell);
@@ -172,15 +173,15 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
   }
 
   // ---- initial snode embeddings ---------------------------------------------
-  const Value feats = tape.concat_cols({
+  const std::vector<Value> feats = {
       tape.leaf(Tensor::column(g.feat_is_steiner)),
       tape.leaf(Tensor::column(g.feat_is_driver)),
       tape.leaf(Tensor::column(g.feat_is_sink)),
       tape.leaf(Tensor::column(g.feat_degree)),
       tape.scale(sx, 1.0 / g.die_w),
       tape.scale(sy, 1.0 / g.die_h),
-  });
-  Value h = tape.tanh_op(tape.add(tape.matmul(feats, P(kWIn)), P(kBIn)));
+  };
+  Value h = tape.dense({{feats, P(kWIn)}}, P(kBIn), Act::kTanh);
 
   // ---- tree-edge lengths (differentiable in Steiner coordinates) -----------
   const bool has_edges = !g.edge_pa.empty();
@@ -270,20 +271,16 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
     if (has_edges) {
       const Value hp = tape.gather_rows(h, g.edge_pa);
       const Value hc = tape.gather_rows(h, g.edge_ch);
-      const Value msg = tape.relu(
-          tape.add(tape.matmul(tape.concat_cols({hp, hc, len_norm}), P(kWB)), P(kBB)));
+      const Value msg = tape.dense({{{hp, hc, len_norm}, P(kWB)}}, P(kBB), Act::kRelu);
       const Value agg = tape.scatter_add_rows(msg, g.edge_ch, S);
-      h = tape.tanh_op(tape.add(
-          tape.add(tape.matmul(h, P(kWU1)), tape.matmul(agg, P(kWU2))), P(kBU)));
+      h = tape.dense({{{h}, P(kWU1)}, {{agg}, P(kWU2)}}, P(kBU), Act::kTanh);
     }
     if (!g.sink_snode.empty()) {
       const Value hs = tape.gather_rows(h, g.sink_snode);
       const Value ps = tape.gather_rows(plen_norm, g.sink_snode);
-      const Value rmsg = tape.relu(
-          tape.add(tape.matmul(tape.concat_cols({hs, ps}), P(kWR)), P(kBR)));
+      const Value rmsg = tape.dense({{{hs, ps}, P(kWR)}}, P(kBR), Act::kRelu);
       const Value ragg = tape.scatter_add_rows(rmsg, g.sink_driver_snode, S);
-      h = tape.tanh_op(tape.add(
-          tape.add(tape.matmul(h, P(kWU3)), tape.matmul(ragg, P(kWU4))), P(kBU2)));
+      h = tape.dense({{{h}, P(kWU3)}, {{ragg}, P(kWU4)}}, P(kBU2), Act::kTanh);
     }
   }
 
@@ -312,16 +309,15 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
   // both from the library / on-tape load) times a bounded learned correction
   // — the correction absorbs slew and table nonlinearity.
   if (!g.regq_pins.empty()) {
-    const Value q_in = tape.concat_cols({
+    const std::vector<Value> q_in = {
         tape.gather_rows(tree_wl, g.regq_tree),
         tape.gather_rows(tree_cap, g.regq_tree),
         tape.leaf(Tensor::column(g.regq_res)),
-    });
-    const Value q_hidden = tape.relu(tape.add(tape.matmul(q_in, P(kWS1)), P(kBS1)));
+    };
+    const Value q_hidden = tape.dense({{q_in, P(kWS1)}}, P(kBS1), Act::kRelu);
     Value q;
     if (cfg_.physics_anchor) {
-      const Value corr =
-          tape.tanh_op(tape.add(tape.matmul(q_hidden, P(kWS2)), P(kBS2)));
+      const Value corr = tape.dense({{{q_hidden}, P(kWS2)}}, P(kBS2), Act::kTanh);
       const Value phys = tape.scale(
           tape.add(tape.leaf(Tensor::column(g.regq_intrinsic)),
                    tape.mul(tape.leaf(Tensor::column(g.regq_res)),
@@ -329,7 +325,7 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
           1.0 / g.clock);
       q = tape.mul(phys, tape.add_scalar(tape.scale(corr, 0.5), 1.0));
     } else {
-      q = tape.softplus(tape.add(tape.matmul(q_hidden, P(kWS2)), P(kBS2)));
+      q = tape.softplus(tape.dense({{{q_hidden}, P(kWS2)}}, P(kBS2), Act::kNone));
     }
     arr_map.write(q, g.regq_pins);
   }
@@ -353,19 +349,17 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
         const std::vector<int> trees = slice(g.cell_arc_tree, lo, hi);
         const std::vector<double> ress = slice(g.cell_arc_res, lo, hi);
         const Value emb = tape.gather_rows(P(kTypeEmb), types);
-        const Value d_in = tape.concat_cols({
+        const std::vector<Value> d_in = {
             emb,
             tape.gather_rows(tree_wl, trees),
             tape.gather_rows(tree_cap, trees),
             tape.leaf(Tensor::column(slice(g.cell_arc_cap, lo, hi))),
             tape.leaf(Tensor::column(ress)),
-        });
-        const Value c_hidden =
-            tape.relu(tape.add(tape.matmul(d_in, P(kWC1)), P(kBC1)));
+        };
+        const Value c_hidden = tape.dense({{d_in, P(kWC1)}}, P(kBC1), Act::kRelu);
         Value delay;
         if (cfg_.physics_anchor) {
-          const Value corr =
-              tape.tanh_op(tape.add(tape.matmul(c_hidden, P(kWC2)), P(kBC2)));
+          const Value corr = tape.dense({{{c_hidden}, P(kWC2)}}, P(kBC2), Act::kTanh);
           // Physical anchor: intrinsic + R_drive * C_load (Elmore-consistent
           // first-order gate model), bounded learned correction on top.
           const Value phys = tape.scale(
@@ -375,7 +369,7 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
               1.0 / g.clock);
           delay = tape.mul(phys, tape.add_scalar(tape.scale(corr, 0.5), 1.0));
         } else {
-          delay = tape.softplus(tape.add(tape.matmul(c_hidden, P(kWC2)), P(kBC2)));
+          delay = tape.softplus(tape.dense({{{c_hidden}, P(kWC2)}}, P(kBC2), Act::kNone));
         }
         const Value cand = tape.add(arr_map.read(tape, in_pins), delay);
         const int out_lo = g.cell_out_off[lu];
@@ -401,27 +395,25 @@ Value TimingGnn::forward(Tape& tape, const GraphCache& g, const Bound& bound, Va
         }
         const std::vector<int> s_snode = slice(g.net_arc_sink_snode, lo, hi);
         const Value elm_s = tape.gather_rows(elm_norm, s_snode);
-        const Value n_in = tape.concat_cols({
+        const std::vector<Value> n_in = {
             tape.gather_rows(h, s_snode),
             tape.gather_rows(h, d_snode),
             tape.gather_rows(plen_norm, s_snode),
             elm_s,
             tape.gather_rows(tree_wl, slice(g.net_arc_tree, lo, hi)),
-        });
-        const Value hidden_n =
-            tape.relu(tape.add(tape.matmul(n_in, P(kWN1)), P(kBN1)));
+        };
+        const Value hidden_n = tape.dense({{n_in, P(kWN1)}}, P(kBN1), Act::kRelu);
         Value ndelay;
         if (cfg_.physics_anchor) {
           // net delay = Elmore x bounded correction + small learned additive
           // term (captures gcell quantization and congestion detours).
-          const Value mult =
-              tape.tanh_op(tape.add(tape.matmul(hidden_n, P(kWN2)), P(kBN2)));
+          const Value mult = tape.dense({{{hidden_n}, P(kWN2)}}, P(kBN2), Act::kTanh);
           const Value addi =
-              tape.softplus(tape.add(tape.matmul(hidden_n, P(kWN3)), P(kBN3)));
+              tape.softplus(tape.dense({{{hidden_n}, P(kWN3)}}, P(kBN3), Act::kNone));
           ndelay = tape.add(tape.mul(elm_s, tape.add_scalar(tape.scale(mult, 0.5), 1.0)),
                             tape.scale(addi, 0.02));
         } else {
-          ndelay = tape.softplus(tape.add(tape.matmul(hidden_n, P(kWN2)), P(kBN2)));
+          ndelay = tape.softplus(tape.dense({{{hidden_n}, P(kWN2)}}, P(kBN2), Act::kNone));
         }
         arr_map.write(tape.add(arr_map.read(tape, drv), ndelay), snk);
       }

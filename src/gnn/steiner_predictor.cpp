@@ -107,7 +107,8 @@ Value SteinerPredictor::forward_logits(Tape& tape, const HananBatch& batch,
   for (std::size_t r = 0; r < rows; ++r) mask_idx[r] = batch.valid[r] ? 1 : 0;
   const Value mask = tape.gather_rows(tape.leaf(std::move(mask_table)), std::move(mask_idx));
 
-  const Value h1 = tape.relu(tape.add(tape.matmul(xv, bound.handles[kW1]), bound.handles[kB1]));
+  using Act = Tape::Act;
+  const Value h1 = tape.dense({{{xv}, bound.handles[kW1]}}, bound.handles[kB1], Act::kRelu);
   const Value h1m = tape.mul(h1, mask);
 
   // Net context: masked mean over each slot's real rows. The inverse-count
@@ -123,9 +124,9 @@ Value SteinerPredictor::forward_logits(Tape& tape, const HananBatch& batch,
   const Value mean = tape.mul(pooled, tape.leaf(std::move(inv)));
   const Value context = tape.gather_rows(mean, batch.segments);
 
-  const Value h2in = tape.concat_cols({h1m, context});
-  const Value h2 = tape.relu(tape.add(tape.matmul(h2in, bound.handles[kW2]), bound.handles[kB2]));
-  return tape.add(tape.matmul(h2, bound.handles[kW3]), bound.handles[kB3]);
+  const Value h2 =
+      tape.dense({{{h1m, context}, bound.handles[kW2]}}, bound.handles[kB2], Act::kRelu);
+  return tape.dense({{{h2}, bound.handles[kW3]}}, bound.handles[kB3], Act::kNone);
 }
 
 std::vector<double> SteinerPredictor::predict(const HananBatch& batch) const {

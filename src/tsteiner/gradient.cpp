@@ -1,12 +1,39 @@
 #include "tsteiner/gradient.hpp"
 
+#include <array>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 
 namespace tsteiner {
 
 namespace {
+
+using OpKindCounts = TapeProgram::OpKindCounts;
+
+/// Adds one call's per-op-kind work to `grad.op.<kind>.calls` / `.elems`
+/// (forward executions: main replay and trial pass) or, for the backward,
+/// `.bwd_calls` / `.bwd_elems`. Every kind's counters are registered once.
+void add_op_kind_metrics(const OpKindCounts& before, const OpKindCounts& after, bool backward) {
+  using Counters = std::array<std::array<obs::Counter*, 2>, std::tuple_size_v<OpKindCounts>>;
+  static const std::array<Counters, 2> counters = [] {
+    std::array<Counters, 2> c{};
+    for (std::size_t k = 0; k < c[0].size(); ++k) {
+      const std::string base = std::string("grad.op.") + TapeProgram::op_kind_name(k) + ".";
+      c[0][k] = {&obs::metrics().counter(base + "calls"), &obs::metrics().counter(base + "elems")};
+      c[1][k] = {&obs::metrics().counter(base + "bwd_calls"),
+                 &obs::metrics().counter(base + "bwd_elems")};
+    }
+    return c;
+  }();
+  const Counters& m = counters[backward ? 1 : 0];
+  for (std::size_t k = 0; k < after.size(); ++k) {
+    if (after[k].calls == before[k].calls) continue;
+    m[k][0]->add(after[k].calls - before[k].calls);
+    m[k][1]->add(after[k].elems - before[k].elems);
+  }
+}
 
 GradientResult run(const TimingGnn& model, const GraphCache& cache, const Design& design,
                    const std::vector<double>& xs, const std::vector<double>& ys,
@@ -75,7 +102,7 @@ void GradientEvaluator::rebind(const TimingGnn& model, const GraphCache& cache,
   num_movable_ = xs.size();
   // Only the coordinate and lambda leaves vary between refine iterations;
   // gradients are needed for the coordinates alone, which lets the reverse
-  // schedule drop the model-parameter halves of every matmul/concat. A
+  // schedule drop the weight and bias gradients of every GNN layer. A
   // trial pass reads the penalty and the endpoint slacks.
   program_.finalize(penalty_, {vx_, vy_, lambda_w_, lambda_t_}, {vx_, vy_}, {slack_});
   if (obs::metrics_enabled()) {
@@ -121,12 +148,17 @@ GradientResult GradientEvaluator::gradients(const std::vector<double>& xs,
     m_skips.add(after.full_forward_skips - before.full_forward_skips);
     m_ops_run.add(after.ops_executed - before.ops_executed);
     m_ops_skip.add(after.ops_skipped - before.ops_skipped);
+    add_op_kind_metrics(before.forward_kinds, after.forward_kinds, /*backward=*/false);
   }
 
   GradientResult r;
   r.penalty = program_.value(penalty_)[0];
   hard_slack_metrics(program_.value(slack_).data(), clock_, &r.eval_wns_ns, &r.eval_tns_ns);
   program_.replay_backward();
+  if (obs::metrics_enabled()) {
+    add_op_kind_metrics(before.backward_kinds, program_.replay_counters().backward_kinds,
+                        /*backward=*/true);
+  }
   const Tensor& gx = program_.grad(vx_);
   const Tensor& gy = program_.grad(vy_);
   r.grad_x.assign(xs.size(), 0.0);
@@ -152,6 +184,7 @@ GradientResult GradientEvaluator::evaluate(const std::vector<double>& xs,
     static obs::Counter& m_ops_run = obs::metrics().counter("grad.trial_ops_executed");
     m_trials.add(after.trial_forwards - before.trial_forwards);
     m_ops_run.add(after.trial_ops_executed - before.trial_ops_executed);
+    add_op_kind_metrics(before.trial_kinds, after.trial_kinds, /*backward=*/false);
   }
 
   GradientResult r;

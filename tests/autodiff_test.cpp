@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "autodiff/program.hpp"
@@ -86,16 +87,33 @@ TEST(TapeGrad, RowBroadcastAdd) {
       make_input());
 }
 
+// The product inside dense(): gradients w.r.t. the input, the weight and the
+// bias, under each activation.
 TEST(TapeGrad, MatmulBothSides) {
+  using Act = Tape::Act;
   Rng rng(11);
   const Tensor w = Tensor::randn(rng, 3, 2, 1.0);
-  // gradient w.r.t. left operand
-  check_gradient(
-      [w](Tape& t, Value x) { return t.sum_all(t.matmul(x, t.leaf(w))); }, make_input());
-  // gradient w.r.t. right operand (x plays the role of W)
+  const Tensor b = Tensor::randn(rng, 1, 2, 0.3);
   const Tensor a = Tensor::randn(rng, 2, 4, 1.0);
-  check_gradient(
-      [a](Tape& t, Value x) { return t.sum_all(t.matmul(t.leaf(a), x)); }, make_input());
+  const Tensor b3 = Tensor::randn(rng, 1, 3, 0.3);
+  const Tensor bias_in = Tensor::randn(rng, 4, 1, 1.0);
+  for (Act act : {Act::kNone, Act::kRelu, Act::kTanh}) {
+    // w.r.t. the input part
+    check_gradient(
+        [&](Tape& t, Value x) { return t.sum_all(t.dense({{{x}, t.leaf(w)}}, t.leaf(b), act)); },
+        make_input());
+    // w.r.t. the weight (x plays the role of W)
+    check_gradient(
+        [&](Tape& t, Value x) { return t.sum_all(t.dense({{{t.leaf(a)}, x}}, t.leaf(b3), act)); },
+        make_input());
+    // w.r.t. the bias (x's first row plays the role of b, through a gather)
+    check_gradient(
+        [&](Tape& t, Value x) {
+          const Value bias = t.gather_rows(x, {0});
+          return t.sum_all(t.dense({{{t.leaf(bias_in)}, t.leaf(Tensor(1, 3, 0.5))}}, bias, act));
+        },
+        make_input());
+  }
 }
 
 TEST(TapeGrad, Relu) {
@@ -124,12 +142,17 @@ TEST(TapeGrad, AbsAwayFromZero) {
                  x0);
 }
 
+// dense() over a column concatenation, and a second term.
 TEST(TapeGrad, ConcatCols) {
   Rng rng(13);
   const Tensor other = Tensor::randn(rng, 4, 2, 1.0);
+  const Tensor w = Tensor::randn(rng, 5, 3, 0.7);
+  const Tensor w2 = Tensor::randn(rng, 3, 3, 0.7);
+  const Tensor b = Tensor::randn(rng, 1, 3, 0.3);
   check_gradient(
-      [other](Tape& t, Value x) {
-        const Value c = t.concat_cols({x, t.leaf(other)});
+      [&](Tape& t, Value x) {
+        const Value c =
+            t.dense({{{x, t.leaf(other)}, t.leaf(w)}, {{x}, t.leaf(w2)}}, t.leaf(b), Tape::Act::kTanh);
         return t.sum_all(t.mul(c, c));
       },
       make_input());
@@ -311,7 +334,12 @@ TEST(Tape, ShapeMismatchThrows) {
   const Value b = tape.leaf(Tensor(3, 2, 1.0));
   EXPECT_THROW(tape.sub(a, b), std::runtime_error);
   EXPECT_THROW(tape.mul(a, b), std::runtime_error);
-  EXPECT_THROW(tape.matmul(a, b), std::runtime_error);
+  const Value bias = tape.leaf(Tensor(1, 2, 0.0));
+  EXPECT_THROW(tape.dense({{{a}, b}}, bias, Tape::Act::kNone), std::runtime_error);
+  EXPECT_THROW(tape.dense({{{a, b}, a}}, bias, Tape::Act::kNone), std::runtime_error);
+  EXPECT_THROW(tape.dense({{{a}, a}}, tape.leaf(Tensor(1, 3, 0.0)), Tape::Act::kNone),
+               std::runtime_error);
+  EXPECT_THROW(tape.dense({}, bias, Tape::Act::kNone), std::runtime_error);
 }
 
 // --- gather_frontiers ---------------------------------------------------------
@@ -480,16 +508,226 @@ TEST(Tape, GatherFrontiersWarmReplayDoesNotAllocate) {
   }
 }
 
+// --- dense: bits of the unfused chain ------------------------------------------
+
+/// The chain dense() replaced, written out with the historical kernels'
+/// arithmetic: per term one matmul over the concatenated columns (k
+/// ascending, zero inputs skipped, from +0.0), the terms added left to
+/// right, the row-broadcast bias, the activation; and the eager backward
+/// from a seed gradient `g`, every intermediate's gradient accumulated onto
+/// a zeroed slot (so each carries the `0.0 +` normalization).
+struct UnfusedDense {
+  Tensor out;
+  std::vector<std::vector<Tensor>> d_parts;
+  std::vector<Tensor> d_weights;
+  Tensor d_bias;
+};
+
+UnfusedDense unfused_dense(const std::vector<std::vector<Tensor>>& parts,
+                           const std::vector<Tensor>& weights, const Tensor& bias,
+                           Tape::Act act, const Tensor& g) {
+  const std::size_t rows = parts[0][0].rows(), cols = bias.cols();
+  std::vector<Tensor> xs;  // the concatenations
+  for (const auto& term : parts) {
+    std::size_t k_cols = 0;
+    for (const Tensor& p : term) k_cols += p.cols();
+    Tensor x(rows, k_cols);
+    std::size_t off = 0;
+    for (const Tensor& p : term) {
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < p.cols(); ++c) x.at(r, off + c) = p.at(r, c);
+      }
+      off += p.cols();
+    }
+    xs.push_back(std::move(x));
+  }
+  Tensor sum;
+  for (std::size_t t = 0; t < xs.size(); ++t) {
+    Tensor prod(rows, cols, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t k = 0; k < xs[t].cols(); ++k) {
+        const double av = xs[t].at(r, k);
+        if (av == 0.0) continue;
+        for (std::size_t c = 0; c < cols; ++c) prod.at(r, c) += av * weights[t].at(k, c);
+      }
+    }
+    if (t == 0) {
+      sum = prod;
+    } else {
+      for (std::size_t k = 0; k < sum.size(); ++k) sum[k] = sum[k] + prod[k];
+    }
+  }
+  Tensor pre(rows, cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) pre.at(r, c) = sum.at(r, c) + bias.at(0, c);
+  }
+  UnfusedDense u;
+  u.out = pre;
+  for (std::size_t k = 0; k < pre.size(); ++k) {
+    if (act == Tape::Act::kRelu) u.out[k] = std::max(0.0, pre[k]);
+    if (act == Tape::Act::kTanh) u.out[k] = std::tanh(pre[k]);
+  }
+  // Backward: activation into the zeroed pre-activation slot (relu masks on
+  // the pre-activation itself), bias column sums, then per term dA/dB.
+  Tensor dpre(rows, cols, 0.0);
+  for (std::size_t k = 0; k < pre.size(); ++k) {
+    if (act == Tape::Act::kNone) dpre[k] += g[k];
+    if (act == Tape::Act::kRelu && pre[k] > 0.0) dpre[k] += g[k];
+    if (act == Tape::Act::kTanh) dpre[k] += g[k] * (1.0 - u.out[k] * u.out[k]);
+  }
+  u.d_bias = Tensor(1, cols, 0.0);
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) u.d_bias.at(0, c) += dpre.at(r, c);
+  }
+  for (std::size_t t = 0; t < xs.size(); ++t) {
+    const Tensor& w = weights[t];
+    Tensor dx(rows, xs[t].cols(), 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t k = 0; k < w.rows(); ++k) {
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        std::size_t c = 0;
+        for (; c + 4 <= cols; c += 4) {
+          s0 += dpre.at(r, c) * w.at(k, c);
+          s1 += dpre.at(r, c + 1) * w.at(k, c + 1);
+          s2 += dpre.at(r, c + 2) * w.at(k, c + 2);
+          s3 += dpre.at(r, c + 3) * w.at(k, c + 3);
+        }
+        double s = (s0 + s1) + (s2 + s3);
+        for (; c < cols; ++c) s += dpre.at(r, c) * w.at(k, c);
+        dx.at(r, k) = 0.0 + s;
+      }
+    }
+    Tensor dw(w.rows(), cols, 0.0);
+    for (std::size_t k = 0; k < w.rows(); ++k) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        double s = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) s += xs[t].at(r, k) * dpre.at(r, c);
+        dw.at(k, c) = 0.0 + s;
+      }
+    }
+    u.d_weights.push_back(std::move(dw));
+    std::vector<Tensor> d_term;
+    std::size_t off = 0;
+    for (const Tensor& p : parts[t]) {
+      Tensor dp(rows, p.cols(), 0.0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < p.cols(); ++c) dp.at(r, c) += dx.at(r, off + c);
+      }
+      off += p.cols();
+      d_term.push_back(std::move(dp));
+    }
+    u.d_parts.push_back(std::move(d_term));
+  }
+  return u;
+}
+
+/// Inputs with exact zeros (the forward skips them) and negative zeros.
+Tensor sparse_randn(Rng& rng, std::size_t rows, std::size_t cols) {
+  Tensor t = Tensor::randn(rng, rows, cols, 1.0);
+  for (double& v : t.data()) {
+    const std::size_t pick = rng.index(10);
+    if (pick == 0) v = 0.0;
+    if (pick == 1) v = -0.0;
+  }
+  return t;
+}
+
+TEST(Tape, DenseMatchesUnfusedChainBits) {
+  // Sizes past one chunk in every loop, so the pool splits rows in the
+  // forward and dX, and weight rows in dW.
+  constexpr std::size_t kRows = 3000, kCols = 12;
+  Rng rng(61);
+  const std::vector<std::vector<Tensor>> parts = {
+      {sparse_randn(rng, kRows, 12), sparse_randn(rng, kRows, 12), sparse_randn(rng, kRows, 1)},
+      {sparse_randn(rng, kRows, 12)}};
+  const std::vector<Tensor> weights = {Tensor::randn(rng, 25, kCols, 0.3),
+                                       Tensor::randn(rng, 12, kCols, 0.3)};
+  const Tensor bias = Tensor::randn(rng, 1, kCols, 0.2);
+  const Tensor seed = sparse_randn(rng, kRows, kCols);
+
+  for (Tape::Act act : {Tape::Act::kNone, Tape::Act::kRelu, Tape::Act::kTanh}) {
+    const UnfusedDense want = unfused_dense(parts, weights, bias, act, seed);
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      set_parallel_threads(width);
+      // Eager recording, then a retained program replayed at the same
+      // leaves (its backward takes the first-touch `0.0 + x` path).
+      for (bool replay : {false, true}) {
+        TapeProgram program;
+        Tape& t = program.tape();
+        std::vector<std::vector<Value>> vp;
+        std::vector<Tape::DenseTerm> terms;
+        for (std::size_t k = 0; k < parts.size(); ++k) {
+          vp.emplace_back();
+          for (const Tensor& p : parts[k]) vp.back().push_back(t.leaf(p, true));
+          terms.push_back({vp.back(), t.leaf(weights[k], true)});
+        }
+        const Value vb = t.leaf(bias, true);
+        const Value out = t.dense(terms, vb, act);
+        const Value root = t.sum_all(t.mul(out, t.leaf(seed)));
+        const auto grad = [&](Value v) -> const Tensor& {
+          return replay ? program.grad(v) : t.grad(v);
+        };
+        if (replay) {
+          program.finalize(root, {vp[0][0]});
+          program.set_leaf(vp[0][0], parts[0][0]);
+          program.replay_forward();
+          program.replay_backward();
+        } else {
+          t.backward(root);
+        }
+        const std::string where = std::string("act ") + std::to_string(static_cast<int>(act)) +
+                                  " width " + std::to_string(width) +
+                                  (replay ? " replay" : " eager");
+        EXPECT_TRUE(same_bits(program.value(out), want.out)) << where;
+        EXPECT_TRUE(same_bits(grad(vb), want.d_bias)) << where;
+        for (std::size_t k = 0; k < parts.size(); ++k) {
+          EXPECT_TRUE(same_bits(grad(terms[k].weight), want.d_weights[k])) << where << " W" << k;
+          for (std::size_t j = 0; j < parts[k].size(); ++j) {
+            EXPECT_TRUE(same_bits(grad(vp[k][j]), want.d_parts[k][j]))
+                << where << " part " << k << "." << j;
+          }
+        }
+      }
+    }
+  }
+  set_parallel_threads(0);
+}
+
+TEST(Tape, DenseReluWithNoLiveUnitWritesZeroGradients) {
+  // Every pre-activation is negative: the unfused chain stopped at the
+  // relu, so a replay's first-touch slots must still read as exact zeros.
+  TapeProgram program;
+  Tape& t = program.tape();
+  const Value x = t.leaf(Tensor(4, 2, 1.0), true);
+  const Value w = t.leaf(Tensor(2, 3, -1.0), true);
+  const Value b = t.leaf(Tensor(1, 3, -0.5), true);
+  const Value root = t.sum_all(t.dense({{{x}, w}}, b, Tape::Act::kRelu));
+  program.finalize(root, {x});
+  for (int step = 0; step < 2; ++step) {
+    program.set_leaf(x, Tensor(4, 2, 2.0 + step));
+    program.replay_forward();
+    program.replay_backward();
+    for (Value v : {x, w, b}) {
+      for (double d : program.grad(v).data()) {
+        EXPECT_EQ(std::memcmp(&d, "\0\0\0\0\0\0\0\0", sizeof(double)), 0) << "step " << step;
+      }
+    }
+  }
+}
+
 TEST(TapeGrad, ComposedMlpBlock) {
-  // A realistic block: relu(x W1 + b1) W2 summed — the delay-head pattern.
+  // A realistic block: softplus(relu(x W1 + b1) W2 + b2) summed — the
+  // free-form delay-head pattern.
   Rng rng(21);
   const Tensor w1 = Tensor::randn(rng, 3, 5, 0.7);
   const Tensor b1 = Tensor::randn(rng, 1, 5, 0.3);
   const Tensor w2 = Tensor::randn(rng, 5, 1, 0.7);
+  const Tensor b2 = Tensor::randn(rng, 1, 1, 0.3);
   check_gradient(
       [&](Tape& t, Value x) {
-        const Value hidden = t.relu(t.add(t.matmul(x, t.leaf(w1)), t.leaf(b1)));
-        return t.sum_all(t.softplus(t.matmul(hidden, t.leaf(w2))));
+        const Value hidden = t.dense({{{x}, t.leaf(w1)}}, t.leaf(b1), Tape::Act::kRelu);
+        return t.sum_all(
+            t.softplus(t.dense({{{hidden}, t.leaf(w2)}}, t.leaf(b2), Tape::Act::kNone)));
       },
       make_input(), 1e-5);
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "testutil.hpp"
 
 #include "flow/experiment.hpp"
@@ -7,11 +10,14 @@
 #include "gnn/graph_cache.hpp"
 #include "gnn/model.hpp"
 #include "gnn/serialize.hpp"
+#include "gnn/steiner_predictor.hpp"
 #include "gnn/trainer.hpp"
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
 #include "steiner/rsmt.hpp"
 #include "tsteiner/gradient.hpp"
+#include "tsteiner/random_move.hpp"
+#include "util/parallel.hpp"
 
 namespace tsteiner {
 namespace {
@@ -420,6 +426,143 @@ TEST(Trainer, EvaluateReportsR2) {
   const EvalMetrics m = trainer.evaluate(s);
   EXPECT_GT(m.r2_all, 0.5) << "overfit on a single tiny sample should track STA";
   EXPECT_LE(m.r2_all, 1.0 + 1e-9);
+}
+
+// --- pinned result bits -----------------------------------------------------
+//
+// FNV-1a over the bit patterns of trained parameters, penalties and
+// gradients. The constants were recorded once and must never be edited: any
+// change to a kernel's summation order, sign-of-zero handling or op fusion
+// that rounds differently moves them, which replay-vs-record comparisons
+// (both sides run the same code) cannot see. Each is checked at pool widths
+// 1 and 4.
+
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const std::vector<double>& vs) {
+    add(static_cast<std::uint64_t>(vs.size()));
+    for (double v : vs) add(v);
+  }
+  void add(const std::vector<Tensor>& ts) {
+    for (const Tensor& t : ts) add(t.data());
+  }
+  void add(const GradientResult& r) {
+    add(r.penalty);
+    add(r.eval_wns_ns);
+    add(r.eval_tns_ns);
+    add(r.grad_x);
+    add(r.grad_y);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Runs `fn` at pool widths 1 and 4 and expects `expected` from both.
+template <class Fn>
+void expect_pinned_at_widths(std::uint64_t expected, Fn&& fn) {
+  for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    set_parallel_threads(width);
+    const std::uint64_t got = fn();
+    EXPECT_EQ(got, expected) << "width " << width << ": got 0x" << std::hex << got;
+  }
+  set_parallel_threads(0);
+}
+
+/// Deterministic nonzero offsets on every parameter, biases included, so
+/// the bias-add position inside a layer shows in the result bits.
+void jitter_parameters(TimingGnn& model, std::uint64_t seed) {
+  Rng rng(seed);
+  for (Tensor& p : model.parameters()) {
+    for (double& v : p.data()) v += rng.normal(0.0, 0.05);
+  }
+}
+
+TEST(Trainer, ParameterFingerprintPinned) {
+  // A short fit over one design and one random_disturb variant of it, each
+  // labeled by the pre-routing STA at its own coordinates.
+  const Tiny t = make_tiny(83, 150);
+  const SteinerForest moved = random_disturb(t.forest, t.design.die(), 30.0, std::uint64_t{5});
+  const auto sample = [&](const SteinerForest& f, std::shared_ptr<const GraphCache> cache) {
+    const StaResult sta = run_sta(t.design, f, nullptr);
+    TrainingSample s;
+    s.cache = std::move(cache);
+    s.xs = f.gather_x();
+    s.ys = f.gather_y();
+    s.arrival_label = sta.arrival;
+    s.endpoint_pins = sta.endpoints;
+    return s;
+  };
+  std::vector<TrainingSample> samples{sample(t.forest, t.cache),
+                                      sample(moved, build_graph_cache(t.design, moved))};
+  expect_pinned_at_widths(0xa93cd1a7d7a515f7ULL, [&] {
+    TimingGnn model(GnnConfig{}, lib().num_types());
+    TrainOptions topt;
+    topt.epochs = 4;
+    topt.lr = 3e-3;
+    Trainer trainer(&model, topt);
+    Fnv h;
+    h.add(trainer.fit(samples));
+    h.add(model.parameters());
+    return h.value();
+  });
+}
+
+TEST(Model, GradientFingerprintPinned) {
+  // Penalty, model-evaluated WNS/TNS and coordinate gradients from the
+  // one-shot tape and from a retained evaluator's evaluate -> gradients
+  // sequence, for the physics-anchored and the free-form softplus heads.
+  Tiny t = make_tiny(84, 150);
+  const StaResult sta = run_sta(t.design, t.forest, nullptr);
+  t.design.set_clock_period(0.6 * sta.max_arrival);
+  t.cache = build_graph_cache(t.design, t.forest);
+  const std::vector<double> xs = t.forest.gather_x();
+  const std::vector<double> ys = t.forest.gather_y();
+  std::vector<double> xt = xs, yt = ys;
+  for (std::size_t i = 0; i < xt.size(); ++i) {
+    xt[i] += static_cast<double>(i % 7) - 3.0;
+    yt[i] += static_cast<double>((3 * i) % 5) - 2.0;
+  }
+  const PenaltyWeights w;
+  expect_pinned_at_widths(0x5a8c9db60efe014aULL, [&] {
+    Fnv h;
+    for (bool anchor : {true, false}) {
+      GnnConfig cfg;
+      cfg.physics_anchor = anchor;
+      TimingGnn model(cfg, lib().num_types());
+      jitter_parameters(model, anchor ? 11 : 12);
+      h.add(compute_timing_gradients(model, *t.cache, t.design, xs, ys, w));
+      GradientEvaluator ev(model, *t.cache, t.design, xs, ys, w);
+      h.add(ev.evaluate(xt, yt, w));
+      h.add(ev.gradients(xs, ys, w));
+      h.add(ev.gradients(xt, yt, w));
+    }
+    return h.value();
+  });
+}
+
+TEST(SteinerPredictor, PretrainFingerprintPinned) {
+  // pretrain() directly: the process cache and the disk cache are bypassed.
+  SteinerPredictorConfig cfg;
+  cfg.hidden = 12;
+  cfg.seed = 7;
+  cfg.train_nets = 40;
+  cfg.train_steps = 8;
+  expect_pinned_at_widths(0x2a17adae1de15c96ULL, [&] {
+    SteinerPredictor predictor(cfg);
+    predictor.pretrain();
+    Fnv h;
+    h.add(predictor.parameters());
+    return h.value();
+  });
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST_P(TapeFuzzProperty, RandomCompositionGradChecks) {
     switch (variant) {
       case 0:
         v = t.tanh_op(t.scale(v, 1.3));
-        v = t.matmul(v, t.leaf(w));
+        v = t.dense({{{v}, t.leaf(w)}}, t.leaf(Tensor(1, 2, 0.0)), Tape::Act::kNone);
         break;
       case 1:
         v = t.softplus(t.mul(v, v));

@@ -17,6 +17,7 @@
 #include "flow/flow.hpp"
 #include "netlist/design_generator.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "place/placer.hpp"
 #include "search/topo_edits.hpp"
@@ -236,6 +237,73 @@ TEST(Replay, TrialEvaluationLeavesKeptIterateIntact) {
   EXPECT_TRUE(
       results_bit_equal(evaluate_timing(model, *f.cache, f.design, xs, ys, grown), same));
   EXPECT_GT(evaluator.program().trial_scratch_bytes(), 0u);
+}
+
+TEST(Replay, PerOpKindCountersMatchPassTotals) {
+  const Fixture f = make_fixture(98);
+  const TimingGnn model = make_model();
+  const PenaltyWeights w;
+  const auto xs = f.forest.gather_x();
+  const auto ys = f.forest.gather_y();
+  auto xt = xs;
+  auto yt = ys;
+  perturb(xt, yt, 1);
+  GradientEvaluator evaluator(model, *f.cache, f.design, xs, ys, w);
+  using Counts = TapeProgram::OpKindCounts;
+  const auto total = [](const Counts& c) {
+    std::uint64_t calls = 0;
+    for (const TapeProgram::OpKindCount& k : c) calls += k.calls;
+    return calls;
+  };
+  const auto dense_kind = [] {
+    for (std::size_t k = 0; k < std::tuple_size_v<Counts>; ++k) {
+      if (std::string(TapeProgram::op_kind_name(k)) == "dense") return k;
+    }
+    return std::tuple_size_v<Counts>;
+  }();
+  ASSERT_LT(dense_kind, std::tuple_size_v<Counts>);
+
+  obs::metrics().reset_values();
+  obs::set_metrics_enabled(true);
+  const TapeProgram::ReplayCounters before = evaluator.program().replay_counters();
+  (void)evaluator.gradients(xt, yt, w);
+  (void)evaluator.evaluate(xs, ys, w);
+  const TapeProgram::ReplayCounters after = evaluator.program().replay_counters();
+  const std::string json = obs::metrics().to_json();
+  obs::set_metrics_enabled(false);
+  obs::metrics().reset_values();
+
+  // Each pass's per-kind calls add up to its op total; every GNN layer is
+  // one dense op in each pass.
+  EXPECT_EQ(total(after.forward_kinds) - total(before.forward_kinds),
+            after.ops_executed - before.ops_executed);
+  EXPECT_EQ(total(after.trial_kinds) - total(before.trial_kinds),
+            after.trial_ops_executed - before.trial_ops_executed);
+  const std::uint64_t fwd_dense =
+      after.forward_kinds[dense_kind].calls - before.forward_kinds[dense_kind].calls;
+  const std::uint64_t trial_dense =
+      after.trial_kinds[dense_kind].calls - before.trial_kinds[dense_kind].calls;
+  const std::uint64_t bwd_dense =
+      after.backward_kinds[dense_kind].calls - before.backward_kinds[dense_kind].calls;
+  EXPECT_GT(fwd_dense, 0u);
+  EXPECT_EQ(trial_dense, fwd_dense);
+  EXPECT_GT(bwd_dense, 0u);
+  EXPECT_GT(after.forward_kinds[dense_kind].elems, before.forward_kinds[dense_kind].elems);
+
+  // The evaluator surfaces the deltas: forward and trial under .calls,
+  // the backward under .bwd_calls.
+  const auto doc = obs::parse_json(json);
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue* counters = doc->find_object("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->number_or("grad.op.dense.calls", 0.0),
+            static_cast<double>(fwd_dense + trial_dense));
+  EXPECT_EQ(counters->number_or("grad.op.dense.bwd_calls", 0.0), static_cast<double>(bwd_dense));
+  EXPECT_EQ(counters->number_or("grad.op.dense.elems", 0.0),
+            static_cast<double>(after.forward_kinds[dense_kind].elems -
+                                before.forward_kinds[dense_kind].elems +
+                                after.trial_kinds[dense_kind].elems -
+                                before.trial_kinds[dense_kind].elems));
 }
 
 TEST(Replay, TrialPassKeepsValueDependentOpScratch) {
