@@ -15,7 +15,9 @@
 // an accept it also replays the forward at the new point. The headline
 // `grad_eval_speedup` compares exactly that per-iteration gradient
 // evaluation against recording a fresh tape for it; `iteration_speedup`
-// compares the full evaluate+gradient iteration. Results land in
+// compares the full evaluate+gradient iteration; `trial_dense_rows_reused_frac`
+// is the share of the trial passes' dense rows copied from the kept iterate
+// instead of recomputed. Results land in
 // BENCH_replay.json; the process exits nonzero on any divergence so CI can
 // gate on it at tiny scale and both thread widths.
 //
@@ -202,6 +204,14 @@ int main() {
       });
   const std::uint64_t alloc_warm_delta =
       evaluator.program().allocation_count() - alloc_after_first;
+  // Share of the trial passes' dense rows copied from the kept iterate
+  // because none of their live operand rows moved.
+  const TapeProgram::ReplayCounters& counters = evaluator.program().replay_counters();
+  const std::uint64_t trial_rows = counters.trial_rows_computed + counters.trial_rows_reused;
+  const double reused_frac =
+      trial_rows > 0
+          ? static_cast<double>(counters.trial_rows_reused) / static_cast<double>(trial_rows)
+          : 0.0;
 
   // --- bit-identity: traces, final coordinates, sign-off metrics --------
   bool identical = bits_equal(fresh.eval_penalties, replay.eval_penalties) &&
@@ -251,6 +261,9 @@ int main() {
       replay.grad_s, 1e3 * replay_grad_iter, 1e3 * replay_warmup_s, replay.eval_s,
       static_cast<unsigned long long>(alloc_warm_delta));
   std::printf("%d of %d trials accepted\n", replay.accepted, n);
+  std::printf("trial dense rows: %llu computed, %llu reused (%.1f%% reused)\n",
+              static_cast<unsigned long long>(counters.trial_rows_computed),
+              static_cast<unsigned long long>(counters.trial_rows_reused), 100.0 * reused_frac);
   std::printf("grad eval speedup %.2fx, iteration speedup %.2fx, bit_identical %s\n",
               grad_speedup, iter_speedup, identical ? "yes" : "NO");
   std::printf("sign-off WNS %.4f / TNS %.4f ns\n", sta_replay.wns, sta_replay.tns);
@@ -262,6 +275,7 @@ int main() {
     std::fprintf(f, "  \"record_s\": %.4f,\n  \"accepted\": %d,\n", record_s,
                  replay.accepted);
     std::fprintf(f, "  \"trial_scratch_mb\": %.3f,\n", trial_mb);
+    std::fprintf(f, "  \"trial_dense_rows_reused_frac\": %.4f,\n", reused_frac);
     std::fprintf(f, "  \"fresh_grad_s\": %.4f,\n  \"replay_grad_s\": %.4f,\n", fresh.grad_s,
                  replay.grad_s);
     std::fprintf(f, "  \"fresh_eval_s\": %.4f,\n  \"replay_eval_s\": %.4f,\n", fresh.eval_s,

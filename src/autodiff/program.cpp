@@ -459,8 +459,13 @@ void TapeProgram::trial_forward() {
     trial_staged_[i] = 0;
   }
   if (trial_live_ == 0) return;
-  const Tape::Binding binding{node_mask_.data(), trial_live_, trial_slot_.data(),
-                              trial_arena_.data(), trial_argmax_.data()};
+  const Tape::Binding binding{node_mask_.data(),
+                              trial_live_,
+                              trial_slot_.data(),
+                              trial_arena_.data(),
+                              trial_argmax_.data(),
+                              &replay_counters_.trial_rows_computed,
+                              &replay_counters_.trial_rows_reused};
   std::uint64_t executed = 0;
   for (int id : trial_schedule_) {
     if (node_mask_[static_cast<std::size_t>(id)] & trial_live_) {

@@ -28,7 +28,9 @@
 //    scores candidate leaf values (a refine step, a search edit) without
 //    touching the program: recomputed nodes live in arena slots, each slot
 //    reused once its node's last reader has run, and everything clean is
-//    read from the main values. The kept iterate's forward, its op scratch
+//    read from the main values; a dense node recomputes only the rows whose
+//    live operand rows moved off the kept iterate and copies the rest from
+//    its main value. The kept iterate's forward, its op scratch
 //    (segment_max argmax, log_sum_exp m/z) and its dirty bits survive, so
 //    the gradient call after a rejected step replays only what its own leaf
 //    changes dirty.
@@ -125,7 +127,9 @@ class TapeProgram {
   /// GradientEvaluator translates deltas into obs metrics): how many replays
   /// ran, how many were skipped outright because no leaf byte changed, of
   /// the scheduled ops considered how many executed vs. were masked off as
-  /// clean, and how many trial passes ran how many ops. Per op kind (indexed
+  /// clean, and how many trial passes ran how many ops and how many of their
+  /// dense rows they recomputed vs. reused from the kept iterate (a dense
+  /// row whose live operand rows are unchanged). Per op kind (indexed
   /// by op_kind_name's argument), each pass also counts the ops it ran and
   /// the output elements they covered — two additions per op, no clock.
   struct OpKindCount {
@@ -140,6 +144,8 @@ class TapeProgram {
     std::uint64_t ops_skipped = 0;          ///< scheduled ops masked off as clean
     std::uint64_t trial_forwards = 0;       ///< trial_forward() calls
     std::uint64_t trial_ops_executed = 0;   ///< trial-schedule ops run into the arena
+    std::uint64_t trial_rows_computed = 0;  ///< dense rows a trial pass recomputed
+    std::uint64_t trial_rows_reused = 0;    ///< ... and copied from the kept iterate
     OpKindCounts forward_kinds{};           ///< replay_forward() ops, by kind
     OpKindCounts trial_kinds{};             ///< trial_forward() ops, by kind
     OpKindCounts backward_kinds{};          ///< replay_backward() ops, by kind

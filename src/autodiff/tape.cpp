@@ -309,6 +309,10 @@ Value Tape::dense(const std::vector<DenseTerm>& terms, Value bias, Act act) {
     dense_scratch_.resize(scratch);
     ++allocations_;
   }
+  if (dense_reused_.size() < rows) {
+    dense_reused_.resize(rows);
+    ++allocations_;
+  }
   return push(rows, cols, std::move(op));
 }
 
@@ -505,7 +509,7 @@ void Tape::run_forward(std::size_t i, const Binding& b) {
       return;
     }
     case OpCode::kDense:
-      dense_forward(r, b, vo.p);
+      dense_forward(i, b, vo.p);
       return;
     case OpCode::kRelu: {
       const auto ta = in(r.a);
@@ -970,11 +974,12 @@ double dot4(const double* a, const double* b, std::size_t n) {
 
 }  // namespace
 
-void Tape::dense_forward(const OpRecord& r, const Binding& b, double* out) {
+void Tape::dense_forward(std::size_t i, const Binding& b, double* out) {
+  const OpRecord& r = ops_[i];
+  const auto live = [&](int id) { return b.mask != nullptr && (b.mask[id] & b.live) != 0; };
   const auto data = [&](int id) {
-    return b.mask != nullptr && (b.mask[id] & b.live) != 0
-               ? static_cast<const double*>(b.arena + b.slot[id])
-               : nodes_[static_cast<std::size_t>(id)].value.data().data();
+    return live(id) ? static_cast<const double*>(b.arena + b.slot[id])
+                    : nodes_[static_cast<std::size_t>(id)].value.data().data();
   };
   const std::size_t num_terms = r.indices.size() - 1;
   const int* const weight_ids = r.inputs.data() + r.indices.back();
@@ -987,10 +992,37 @@ void Tape::dense_forward(const OpRecord& r, const Binding& b, double* out) {
   }
   const double* bias = data(bias_id);
   double* const partial = dense_scratch_.data();
+  // A trial pass reuses rows. An output row reads only its own part rows, W
+  // and b, and the main values hold the kept iterate (trial_forward refuses
+  // to run with set_leaf changes pending), so where every live part row
+  // equals the main one bit for bit (memcmp: -0.0 differs from +0.0) the
+  // kept output row is the recomputed row. A live weight or bias moves every
+  // row.
+  const double* kept = b.mask != nullptr ? nodes_[i].value.data().data() : nullptr;
+  for (std::size_t t = 0; t < num_terms; ++t) {
+    if (live(weight_ids[t])) kept = nullptr;
+  }
+  if (live(bias_id)) kept = nullptr;
+  std::uint8_t* const reused = dense_reused_.data();
+  const auto skip = [&](std::size_t row) { return kept != nullptr && reused[row] != 0; };
   // Row-parallel. Per output element the k order, the zero-input skip and
   // the +0.0 start are the unfused matmul's; term 0 accumulates in place,
   // later terms in the scratch block, then join left to right.
   parallel_for(0, rows, k_total * cols, [&](std::size_t lo, std::size_t hi) {
+    if (kept != nullptr) {
+      for (std::size_t row = lo; row < hi; ++row) {
+        bool same = true;
+        for (int j = 0; same && j < r.indices.back(); ++j) {
+          const int pid = r.inputs[static_cast<std::size_t>(j)];
+          if (!live(pid)) continue;
+          const Tensor& main = nodes_[static_cast<std::size_t>(pid)].value;
+          const std::size_t pc = main.cols();
+          same = std::memcmp(data(pid) + row * pc, main.data().data() + row * pc,
+                             pc * sizeof(double)) == 0;
+        }
+        reused[row] = same ? 1 : 0;
+      }
+    }
     for (std::size_t t = 0; t < num_terms; ++t) {
       double* const acc = t == 0 ? out : partial;
       std::fill(acc + lo * cols, acc + hi * cols, 0.0);
@@ -1000,6 +1032,7 @@ void Tape::dense_forward(const OpRecord& r, const Binding& b, double* out) {
         const std::size_t pc = nodes_[static_cast<std::size_t>(pid)].value.cols();
         const double* x = data(pid);
         for (std::size_t row = lo; row < hi; ++row) {
+          if (skip(row)) continue;
           double* const a = acc + row * cols;
           const double* xr = x + row * pc;
           for (std::size_t k = 0; k < pc; ++k) {
@@ -1012,11 +1045,18 @@ void Tape::dense_forward(const OpRecord& r, const Binding& b, double* out) {
         w += pc * cols;
       }
       if (t > 0) {
-        for (std::size_t k = lo * cols; k < hi * cols; ++k) out[k] += partial[k];
+        for (std::size_t row = lo; row < hi; ++row) {
+          if (skip(row)) continue;
+          for (std::size_t k = row * cols; k < (row + 1) * cols; ++k) out[k] += partial[k];
+        }
       }
     }
     for (std::size_t row = lo; row < hi; ++row) {
       double* const o = out + row * cols;
+      if (skip(row)) {
+        std::copy(kept + row * cols, kept + (row + 1) * cols, o);
+        continue;
+      }
       for (std::size_t c = 0; c < cols; ++c) o[c] = o[c] + bias[c];
       switch (r.act) {
         case Act::kNone:
@@ -1030,6 +1070,11 @@ void Tape::dense_forward(const OpRecord& r, const Binding& b, double* out) {
       }
     }
   });
+  if (b.mask == nullptr) return;
+  const auto n_reused =
+      kept != nullptr ? static_cast<std::size_t>(std::count(reused, reused + rows, 1)) : 0;
+  *b.dense_rows_reused += n_reused;
+  *b.dense_rows_computed += rows - n_reused;
 }
 
 void Tape::dense_backward(std::size_t i, const Tensor& g, const std::vector<std::uint8_t>* need,

@@ -204,12 +204,17 @@ class Tape {
   /// mask meets `live` to its slot of a scratch arena and hands segment_max
   /// a trial-owned argmax buffer (log_sum_exp keeps its m/z local), so the
   /// node values and the op scratch the next backward reads stay untouched.
+  /// Under a trial binding a dense node copies each output row whose live
+  /// operand rows equal the main ones bit for bit from its main value (the
+  /// kept iterate's) instead of recomputing it, and counts both kinds of row.
   struct Binding {
     const std::uint64_t* mask = nullptr;  ///< by node id; null = own buffers
     std::uint64_t live = 0;               ///< groups recomputed into the arena
     const std::size_t* slot = nullptr;    ///< by node id: arena offset, in doubles
     double* arena = nullptr;
     int* argmax = nullptr;                ///< segment_max winners, sized by the planner
+    std::uint64_t* dense_rows_computed = nullptr;  ///< set with `mask`: dense rows recomputed
+    std::uint64_t* dense_rows_reused = nullptr;    ///< set with `mask`: rows copied from main
   };
 
   /// Append a node + record and eagerly execute its forward kernel.
@@ -238,7 +243,7 @@ class Tape {
   /// Allocate-or-zero one node's gradient buffer.
   void reset_grad(std::size_t i);
   /// The dense op's kernels; both work in dense_scratch_.
-  void dense_forward(const OpRecord& r, const Binding& b, double* out);
+  void dense_forward(std::size_t i, const Binding& b, double* out);
   void dense_backward(std::size_t i, const Tensor& g,
                       const std::vector<std::uint8_t>* need,
                       const std::vector<std::uint8_t>* fresh);
@@ -255,6 +260,9 @@ class Tape {
   /// followed by K line-padded rows of C (weight-gradient partial sums).
   /// Grown at record time to the largest dense op; kernels never allocate.
   std::vector<double> dense_scratch_;
+  /// A trial pass's per-row reuse flags for one dense op, sized at record
+  /// time to the most rows any dense op has.
+  std::vector<std::uint8_t> dense_reused_;
   std::uint64_t allocations_ = 0;
   bool frozen_ = false;
 };

@@ -182,8 +182,13 @@ GradientResult GradientEvaluator::evaluate(const std::vector<double>& xs,
     const TapeProgram::ReplayCounters& after = program_.replay_counters();
     static obs::Counter& m_trials = obs::metrics().counter("grad.trial_evals");
     static obs::Counter& m_ops_run = obs::metrics().counter("grad.trial_ops_executed");
+    static obs::Counter& m_rows_run =
+        obs::metrics().counter("grad.trial_dense_rows_computed");
+    static obs::Counter& m_rows_kept = obs::metrics().counter("grad.trial_dense_rows_reused");
     m_trials.add(after.trial_forwards - before.trial_forwards);
     m_ops_run.add(after.trial_ops_executed - before.trial_ops_executed);
+    m_rows_run.add(after.trial_rows_computed - before.trial_rows_computed);
+    m_rows_kept.add(after.trial_rows_reused - before.trial_rows_reused);
     add_op_kind_metrics(before.trial_kinds, after.trial_kinds, /*backward=*/false);
   }
 

@@ -342,27 +342,31 @@ std::string oracle_replayed_gradients(OracleContext& ctx) {
     }
     std::vector<double> xs_trial = xs;
     for (double& x : xs_trial) x += static_cast<double>(rng.uniform_int(-3, 3));
-    const GradientResult trial = evaluator.evaluate(xs_trial, ys, w);
+    const GradientResult fresh = compute_timing_gradients(model, *cache, c.design, xs, ys, w);
+    const bool mutate_now = ctx.mutate && step == kSteps - 1;
+    // The injected bug: one coordinate the penalty actually depends on
+    // (nonzero gradient) is stale on the trial side, as if a moved row were
+    // taken from the kept iterate, and on the replay side. Steiner points in
+    // timing-dead cones have no influence and would make it invisible.
+    std::size_t stale = 0;
+    if (mutate_now) {
+      std::vector<std::size_t> live;
+      for (std::size_t i = 0; i < fresh.grad_x.size(); ++i) {
+        if (fresh.grad_x[i] != 0.0) live.push_back(i);
+      }
+      stale = live.empty() ? rng.index(xs.size()) : live[rng.index(live.size())];
+      if (xs_trial[stale] == xs[stale]) xs_trial[stale] += 2.0;  // make it move
+    }
+    std::vector<double> xs_trial_seen = xs_trial;
+    if (mutate_now) xs_trial_seen[stale] = xs[stale];
+    const GradientResult trial = evaluator.evaluate(xs_trial_seen, ys, w);
     const GradientResult trial_fresh =
         evaluate_timing(model, *cache, c.design, xs_trial, ys, w);
     if (const std::string msg = bits_compare_grad(trial_fresh, trial); !msg.empty()) {
       return "step " + std::to_string(step) + ": trial evaluation vs fresh tape: " + msg;
     }
-    const GradientResult fresh = compute_timing_gradients(model, *cache, c.design, xs, ys, w);
     std::vector<double> xs_replay = xs;
-    if (ctx.mutate && step == kSteps - 1) {
-      // The injected bug: one coordinate leaf is stale on the replay side.
-      // Pick a coordinate the penalty actually depends on (nonzero
-      // gradient) — Steiner points in timing-dead cones have no influence
-      // and would make the perturbation invisible.
-      std::vector<std::size_t> live;
-      for (std::size_t i = 0; i < fresh.grad_x.size(); ++i) {
-        if (fresh.grad_x[i] != 0.0) live.push_back(i);
-      }
-      const std::size_t idx = live.empty() ? rng.index(xs_replay.size())
-                                           : live[rng.index(live.size())];
-      xs_replay[idx] += 2.0;
-    }
+    if (mutate_now) xs_replay[stale] += 2.0;
     const GradientResult replayed = evaluator.gradients(xs_replay, ys, w);
     const std::string msg = bits_compare_grad(fresh, replayed);
     if (!msg.empty()) return "step " + std::to_string(step) + ": replay vs fresh tape: " + msg;

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -355,6 +356,169 @@ TEST(Replay, TrialPassKeepsValueDependentOpScratch) {
   program.replay_forward();
   program.replay_backward();
   EXPECT_TRUE(bits_equal(program.grad(x).data(), trial_grad));
+}
+
+TEST(Replay, TrialRecomputesOnlyMovedDenseRows) {
+  const Fixture f = make_fixture(99);
+  const TimingGnn model = make_model();
+  const PenaltyWeights w;
+  const auto xs = f.forest.gather_x();
+  const auto ys = f.forest.gather_y();
+  GradientEvaluator evaluator(model, *f.cache, f.design, xs, ys, w);
+  const GradientResult kept = evaluator.gradients(xs, ys, w);
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < kept.grad_x.size(); ++i) {
+    if (kept.grad_x[i] != 0.0) live.push_back(i);
+  }
+  ASSERT_GE(live.size(), 2u);
+
+  obs::metrics().reset_values();
+  obs::set_metrics_enabled(true);
+  struct Rows {
+    std::uint64_t computed, reused;
+  };
+  const auto trial = [&](const std::vector<double>& xt) {
+    const TapeProgram::ReplayCounters before = evaluator.program().replay_counters();
+    EXPECT_TRUE(results_bit_equal(evaluate_timing(model, *f.cache, f.design, xt, ys, w),
+                                  evaluator.evaluate(xt, ys, w)));
+    const TapeProgram::ReplayCounters& after = evaluator.program().replay_counters();
+    return Rows{after.trial_rows_computed - before.trial_rows_computed,
+                after.trial_rows_reused - before.trial_rows_reused};
+  };
+  auto x_one = xs;
+  x_one[live.front()] += 3.0;
+  const Rows one = trial(x_one);
+  auto x_other = xs;
+  x_other[live.back()] -= 3.0;
+  const Rows other = trial(x_other);
+  auto x_all = xs;
+  for (double& x : x_all) x += 3.0;
+  const Rows all = trial(x_all);
+  const std::string json = obs::metrics().to_json();
+  obs::set_metrics_enabled(false);
+  obs::metrics().reset_values();
+
+  // One moved Steiner point leaves most dense rows as the kept iterate had
+  // them.
+  EXPECT_GT(one.computed, 0u);
+  EXPECT_GT(one.reused, one.computed);
+  // Every trial that moves only x coordinates runs the same dense ops, so
+  // the two counts always split the same number of rows; moving every
+  // point recomputes more of them.
+  EXPECT_EQ(other.computed + other.reused, one.computed + one.reused);
+  EXPECT_EQ(all.computed + all.reused, one.computed + one.reused);
+  EXPECT_GT(all.computed, one.computed);
+
+  const auto doc = obs::parse_json(json);
+  ASSERT_TRUE(doc.has_value());
+  const obs::JsonValue* counters = doc->find_object("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_EQ(counters->number_or("grad.trial_dense_rows_computed", 0.0),
+            static_cast<double>(one.computed + other.computed + all.computed));
+  EXPECT_EQ(counters->number_or("grad.trial_dense_rows_reused", 0.0),
+            static_cast<double>(one.reused + other.reused + all.reused));
+}
+
+/// A 4-row, two-term tanh dense op: term 0 joins a live 4x2 part `x` with
+/// a constant 4x3 part under the weight `w`, term 1 a constant 4x3 part.
+struct DenseGraph {
+  Value x, w, out, root;
+};
+
+Tensor filled(std::size_t rows, std::size_t cols, const std::vector<double>& values) {
+  Tensor t(rows, cols);
+  t.data() = values;
+  return t;
+}
+
+DenseGraph build_dense_graph(Tape& tape, const Tensor& x0, const Tensor& w0) {
+  DenseGraph g;
+  g.x = tape.leaf(x0, /*requires_grad=*/true);
+  const Value c = tape.leaf(
+      filled(4, 3, {0.5, -1.0, 2.0, 0.0, 1.5, -0.5, 1.0, 1.0, 1.0, -2.0, 0.25, 0.75}));
+  g.w = tape.leaf(w0, /*requires_grad=*/true);
+  const Value c2 = tape.leaf(
+      filled(4, 3, {1.0, 0.0, -1.0, 0.5, 0.5, 0.5, -0.25, 2.0, 0.0, 0.0, 0.0, 1.0}));
+  const Value w2 = tape.leaf(filled(3, 3, {0.3, -0.2, 0.1, 0.0, 0.4, -0.6, 0.2, 0.2, -0.1}));
+  const Value bias = tape.leaf(filled(1, 3, {0.05, -0.1, 0.2}));
+  g.out = tape.dense({{{g.x, c}, g.w}, {{c2}, w2}}, bias, Tape::Act::kTanh);
+  g.root = tape.sum_all(g.out);
+  return g;
+}
+
+const Tensor& dense_x0() {
+  static const Tensor x = filled(4, 2, {1.0, -2.0, 0.0, 0.5, 3.0, 1.0, -1.5, 2.5});
+  return x;
+}
+
+const Tensor& dense_w0() {
+  static const Tensor w = filled(5, 3, {0.1, 0.2, -0.3, -0.4, 0.5, 0.6, 0.7, -0.8, 0.9, 0.15,
+                                        0.25, -0.35, 0.45, -0.55, 0.65});
+  return w;
+}
+
+/// The dense graph recorded at (dense_x0, dense_w0), with x and w mutable.
+struct DenseProgram {
+  TapeProgram program;
+  DenseGraph g;
+  DenseProgram() {
+    g = build_dense_graph(program.tape(), dense_x0(), dense_w0());
+    program.finalize(g.root, {g.x, g.w}, {g.x}, {g.out});
+  }
+
+  struct Rows {
+    std::uint64_t computed, reused;
+  };
+  /// One trial pass at (x, w); its `out` must bit-equal an eager recording
+  /// there. Returns the dense rows it recomputed and reused.
+  Rows trial(const Tensor& x, const Tensor& w) {
+    const TapeProgram::ReplayCounters before = program.replay_counters();
+    program.set_trial_leaf(g.x, x.data());
+    program.set_trial_leaf(g.w, w.data());
+    program.trial_forward();
+    const std::span<const double> out = program.trial_value(g.out);
+    Tape fresh;
+    EXPECT_TRUE(bits_equal(std::vector<double>(out.begin(), out.end()),
+                           fresh.value(build_dense_graph(fresh, x, w).out).data()));
+    const TapeProgram::ReplayCounters& after = program.replay_counters();
+    return Rows{after.trial_rows_computed - before.trial_rows_computed,
+                after.trial_rows_reused - before.trial_rows_reused};
+  }
+};
+
+TEST(Replay, TrialRecomputesDenseRowWhoseZeroChangedSign) {
+  DenseProgram p;
+  // -0.0 in place of +0.0 is equal under == but not under memcmp, so row 1
+  // is recomputed (to the same bits: the kernel skips zero inputs).
+  Tensor x = dense_x0();
+  x.data()[2] = -0.0;
+  const DenseProgram::Rows r = p.trial(x, dense_w0());
+  EXPECT_EQ(r.computed, 1u);
+  EXPECT_EQ(r.reused, 3u);
+}
+
+TEST(Replay, TrialDenseReuseAcrossTermsAndLiveWeights) {
+  DenseProgram p;
+  // One moved row of the live part: only that row is recomputed, through
+  // both terms and the constant parts.
+  Tensor x = dense_x0();
+  x.data()[5] = 4.0;  // row 2
+  DenseProgram::Rows r = p.trial(x, dense_w0());
+  EXPECT_EQ(r.computed, 1u);
+  EXPECT_EQ(r.reused, 3u);
+
+  // A staged weight that differs moves every row, even with x unchanged.
+  Tensor w = dense_w0();
+  w.data()[7] = -0.75;
+  r = p.trial(dense_x0(), w);
+  EXPECT_EQ(r.computed, 4u);
+  EXPECT_EQ(r.reused, 0u);
+
+  // Staging the main bytes runs no dense op at all.
+  r = p.trial(dense_x0(), dense_w0());
+  EXPECT_EQ(r.computed, 0u);
+  EXPECT_EQ(r.reused, 0u);
+  EXPECT_EQ(p.program.replay_counters().ops_executed, 0u);
 }
 
 TEST(Replay, NumericGradientAgreesOnReplayedPenalty) {
