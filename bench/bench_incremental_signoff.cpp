@@ -14,9 +14,9 @@
 // incremental path when everything moved.
 //
 // A second, tight-capacity "contention" section perturbs one corner tree per
-// round so rip-up-and-reroute runs with provably-untouched windows elsewhere;
-// it reports reused/total maze counts (the main sweep's headroom default
-// never enters RRR, so its reuse column is a vacuous 0/0 by design).
+// round so every update re-runs rip-up-and-reroute; it is the bench's one
+// bit-identity gate under congestion (the main sweep's headroom default never
+// enters RRR) and reports its update and full wall times.
 //
 // Knobs: TSTEINER_INC_CELLS (default 16000), TSTEINER_INC_ROUNDS (rounds per
 // fraction, default 3), TSTEINER_THREADS (pool width).
@@ -77,8 +77,6 @@ struct SweepRow {
   double net_dirty_frac = 0.0;  ///< mean declared-dirty nets / total nets
   std::size_t dirty_nets = 0;   ///< mean declared-dirty nets per round
   std::size_t rerouted = 0;     ///< mean rerouted connections per round
-  long long reused_mazes = 0;   ///< mean cache-served maze searches per round
-  long long total_mazes = 0;    ///< mean maze searches per round (reuse denominator)
   double update_s = 0.0;        ///< total incremental wall time
   double full_s = 0.0;          ///< total full-pipeline wall time
   bool identical = true;
@@ -185,8 +183,6 @@ int main() {
       row.identical = row.identical && same;
       row.dirty_nets += got.num_dirty_nets;
       row.rerouted += got.num_rerouted;
-      row.reused_mazes += got.reused_mazes;
-      row.total_mazes += got.total_mazes;
       if (!same) {
         std::printf("MISMATCH at frac %.2f round %d: WNS %.9f vs %.9f\n", frac, r,
                     got.metrics.wns_ns, ref.metrics.wns_ns);
@@ -194,29 +190,27 @@ int main() {
     }
     row.dirty_nets /= static_cast<std::size_t>(rounds);
     row.rerouted /= static_cast<std::size_t>(rounds);
-    row.reused_mazes /= rounds;
-    row.total_mazes /= rounds;
     row.net_dirty_frac =
         static_cast<double>(row.dirty_nets) / static_cast<double>(std::max<std::size_t>(1, num_nets));
     all_identical = all_identical && row.identical;
     const double speedup = row.update_s > 1e-12 ? row.full_s / row.update_s : 0.0;
     std::printf(
-        "frac %5.2f: %5zu dirty nets (%.3f of nets), %5zu rerouted, %lld/%lld mazes "
-        "reused | update %7.1f ms  full %7.1f ms  speedup %6.2fx  %s\n",
-        frac, row.dirty_nets, row.net_dirty_frac, row.rerouted, row.reused_mazes,
-        row.total_mazes, 1e3 * row.update_s / rounds, 1e3 * row.full_s / rounds, speedup,
+        "frac %5.2f: %5zu dirty nets (%.3f of nets), %5zu rerouted | update %7.1f ms  "
+        "full %7.1f ms  speedup %6.2fx  %s\n",
+        frac, row.dirty_nets, row.net_dirty_frac, row.rerouted,
+        1e3 * row.update_s / rounds, 1e3 * row.full_s / rounds, speedup,
         row.identical ? "bit-identical" : "MISMATCH");
     rows.push_back(row);
   }
 
   // Contention sweep: the headroom default never enters rip-up-and-reroute,
-  // so the sweep above reports reused_mazes as a vacuous 0/0. This section
-  // re-runs the design with tight capacities (RRR fires every round) and a
-  // *localized* perturbation — one corner tree nudged by one gcell — where
-  // victims across the rest of the die keep provably-untouched windows and
-  // must be served from the maze cache.
-  long long cont_reused = 0;
-  long long cont_total = 0;
+  // so the sweep above never exercises negotiation. This section re-runs the
+  // design with tight capacities (RRR fires every round) and a localized
+  // perturbation — one corner tree nudged by one gcell — and gates each
+  // update's bits against a full sign-off.
+  long long cont_mazes = 0;
+  double cont_update_s = 0.0;
+  double cont_full_s = 0.0;
   bool cont_identical = true;
   constexpr int kContRounds = 3;
   constexpr double kContCapf = 1.0;
@@ -244,20 +238,21 @@ int main() {
     }
     for (int r = 0; corner_tree >= 0 && r < kContRounds; ++r) {
       const int net = nudge_tree(cforest, corner_tree, 2.0, 2.0);
+      WallTimer tu;
       const IncrementalSignoff::Result& got = cinc.update(cforest, {net});
-      cont_reused += got.reused_mazes;
-      cont_total += got.total_mazes;
+      cont_update_s += tu.seconds();
+      cont_mazes += got.total_mazes;
+      WallTimer tf;
       const FlowResult ref = cflow.run_signoff(cforest);
+      cont_full_s += tf.seconds();
       cont_identical = cont_identical && metrics_identical(got.metrics, ref.metrics);
     }
-    cont_reused /= kContRounds;
-    cont_total /= kContRounds;
-    std::printf("contention (capf %.2f, 1 corner tree/round): %lld/%lld mazes reused  %s\n",
-                kContCapf, cont_reused, cont_total,
-                cont_identical ? "bit-identical" : "MISMATCH");
-    if (cont_total > 0 && cont_reused == 0) {
-      std::printf("WARNING: RRR ran but no maze was reused — the cache is broken\n");
-    }
+    cont_mazes /= kContRounds;
+    std::printf(
+        "contention (capf %.2f, 1 corner tree/round): %lld mazes | update %7.1f ms  full "
+        "%7.1f ms  %s\n",
+        kContCapf, cont_mazes, 1e3 * cont_update_s / kContRounds,
+        1e3 * cont_full_s / kContRounds, cont_identical ? "bit-identical" : "MISMATCH");
     all_identical = all_identical && cont_identical;
   }
 
@@ -285,21 +280,21 @@ int main() {
       const double speedup = row.update_s > 1e-12 ? row.full_s / row.update_s : 0.0;
       std::fprintf(f,
                    "    {\"dirty_frac\": %.2f, \"net_dirty_frac\": %.4f, "
-                   "\"dirty_nets\": %zu, \"rerouted\": %zu, \"reused_mazes\": %lld, "
-                   "\"total_mazes\": %lld, "
+                   "\"dirty_nets\": %zu, \"rerouted\": %zu, "
                    "\"update_ms\": %.3f, \"full_ms\": %.3f, \"speedup\": %.3f, "
                    "\"bit_identical\": %s}%s\n",
                    row.frac, row.net_dirty_frac, row.dirty_nets, row.rerouted,
-                   row.reused_mazes, row.total_mazes, 1e3 * row.update_s / rounds,
+                   1e3 * row.update_s / rounds,
                    1e3 * row.full_s / rounds, speedup,
                    row.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"contention\": {\"capacity_factor\": %.2f, \"rounds\": %d, "
-                 "\"reused_mazes\": %lld, \"total_mazes\": %lld, \"bit_identical\": %s},\n",
-                 kContCapf, kContRounds, cont_reused, cont_total,
-                 cont_identical ? "true" : "false");
+                 "\"mazes\": %lld, \"update_ms\": %.3f, \"full_ms\": %.3f, "
+                 "\"bit_identical\": %s},\n",
+                 kContCapf, kContRounds, cont_mazes, 1e3 * cont_update_s / kContRounds,
+                 1e3 * cont_full_s / kContRounds, cont_identical ? "true" : "false");
     std::fprintf(f, "  \"speedup_at_5pct\": %.3f,\n", speedup_at_5pct);
     std::fprintf(f, "  \"bit_identical\": %s\n}\n", all_identical ? "true" : "false");
     std::fclose(f);

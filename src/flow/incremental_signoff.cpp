@@ -1,6 +1,8 @@
 #include "flow/incremental_signoff.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
@@ -56,15 +58,21 @@ const IncrementalSignoff::Result& IncrementalSignoff::update(
   std::vector<char> tree_dirty(forest.trees.size(), 0);
   std::vector<char> net_seen(design_->nets().size(), 0);
   std::size_t unique_dirty = 0;
+  bool moved = false;
   for (int net : dirty_nets) {
-    if (net < 0 || static_cast<std::size_t>(net) >= forest.net_to_tree.size()) {
-      return full(forest);
+    if (net < 0 || static_cast<std::size_t>(net) >= forest.net_to_tree.size() ||
+        static_cast<std::size_t>(net) >= net_seen.size()) {
+      throw std::out_of_range("IncrementalSignoff::update: dirty net " + std::to_string(net) +
+                              " is not a net of the forest");
     }
     if (net_seen[static_cast<std::size_t>(net)]) continue;
     net_seen[static_cast<std::size_t>(net)] = 1;
     ++unique_dirty;
     const int t = forest.net_to_tree[static_cast<std::size_t>(net)];
-    if (t >= 0) tree_dirty[static_cast<std::size_t>(t)] = 1;
+    if (t >= 0) {
+      tree_dirty[static_cast<std::size_t>(t)] = 1;
+      moved = true;
+    }
   }
 
   static obs::Counter& m_dirty = obs::metrics().counter("signoff.dirty_nets");
@@ -83,8 +91,10 @@ const IncrementalSignoff::Result& IncrementalSignoff::update(
   }
   const std::vector<int>& changed = router_.changed_connections();
   result_.num_rerouted = changed.size();
-  result_.reused_mazes = router_.last_reused_mazes();
   result_.total_mazes = router_.last_total_mazes();
+  // With no tree moved the router returned its previous route, so every
+  // maze of that route counts as reused; otherwise every maze re-searched.
+  result_.reused_mazes = moved ? 0 : result_.total_mazes;
   if (router_.last_update_was_hit()) m_hits.add();
 
   const DetailedRouteResult* dr = nullptr;

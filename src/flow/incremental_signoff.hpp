@@ -8,9 +8,10 @@
 // IncrementalSta's cached arrivals/RC — and `update(forest, dirty_nets)`
 // redoes only what the declared moves can affect:
 //
-//   1. global route: memoized honest replay — the full negotiation algorithm
-//      re-runs, but maze searches whose windows are provably untouched reuse
-//      cached paths (route/global_router.hpp);
+//   1. global route: patching replay — the pattern phase patches only moved
+//      and previously rerouted connections, then the full negotiation
+//      re-runs and re-searches every victim maze; a probe with no moved tree
+//      returns the previous route as it stands (route/global_router.hpp);
 //   2. detailed-route surrogate: only connections whose GR path changed are
 //      re-decomposed, and only their rows/columns recolored;
 //   3. RC + STA: dirty nets plus nets of rerouted connections re-extract, and
@@ -48,8 +49,11 @@ class IncrementalSignoff {
     bool incremental = false;          ///< last call took the update path
     std::size_t num_dirty_nets = 0;    ///< deduplicated declared-dirty nets
     std::size_t num_rerouted = 0;      ///< connections whose GR path changed
-    long long reused_mazes = 0;        ///< maze searches served from cache
-    long long total_mazes = 0;         ///< maze searches attempted (reuse denominator)
+    /// Maze searches of the route this call returned, and how many of them
+    /// it took over from the previous route without searching: all of them
+    /// when no tree moved, none otherwise.
+    long long reused_mazes = 0;
+    long long total_mazes = 0;
   };
 
   /// `design` must outlive this object. `options` should carry pinned router
@@ -62,7 +66,9 @@ class IncrementalSignoff {
 
   /// Incremental sign-off after the Steiner points of `dirty_nets` moved
   /// (topology unchanged). Runs full() when no prior sign-off exists or the
-  /// forest topology changed. `forest` must stay alive until the next call.
+  /// forest topology changed. Throws std::out_of_range on a dirty net id
+  /// that is not a net of `forest`. `forest` must stay alive until the next
+  /// call.
   const Result& update(const SteinerForest& forest, const std::vector<int>& dirty_nets);
 
   const Result& result() const { return result_; }

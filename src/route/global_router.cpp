@@ -60,10 +60,11 @@ void append_run(std::vector<GCell>& path, GCell to) {
 /// endpoints — never of usage — so every base path depends only on its own
 /// connection's gcell endpoints. Congestion is negotiated by the maze rounds
 /// instead: a usage-aware initial L choice would couple each base path to
-/// the commit order of every earlier one, and in a replay a single moved
-/// tree could flip near-tied L choices across the whole die, destroying the
-/// locality the maze cache depends on. Purity is also what lets the replay
-/// patch only moved connections instead of re-walking all n patterns.
+/// the commit order of every earlier one, so a single moved tree could flip
+/// near-tied L choices across the whole die. Purity is what lets the replay
+/// patch only moved and rerouted connections instead of re-walking all n
+/// patterns, and recompute a base path from its endpoints instead of
+/// storing it.
 std::vector<GCell> pattern_path(GCell a, GCell b) {
   std::vector<GCell> path{a};
   if (a == b) return path;
@@ -115,101 +116,6 @@ double p90(std::vector<double> xs) {
   std::nth_element(xs.begin(), xs.begin() + k, xs.end());
   return xs[static_cast<std::size_t>(k)];
 }
-
-/// Exact per-edge difference between this replay's routing field and the
-/// cached previous run's field at the aligned point of the operation
-/// sequence. Usage deltas are integer wire counts; history deltas are
-/// integer charge counts (both runs apply the identical per-charge
-/// increment in the identical round order, so an equal count means a
-/// bit-equal history value). A per-tile counter of nonzero entries makes
-/// "does this maze window read bit-identical state?" a cheap tile scan —
-/// and because deltas cancel when a diverged region re-converges, the clean
-/// region grows back, where a monotone dirty cover can only shrink it.
-class FieldDelta {
- public:
-  static constexpr int kTileShift = 2;  // 4x4 gcell tiles
-
-  void init(int nx, int ny) {
-    nx_ = nx;
-    ny_ = ny;
-    tx_ = (nx >> kTileShift) + 1;
-    const int ty = (ny >> kTileShift) + 1;
-    h_usage_.assign(static_cast<std::size_t>(std::max(0, nx - 1)) *
-                        static_cast<std::size_t>(ny), 0);
-    v_usage_.assign(static_cast<std::size_t>(nx) *
-                        static_cast<std::size_t>(std::max(0, ny - 1)), 0);
-    h_hist_.assign(h_usage_.size(), 0);
-    v_hist_.assign(v_usage_.size(), 0);
-    tile_nonzero_.assign(static_cast<std::size_t>(tx_) * static_cast<std::size_t>(ty), 0);
-    total_nonzero_ = 0;
-  }
-
-  /// Accumulate one routed path's edge usage with the given sign: +1 for a
-  /// commit in this run or a rip in the previous run, -1 for the converse.
-  void add_path_usage(const std::vector<GCell>& path, int sign) {
-    for (std::size_t i = 1; i < path.size(); ++i) {
-      const GCell& p = path[i - 1];
-      const GCell& q = path[i];
-      if (p.y == q.y) {
-        bump(h_usage_, h_index(std::min(p.x, q.x), p.y), std::min(p.x, q.x), p.y, sign);
-      } else {
-        bump(v_usage_, v_index(p.x, std::min(p.y, q.y)), p.x, std::min(p.y, q.y), sign);
-      }
-    }
-  }
-
-  int h_usage_delta(int x, int y) const { return h_usage_[h_index(x, y)]; }
-  int v_usage_delta(int x, int y) const { return v_usage_[v_index(x, y)]; }
-  void add_h_hist(int x, int y, int d) { bump(h_hist_, h_index(x, y), x, y, d); }
-  void add_v_hist(int x, int y, int d) { bump(v_hist_, v_index(x, y), x, y, d); }
-
-  /// True iff every usage and history delta attributed to a gcell in the
-  /// inclusive window is zero, i.e. a maze over the window reads state
-  /// bit-identical to the previous run's at the aligned point.
-  bool window_clean(int x0, int y0, int x1, int y1) const {
-    if (total_nonzero_ == 0) return true;
-    const int tx0 = x0 >> kTileShift, tx1 = x1 >> kTileShift;
-    const int ty0 = y0 >> kTileShift, ty1 = y1 >> kTileShift;
-    for (int t = ty0; t <= ty1; ++t) {
-      const int* row =
-          tile_nonzero_.data() + static_cast<std::size_t>(t) * static_cast<std::size_t>(tx_);
-      for (int s = tx0; s <= tx1; ++s) {
-        if (row[s] != 0) return false;
-      }
-    }
-    return true;
-  }
-
- private:
-  std::size_t h_index(int x, int y) const {
-    return static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_ - 1) +
-           static_cast<std::size_t>(x);
-  }
-  std::size_t v_index(int x, int y) const {
-    return static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
-           static_cast<std::size_t>(x);
-  }
-  void bump(std::vector<int>& arr, std::size_t idx, int x, int y, int d) {
-    const int before = arr[idx];
-    const int after = before + d;
-    arr[idx] = after;
-    if ((before == 0) != (after == 0)) {
-      const std::size_t tile =
-          static_cast<std::size_t>(y >> kTileShift) * static_cast<std::size_t>(tx_) +
-          static_cast<std::size_t>(x >> kTileShift);
-      const int step = before == 0 ? 1 : -1;
-      tile_nonzero_[tile] += step;
-      total_nonzero_ += step;
-    }
-  }
-
- private:
-  int nx_ = 0, ny_ = 0, tx_ = 0;
-  std::vector<int> h_usage_, v_usage_;  // wire-count deltas per grid edge
-  std::vector<int> h_hist_, v_hist_;    // history charge-count deltas
-  std::vector<int> tile_nonzero_;
-  long long total_nonzero_ = 0;
-};
 
 }  // namespace
 
@@ -442,7 +348,6 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   static obs::Counter& m_ripups = obs::metrics().counter("route.ripups");
   static obs::Counter& m_rrr_rounds = obs::metrics().counter("route.rrr_rounds");
   static obs::Counter& m_replays = obs::metrics().counter("route.incremental_replays");
-  static obs::Counter& m_mazes_reused = obs::metrics().counter("route.reused_mazes");
   static obs::Counter& m_expansions = obs::metrics().counter("route.maze_expansions");
   static obs::Counter& m_searched = obs::metrics().counter("route.mazes_searched");
   static obs::Gauge& m_overflow = obs::metrics().gauge("route.total_overflow");
@@ -453,8 +358,6 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
     m_runs.add();
   }
 
-  const double prev_h_cap = result_.calibrated_h_cap;
-  const double prev_v_cap = result_.calibrated_v_cap;
   if (replay) {
     result_.rrr_rounds_used = 0;
   } else {
@@ -475,88 +378,63 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   }
   GridGraph& grid = result_.grid;
   const std::size_t n = result_.connections.size();
+  const auto endpoints_of = [&](const RoutedConnection& conn) -> std::pair<GCell, GCell> {
+    const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
+    const SteinerEdge& edge = tree.edges[static_cast<std::size_t>(conn.edge)];
+    return {grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.a)].pos),
+            grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.b)].pos)};
+  };
 
-  FieldDelta delta;
-  ReplayCache next;
-  // Replay bookkeeping: which connections' final path may differ from the
-  // previous run's, the previous run's final path per connection (last maze
-  // `after`, else the cached base), and replacement base paths for moved
-  // connections (applied to the cache after accounting, which still reads
-  // the old bases).
-  std::vector<char> touched;
-  std::vector<const std::vector<GCell>*> prev_final;
-  std::vector<std::pair<std::size_t, std::vector<GCell>>> new_bases;
+  // Replay bookkeeping: the previous run's final path of every connection
+  // this run patched or rerouted, empty for the rest (a path has at least
+  // one gcell). Only those connections can end on a different path.
+  std::vector<std::vector<GCell>> prev_final;
 
   {
     TS_TRACE_SPAN_CAT("route.pattern", "route");
     if (!replay) {
       // Initial pattern routing of every tree edge, from a zeroed grid.
-      next.endpoints.resize(n);
-      next.base_paths.resize(n);
+      cache_.endpoints.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
         RoutedConnection& conn = result_.connections[i];
-        const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
-        const SteinerEdge& edge = tree.edges[static_cast<std::size_t>(conn.edge)];
-        next.endpoints[i] = {grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.a)].pos),
-                             grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.b)].pos)};
-        conn.path = pattern_path(next.endpoints[i].first, next.endpoints[i].second);
+        cache_.endpoints[i] = endpoints_of(conn);
+        conn.path = pattern_path(cache_.endpoints[i].first, cache_.endpoints[i].second);
         add_usage(grid, conn.path, 1.0);
-        next.base_paths[i] = conn.path;
       }
     } else {
       // Patch, don't rebuild: the grid still holds the previous run's final
       // state. Usage entries are integer wire counts (exact in a double), so
       // ripping a previous path and committing a new one lands on the exact
-      // value a fresh pattern pass would compute, in any order. Three patches
+      // value a fresh pattern pass would compute, in any order. Two patches
       // restore the exact post-pattern state of this run:
       //   1. history back to all-zero (only the fresh-start value matters —
       //      rounds recharge it honestly below);
-      //   2. every previously-mazed connection back from its negotiated final
-      //      path to its base path;
-      //   3. every connection whose gcell endpoints moved from its old base
-      //      to the new pattern path — the only connections that diverge from
-      //      the previous run, so only they seed the field delta.
-      // Untouched connections already hold their base path (their final path
-      // IS the base when no maze op rerouted them), so the whole pattern
-      // phase costs O(dirty + previously-mazed), not O(n).
-      delta.init(grid.nx(), grid.ny());
+      //   2. every connection whose gcell endpoints moved, and every
+      //      connection the previous negotiation rerouted, from its previous
+      //      final path to its base path, the pattern path of its endpoints.
+      // Every other connection already holds its base path, so the whole
+      // pattern phase costs O(moved + rerouted), not O(n).
       grid.clear_history();
-      prev_final.assign(n, nullptr);
-      for (const std::vector<MazeOp>& round : cache_.rounds) {
-        for (const MazeOp& op : round) {
-          prev_final[static_cast<std::size_t>(op.conn)] = &op.after;
+      prev_final.resize(n);
+      const auto patch = [&](std::size_t i) {
+        RoutedConnection& conn = result_.connections[i];
+        add_usage(grid, conn.path, -1.0);
+        prev_final[i] = std::move(conn.path);
+        conn.path = pattern_path(cache_.endpoints[i].first, cache_.endpoints[i].second);
+        add_usage(grid, conn.path, 1.0);
+      };
+      for (std::size_t t = 0; t < forest.trees.size(); ++t) {
+        if (!(*tree_dirty)[t]) continue;
+        for (const int c : result_.conn_of_edge[t]) {
+          const std::size_t i = static_cast<std::size_t>(c);
+          const std::pair<GCell, GCell> ep = endpoints_of(result_.connections[i]);
+          if (ep == cache_.endpoints[i]) continue;
+          cache_.endpoints[i] = ep;
+          patch(i);
         }
       }
-      touched.assign(n, 0);
-      next.endpoints = std::move(cache_.endpoints);
-      for (std::size_t i = 0; i < n; ++i) {
-        RoutedConnection& conn = result_.connections[i];
-        const std::vector<GCell>* pf = prev_final[i];
-        bool ep_changed = false;
-        if ((*tree_dirty)[static_cast<std::size_t>(conn.tree)]) {
-          const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
-          const SteinerEdge& edge = tree.edges[static_cast<std::size_t>(conn.edge)];
-          const std::pair<GCell, GCell> ep = {
-              grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.a)].pos),
-              grid.gcell_at(tree.nodes[static_cast<std::size_t>(edge.b)].pos)};
-          ep_changed = !(ep == next.endpoints[i]);
-          next.endpoints[i] = ep;
-        }
-        if (ep_changed) {
-          std::vector<GCell> base = pattern_path(next.endpoints[i].first, next.endpoints[i].second);
-          delta.add_path_usage(base, +1);
-          delta.add_path_usage(cache_.base_paths[i], -1);
-          add_usage(grid, pf != nullptr ? *pf : cache_.base_paths[i], -1.0);
-          add_usage(grid, base, 1.0);
-          conn.path = base;
-          new_bases.emplace_back(i, std::move(base));
-          touched[i] = 1;
-        } else if (pf != nullptr) {
-          add_usage(grid, *pf, -1.0);
-          add_usage(grid, cache_.base_paths[i], 1.0);
-          conn.path = cache_.base_paths[i];
-          touched[i] = 1;
-        }
+      for (const int c : cache_.rerouted) {
+        if (prev_final[static_cast<std::size_t>(c)].empty()) patch(static_cast<std::size_t>(c));
       }
     }
   }
@@ -573,14 +451,10 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   }
   result_.calibrated_h_cap = grid.h_capacity();
   result_.calibrated_v_cap = grid.v_capacity();
-  // Maze reuse additionally requires identical capacities (they feed every
-  // edge penalty); with calibration enabled a demand shift can move p90.
-  const bool caps_match =
-      replay && grid.h_capacity() == prev_h_cap && grid.v_capacity() == prev_v_cap;
 
   // Negotiated rip-up and reroute.
   last_total_mazes_ = 0;
-  last_reused_mazes_ = 0;
+  std::vector<int> rerouted;
   for (int round = 0; round < options_.rrr_iterations; ++round) {
     if (grid.total_overflow() <= 0.0) break;
     TS_TRACE_SPAN_CAT("route.rrr_round", "route");
@@ -591,33 +465,19 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
       fit_kernel();
       rebuild_step_costs();
     }
-    // Add history on overflowed edges and refresh their step costs. A replay
-    // also settles the history charge-count delta here: the previous run
-    // charged an edge exactly when its usage (current usage minus the usage
-    // delta) exceeded the same capacity, so both charge decisions come out
-    // of one pass without storing the previous run's grid.
+    // Add history on overflowed edges and refresh their step costs.
     for (int y = 0; y < grid.ny(); ++y) {
       for (int x = 0; x + 1 < grid.nx(); ++x) {
-        const double u = grid.h_usage(x, y);
-        const bool charge = u > grid.h_capacity();
-        if (charge) {
+        if (grid.h_usage(x, y) > grid.h_capacity()) {
           grid.add_h_history(x, y, options_.history_increment);
           refresh_h_cost(x, y);
-        }
-        if (replay && charge != (u - delta.h_usage_delta(x, y) > grid.h_capacity())) {
-          delta.add_h_hist(x, y, charge ? 1 : -1);
         }
       }
       if (y + 1 < grid.ny()) {
         for (int x = 0; x < grid.nx(); ++x) {
-          const double u = grid.v_usage(x, y);
-          const bool charge = u > grid.v_capacity();
-          if (charge) {
+          if (grid.v_usage(x, y) > grid.v_capacity()) {
             grid.add_v_history(x, y, options_.history_increment);
             refresh_v_cost(x, y);
-          }
-          if (replay && charge != (u - delta.v_usage_delta(x, y) > grid.v_capacity())) {
-            delta.add_v_hist(x, y, charge ? 1 : -1);
           }
         }
       }
@@ -643,81 +503,26 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
     m_ripups.add(victims.size());
     m_rrr_rounds.add();
 
-    const std::vector<MazeOp>* prev_round =
-        replay && static_cast<std::size_t>(round) < cache_.rounds.size()
-            ? &cache_.rounds[static_cast<std::size_t>(round)]
-            : nullptr;
-    next.rounds.emplace_back();
-    std::vector<MazeOp>& ops = next.rounds.back();
-    ops.reserve(victims.size());
-    // Victims ascend, and the previous run's ops were recorded in its own
-    // ascending victim order, so one merge walk aligns the two operation
-    // sequences. A cached op the replay walks past (its connection is not a
-    // victim this time) still happened in the previous run — fold its rip +
-    // commit into the field delta at exactly this point of the sequence.
-    std::size_t pi = 0;
     long long expansions = 0;
-    long long searched = 0;
-    const auto skip_cached_ops_below = [&](int c) {
-      while (prev_round && pi < prev_round->size() && (*prev_round)[pi].conn < c) {
-        const MazeOp& sk = (*prev_round)[pi];
-        delta.add_path_usage(sk.before, +1);
-        delta.add_path_usage(sk.after, -1);
-        ++pi;
-      }
-    };
-    for (int c : victims) {
+    for (const int c : victims) {
       RoutedConnection& conn = result_.connections[static_cast<std::size_t>(c)];
-      if (replay) touched[static_cast<std::size_t>(c)] = 1;
-      const MazeOp* cached = nullptr;
-      skip_cached_ops_below(c);
-      if (prev_round && pi < prev_round->size() && (*prev_round)[pi].conn == c) {
-        cached = &(*prev_round)[pi];
-        ++pi;
-      }
       const GCell a = conn.path.front();
       const GCell b = conn.path.back();
-      ++last_total_mazes_;
-      MazeOp op;
-      op.conn = c;
-      op.before = std::move(conn.path);
-      const bool same_before = cached != nullptr && op.before == cached->before;
-      commit_usage(op.before, -1.0);
-      if (replay && !same_before) {
-        delta.add_path_usage(op.before, -1);
-        if (cached) delta.add_path_usage(cached->before, +1);
+      std::vector<GCell> ripped = std::move(conn.path);
+      commit_usage(ripped, -1.0);
+      conn.path = maze_route(a, b, maze_bound(a, b, ripped), expansions);
+      // A connection neither patched nor mazed yet in this run ripped its
+      // base path, which was also the previous run's final path.
+      if (replay && prev_final[static_cast<std::size_t>(c)].empty()) {
+        prev_final[static_cast<std::size_t>(c)] = std::move(ripped);
       }
-      bool reuse = false;
-      if (same_before && caps_match) {
-        const Window win = maze_window(a, b);
-        reuse = delta.window_clean(win.x_lo, win.y_lo, win.x_hi, win.y_hi);
-      }
-      if (reuse) {
-        // The maze is a pure function of the window's usage/history and the
-        // endpoints; a clean window means it would reproduce the cached path
-        // (and the rip/commit deltas cancel exactly).
-        conn.path = cached->after;
-        commit_usage(conn.path, 1.0);
-        ++last_reused_mazes_;
-        m_mazes_reused.add();
-      } else {
-        conn.path = maze_route(a, b, maze_bound(a, b, op.before), expansions);
-        ++searched;
-        if (replay) {
-          if (cached == nullptr || conn.path != cached->after) {
-            delta.add_path_usage(conn.path, +1);
-            if (cached) delta.add_path_usage(cached->after, -1);
-          }
-        }
-      }
-      op.after = conn.path;
-      ops.push_back(std::move(op));
     }
-    skip_cached_ops_below(std::numeric_limits<int>::max());
+    last_total_mazes_ += static_cast<long long>(victims.size());
+    rerouted.insert(rerouted.end(), victims.begin(), victims.end());
     m_expansions.add(static_cast<std::uint64_t>(expansions));
-    m_searched.add(static_cast<std::uint64_t>(searched));
-    TS_DEBUG("GR round %d: %zu victims, overflow %.1f, reused %lld/%lld mazes", round,
-             victims.size(), grid.total_overflow(), last_reused_mazes_, last_total_mazes_);
+    m_searched.add(victims.size());
+    TS_DEBUG("GR round %d: %zu victims, overflow %.1f", round, victims.size(),
+             grid.total_overflow());
   }
 
   // Final accounting: per-connection lengths, folded in connection order so
@@ -738,12 +543,9 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
     for (std::size_t c = 0; c < n; ++c) {
       const RoutedConnection& conn = result_.connections[c];
       const bool dirty_tree = (*tree_dirty)[static_cast<std::size_t>(conn.tree)];
-      if (touched[c] == 0 && !dirty_tree) continue;
-      if (touched[c] != 0) {
-        const std::vector<GCell>& pf =
-            prev_final[c] != nullptr ? *prev_final[c] : cache_.base_paths[c];
-        if (conn.path != pf) changed_conns_.push_back(static_cast<int>(c));
-      }
+      const bool touched = !prev_final[c].empty();
+      if (!touched && !dirty_tree) continue;
+      if (touched && conn.path != prev_final[c]) changed_conns_.push_back(static_cast<int>(c));
       // Lengths of single-gcell paths depend on the continuous endpoint
       // positions, so every connection of a moved tree recomputes.
       const SteinerTree& tree = forest.trees[static_cast<std::size_t>(conn.tree)];
@@ -758,15 +560,9 @@ void GlobalRouterState::run(const SteinerForest& forest, const std::vector<char>
   result_.overflowed_edges = grid.num_overflowed_edges();
   m_overflow.set(result_.total_overflow);
 
-  if (replay) {
-    // Accounting above still read the old bases; only now fold in the
-    // replacements for moved connections.
-    next.base_paths = std::move(cache_.base_paths);
-    for (std::pair<std::size_t, std::vector<GCell>>& nb : new_bases) {
-      next.base_paths[nb.first] = std::move(nb.second);
-    }
-  }
-  cache_ = std::move(next);
+  std::sort(rerouted.begin(), rerouted.end());
+  rerouted.erase(std::unique(rerouted.begin(), rerouted.end()), rerouted.end());
+  cache_.rerouted = std::move(rerouted);
 }
 
 const GlobalRouteResult& GlobalRouterState::route_full(const SteinerForest& forest) {
@@ -777,8 +573,12 @@ const GlobalRouteResult& GlobalRouterState::route_full(const SteinerForest& fore
 
 const GlobalRouteResult& GlobalRouterState::update(const SteinerForest& forest,
                                                    const std::vector<char>& tree_dirty) {
-  bool topology_ok = routed_ && forest.trees.size() == result_.conn_of_edge.size() &&
-                     tree_dirty.size() == forest.trees.size();
+  if (tree_dirty.size() != forest.trees.size()) {
+    throw std::invalid_argument("GlobalRouterState::update: " +
+                                std::to_string(tree_dirty.size()) + " dirty flags for " +
+                                std::to_string(forest.trees.size()) + " trees");
+  }
+  bool topology_ok = routed_ && forest.trees.size() == result_.conn_of_edge.size();
   if (topology_ok) {
     for (std::size_t t = 0; t < forest.trees.size(); ++t) {
       if (forest.trees[t].edges.size() != result_.conn_of_edge[t].size()) {
@@ -788,6 +588,11 @@ const GlobalRouteResult& GlobalRouterState::update(const SteinerForest& forest,
     }
   }
   if (!topology_ok) return route_full(forest);
+  // The no-move rule: a route of an unchanged forest is its previous route.
+  if (std::none_of(tree_dirty.begin(), tree_dirty.end(), [](char d) { return d != 0; })) {
+    changed_conns_.clear();
+    return result_;
+  }
   run(forest, &tree_dirty);
   return result_;
 }

@@ -64,21 +64,24 @@ GlobalRouteResult global_route(const Design& design, const SteinerForest& forest
 /// Stateful global router for incremental sign-off.
 ///
 /// `route_full` runs the exact algorithm behind `global_route` while
-/// recording a replay cache (per-connection gcell endpoints, post-pattern
-/// base paths, and every negotiated maze reroute). `update` then re-runs the
-/// same algorithm as a *patching replay*: instead of rebuilding the routing
-/// field from zero, it starts from the previous run's final grid and patches
-/// it back to this run's exact post-pattern state — history cleared,
-/// previously-mazed connections ripped back to their base paths, and moved
-/// connections re-pattern-routed (usage counts are integers, so ±1 patching
-/// in any order is exact). The negotiation rounds then recompute all
-/// order-dependent work for real (capacity calibration, history charging,
-/// victim selection, accounting), and only the expensive maze searches reuse
-/// cached results — and only when an exact per-edge field delta proves the
-/// maze window reads state bit-identical to the previous run's at the
-/// aligned point of the operation sequence. The replayed result is therefore
-/// bit-identical to a fresh `global_route` of the same forest, at a cost of
-/// O(grid) + O(moved + mazed) instead of O(connections).
+/// recording a replay cache: each connection's gcell endpoints and the
+/// connections the negotiation rerouted. `update` then re-runs the same
+/// algorithm as a *patching replay*: instead of rebuilding the routing field
+/// from zero, it starts from the previous run's final grid and patches it
+/// back to this run's exact post-pattern state — history cleared, rerouted
+/// connections ripped back to their base paths, and moved connections
+/// re-pattern-routed (usage counts are integers, so ±1 patching in any order
+/// is exact). A base path is `pattern_path` of the connection's endpoints, a
+/// pure function of them. The negotiation rounds then run for real
+/// (capacity calibration, history charging, victim selection, every maze
+/// search, accounting), so the replayed result is bit-identical to a fresh
+/// `global_route` of the same forest, and the pattern phase costs
+/// O(moved + rerouted) instead of O(connections).
+///
+/// No-move rule: when no tree is flagged dirty, `update` returns the
+/// previous result as it stands, since a route of an unchanged forest is
+/// its previous route. No maze runs, `changed_connections()` is empty and
+/// `last_total_mazes()` keeps the previous route's count.
 ///
 /// Dirty-net contract: callers must flag every tree whose node geometry
 /// changed since the previous route (`tree_dirty`). Gcell endpoints of
@@ -86,8 +89,8 @@ GlobalRouteResult global_route(const Design& design, const SteinerForest& forest
 /// undeclared move is *not* healed — that property is what the
 /// `signoff-incremental` mutation self-check relies on.
 ///
-/// Maze contract. Replay, the cache and every pinned result assume one exact
-/// search, so any maze kernel must keep all three of:
+/// Maze contract. Replay and every pinned result assume one exact search,
+/// so any maze kernel must keep all three of:
 ///   - pops in (dist, cell) order, where cells order row-major, y then x
 ///     (the kernel's cell id is y << shift | x);
 ///   - relaxes a neighbour only on a strict improvement of its distance;
@@ -110,9 +113,7 @@ GlobalRouteResult global_route(const Design& design, const SteinerForest& forest
 /// relaxations never reach the path; the survivors keep their keys, their
 /// pop order and their first strict improvements, and the path is the
 /// unpruned search's, bit for bit. Pruning less is always safe; an infinite
-/// U prunes nothing. The pruned search is still a pure function of the
-/// window's step costs and the ripped path, and a cached maze is reused only
-/// when both are unchanged, so reuse stays provable.
+/// U prunes nothing.
 class GlobalRouterState {
  public:
   /// Throws std::invalid_argument on options no route can use: a negative
@@ -124,10 +125,11 @@ class GlobalRouterState {
   /// Full route of `forest`; rebuilds the replay cache from scratch.
   const GlobalRouteResult& route_full(const SteinerForest& forest);
 
-  /// Memoized replay against the cached previous run. `tree_dirty` holds one
-  /// flag per tree in `forest` (trees whose geometry moved). Requires a
-  /// prior `route_full` and an unchanged forest topology (tree/edge counts);
-  /// falls back to `route_full` otherwise.
+  /// Patching replay against the cached previous run. `tree_dirty` holds one
+  /// flag per tree in `forest` (trees whose geometry moved); throws
+  /// std::invalid_argument when its size differs from the tree count.
+  /// Requires a prior `route_full` and an unchanged forest topology
+  /// (tree/edge counts); falls back to `route_full` otherwise.
   const GlobalRouteResult& update(const SteinerForest& forest,
                                   const std::vector<char>& tree_dirty);
 
@@ -136,25 +138,18 @@ class GlobalRouterState {
   /// Connections whose final path changed in the last `update` (empty after
   /// `route_full`). Indices into `result().connections`.
   const std::vector<int>& changed_connections() const { return changed_conns_; }
-  /// True when the last `update` reused every cached route unchanged.
+  /// True when the last `update` left every connection's path unchanged.
   bool last_update_was_hit() const { return routed_ && changed_conns_.empty(); }
-  /// Maze searches skipped thanks to the replay cache in the last update.
-  long long last_reused_mazes() const { return last_reused_mazes_; }
+  /// Maze searches of the current route (kept by a no-move `update`).
   long long last_total_mazes() const { return last_total_mazes_; }
 
   friend GlobalRouteResult global_route(const Design& design, const SteinerForest& forest,
                                         const RouterOptions& options);
 
  private:
-  struct MazeOp {
-    int conn = -1;
-    std::vector<GCell> before;  ///< path ripped up by this op
-    std::vector<GCell> after;   ///< path committed by this op
-  };
   struct ReplayCache {
     std::vector<std::pair<GCell, GCell>> endpoints;  ///< per connection
-    std::vector<std::vector<GCell>> base_paths;      ///< post-pattern paths
-    std::vector<std::vector<MazeOp>> rounds;         ///< maze ops per RRR round
+    std::vector<int> rerouted;  ///< connections the last negotiation mazed, ascending
   };
 
   struct MazeCell {
@@ -195,7 +190,6 @@ class GlobalRouterState {
   ReplayCache cache_;
   std::vector<double> conn_len_;  ///< per-connection routed length (DBU)
   std::vector<int> changed_conns_;
-  long long last_reused_mazes_ = 0;
   long long last_total_mazes_ = 0;
   bool routed_ = false;
 

@@ -120,59 +120,112 @@ TEST(GlobalRouterState, NoOpUpdateIsAHitAndIdentical) {
   const Flow flow(&d);
   GlobalRouterState state(&d, flow.options().router);
   const GlobalRouteResult full = state.route_full(flow.initial_forest());
-  const double wl = full.wirelength_dbu;
+  const long long mazes = state.last_total_mazes();
+  ASSERT_GT(mazes, 0) << "no RRR mazes ran; the no-search check is vacuous";
 
+  obs::set_metrics_enabled(true);
+  const obs::Counter& searched = obs::metrics().counter("route.mazes_searched");
+  const std::uint64_t searched_before = searched.value();
   const std::vector<char> dirty(flow.initial_forest().trees.size(), 0);
   const GlobalRouteResult& again = state.update(flow.initial_forest(), dirty);
+  const std::uint64_t searched_after = searched.value();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(searched_after, searched_before) << "a no-move update must search no maze";
   EXPECT_TRUE(state.last_update_was_hit());
-  EXPECT_EQ(again.wirelength_dbu, wl);
-  EXPECT_GT(state.last_reused_mazes() + 1, state.last_total_mazes())
-      << "a no-op update must reuse every cached maze";
+  EXPECT_EQ(state.last_total_mazes(), mazes);
+  expect_gr_identical(again, full);
+
+  // The sign-off reports the kept route's mazes as reused.
+  IncrementalSignoff signoff(&d, flow.options());
+  signoff.full(flow.initial_forest());
+  const IncrementalSignoff::Result& r = signoff.update(flow.initial_forest(), {});
+  EXPECT_EQ(r.total_mazes, mazes);
+  EXPECT_EQ(r.reused_mazes, r.total_mazes);
 }
 
-// Maze-reuse regression: under structural congestion (RRR fires every run)
-// a replay whose only change is one nudged tree in a die corner must serve
-// most victim mazes from the cache — their windows are provably untouched.
-// Guards the accounting bug where reused_mazes stayed 0 because the bench
-// geometry never entered RRR at all (total_mazes was 0, making the metric
-// vacuously zero rather than honestly zero).
-TEST(GlobalRouterState, UntouchedWindowsReuseCachedMazes) {
-  Design d = make_design(206, 300);
+/// Router options under which RRR fires on every route: 2-DBU gcells, a
+/// 2-gcell maze margin and capacities at p90 demand.
+FlowOptions congested_options() {
   FlowOptions fopts;
   fopts.router.gcell_size = 2;
   fopts.router.maze_margin = 2;
-  fopts.router.capacity_factor = 1.0;  // tight caps: overflow + RRR guaranteed
-  const Flow flow(&d, fopts);  // pins calibrated capacities into options()
+  fopts.router.capacity_factor = 1.0;
+  return fopts;
+}
+
+/// The movable tree whose Steiner points sit closest to the lower-left die
+/// corner: nudging it perturbs one corner of the routing field.
+int corner_tree(const SteinerForest& forest) {
+  const std::vector<int> cand = movable_trees(forest);
+  int best_tree = cand.empty() ? -1 : cand.front();
+  double best = 1e300;
+  for (const int t : cand) {
+    for (const SteinerNode& n : forest.trees[static_cast<std::size_t>(t)].nodes) {
+      if (n.is_steiner() && n.pos.x + n.pos.y < best) {
+        best = n.pos.x + n.pos.y;
+        best_tree = t;
+      }
+    }
+  }
+  return best_tree;
+}
+
+// Under structural congestion a replay whose only change is one nudged
+// corner tree re-runs every negotiation round and must land on the fresh
+// route's exact paths.
+TEST(GlobalRouterState, CongestedCornerUpdateMatchesFreshRoute) {
+  Design d = make_design(206, 300);
+  const Flow flow(&d, congested_options());  // pins calibrated capacities into options()
   GlobalRouterState state(&d, flow.options().router);
   state.route_full(flow.initial_forest());
 
   SteinerForest moved = flow.initial_forest();
-  const std::vector<int> cand = movable_trees(moved);
-  ASSERT_FALSE(cand.empty());
-  // The tree whose Steiner points sit closest to the lower-left die corner:
-  // nudging it perturbs one corner window, leaving the rest of the die's
-  // routing field bit-identical to the cached run.
-  int corner_tree = cand.front();
-  double best = 1e300;
-  for (const int t : cand) {
-    for (const SteinerNode& n : moved.trees[static_cast<std::size_t>(t)].nodes) {
-      if (n.is_steiner() && n.pos.x + n.pos.y < best) {
-        best = n.pos.x + n.pos.y;
-        corner_tree = t;
-      }
-    }
-  }
-  nudge_tree(moved, corner_tree, 2.0, 2.0);
+  const int t = corner_tree(moved);
+  ASSERT_GE(t, 0);
+  nudge_tree(moved, t, 2.0, 2.0);
   std::vector<char> dirty(moved.trees.size(), 0);
-  dirty[static_cast<std::size_t>(corner_tree)] = 1;
+  dirty[static_cast<std::size_t>(t)] = 1;
   const GlobalRouteResult& inc = state.update(moved, dirty);
 
-  ASSERT_GT(state.last_total_mazes(), 0) << "no RRR mazes ran; the reuse check is vacuous";
-  EXPECT_GT(state.last_reused_mazes(), 0)
-      << "victims with untouched windows must be served from the maze cache";
-  // Reuse must never cost exactness.
+  ASSERT_GT(state.last_total_mazes(), 0) << "no RRR mazes ran; the exactness check is vacuous";
   const GlobalRouteResult fresh = global_route(d, moved, flow.options().router);
   expect_gr_identical(inc, fresh);
+}
+
+// The no-move rule returns whatever the previous update left, so a no-move
+// update right after a congested replay must still equal a fresh route.
+TEST(GlobalRouterState, NoMoveUpdateAfterCongestedUpdateMatchesFreshRoute) {
+  Design d = make_design(206, 300);
+  const Flow flow(&d, congested_options());
+  GlobalRouterState state(&d, flow.options().router);
+  state.route_full(flow.initial_forest());
+
+  SteinerForest moved = flow.initial_forest();
+  const int t = corner_tree(moved);
+  ASSERT_GE(t, 0);
+  nudge_tree(moved, t, 2.0, 2.0);
+  std::vector<char> dirty(moved.trees.size(), 0);
+  dirty[static_cast<std::size_t>(t)] = 1;
+  state.update(moved, dirty);
+  const long long mazes = state.last_total_mazes();
+  ASSERT_GT(mazes, 0);
+
+  const GlobalRouteResult& again = state.update(moved, std::vector<char>(moved.trees.size(), 0));
+  EXPECT_TRUE(state.changed_connections().empty());
+  EXPECT_EQ(state.last_total_mazes(), mazes);
+  const GlobalRouteResult fresh = global_route(d, moved, flow.options().router);
+  expect_gr_identical(again, fresh);
+}
+
+TEST(GlobalRouterState, UpdateRejectsMissizedDirtyFlags) {
+  Design d = make_design(209);
+  const Flow flow(&d);
+  GlobalRouterState state(&d, flow.options().router);
+  state.route_full(flow.initial_forest());
+  const std::size_t trees = flow.initial_forest().trees.size();
+  EXPECT_THROW(state.update(flow.initial_forest(), std::vector<char>(trees + 1, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(state.update(flow.initial_forest(), {}), std::invalid_argument);
 }
 
 TEST(DetailedRouteState, UpdateMatchesFullSurrogateBitForBit) {
@@ -251,6 +304,20 @@ TEST(IncrementalSignoff, EmptyDirtyListIsAnExactHit) {
   EXPECT_EQ(r.metrics.tns_ns, base.tns_ns);
   EXPECT_EQ(r.metrics.wirelength_dbu, base.wirelength_dbu);
   EXPECT_EQ(r.metrics.num_drvs, base.num_drvs);
+}
+
+TEST(IncrementalSignoff, UpdateRejectsUnknownDirtyNets) {
+  Design d = make_design(210);
+  const Flow flow(&d);
+  IncrementalSignoff signoff(&d, flow.options());
+  signoff.full(flow.initial_forest());
+  const int nets = static_cast<int>(flow.initial_forest().net_to_tree.size());
+  EXPECT_THROW(signoff.update(flow.initial_forest(), {-1}), std::out_of_range);
+  EXPECT_THROW(signoff.update(flow.initial_forest(), {0, nets}), std::out_of_range);
+  // A rejected call leaves the state usable.
+  const IncrementalSignoff::Result& r = signoff.update(flow.initial_forest(), {});
+  EXPECT_TRUE(r.incremental);
+  expect_signoff_identical(r, flow.run_signoff(flow.initial_forest()));
 }
 
 TEST(Flow, ProbeRouteIsCachedAcrossConstructions) {
