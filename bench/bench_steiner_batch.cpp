@@ -2,11 +2,11 @@
 // learned path (one padded predictor forward + gain-gated stitch) across
 // design sizes whose routable-net counts land near 1k / 5k / 20k.
 //
-// Per scale it reports construction wall time for the exact per-net path,
-// the batched path, and the Prim-Dijkstra baseline; the batched fallback
-// rate; and total-wirelength deltas vs both references (the stitch gain
-// gate guarantees batched WL <= MST(pins) <= PD WL per net). Two hard
-// gates decide the exit code so CI can run this at small scale:
+// Per scale it reports construction wall time for the exact per-net path and
+// the batched path, the batched fallback rate, and the total-wirelength
+// delta against the exact path (the stitch gain gate guarantees batched
+// WL <= MST(pins) per net). Two hard gates decide the exit code so CI can
+// run this at small scale:
 //   1. batched forests at pool widths 1 and 4 must be bit-identical;
 //   2. at the smallest scale, both constructions are refined with the same
 //      model and signed off through the same Flow — the batched start must
@@ -29,7 +29,6 @@
 #include "gnn/steiner_predictor.hpp"
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
-#include "steiner/prim_dijkstra.hpp"
 #include "steiner/rsmt.hpp"
 #include "tsteiner/refine.hpp"
 #include "util/parallel.hpp"
@@ -101,10 +100,8 @@ struct Row {
   std::size_t nets = 0;
   double exact_s = 0.0;
   double batched_s = 0.0;
-  double pd_s = 0.0;
   double wl_exact = 0.0;
   double wl_batched = 0.0;
-  double wl_pd = 0.0;
   double fallback_rate = 0.0;
   std::size_t inserted_points = 0;
   bool widths_identical = true;
@@ -142,14 +139,9 @@ int main() {
     const SteinerForest batched = build_forest_batched(design, *predictor, batch, &stats);
     row.batched_s = tb.seconds();
 
-    WallTimer tp;
-    const SteinerForest pd = build_pd_forest(design);
-    row.pd_s = tp.seconds();
-
     row.nets = stats.num_nets;
     row.wl_exact = exact.total_wirelength();
     row.wl_batched = batched.total_wirelength();
-    row.wl_pd = pd.total_wirelength();
     row.fallback_rate = stats.num_nets > 0 ? static_cast<double>(stats.num_fallback()) /
                                                  static_cast<double>(stats.num_nets)
                                            : 0.0;
@@ -167,11 +159,10 @@ int main() {
 
     const double speedup = row.batched_s > 1e-12 ? row.exact_s / row.batched_s : 0.0;
     std::printf(
-        "%6zu nets: exact %8.3fs  batched %7.3fs (%5.1fx)  pd %6.3fs | WL vs exact "
-        "%+.2f%%  vs pd %+.2f%% | fallback %4.1f%%  +%zu points  widths %s\n",
-        row.nets, row.exact_s, row.batched_s, speedup, row.pd_s,
-        1e2 * (row.wl_batched / row.wl_exact - 1.0), 1e2 * (row.wl_batched / row.wl_pd - 1.0),
-        1e2 * row.fallback_rate, row.inserted_points,
+        "%6zu nets: exact %8.3fs  batched %7.3fs (%5.1fx) | WL vs exact %+.2f%% | "
+        "fallback %4.1f%%  +%zu points  widths %s\n",
+        row.nets, row.exact_s, row.batched_s, speedup,
+        1e2 * (row.wl_batched / row.wl_exact - 1.0), 1e2 * row.fallback_rate, row.inserted_points,
         row.widths_identical ? "bit-identical" : "DIVERGED");
     rows.push_back(row);
   }
@@ -215,15 +206,14 @@ int main() {
       const double speedup = row.batched_s > 1e-12 ? row.exact_s / row.batched_s : 0.0;
       std::fprintf(f,
                    "    {\"cells\": %d, \"nets\": %zu, \"exact_s\": %.4f, "
-                   "\"batched_s\": %.4f, \"speedup\": %.2f, \"pd_s\": %.4f, "
-                   "\"wl_exact\": %.1f, \"wl_batched\": %.1f, \"wl_pd\": %.1f, "
-                   "\"wl_vs_exact_pct\": %.3f, \"wl_vs_pd_pct\": %.3f, "
+                   "\"batched_s\": %.4f, \"speedup\": %.2f, "
+                   "\"wl_exact\": %.1f, \"wl_batched\": %.1f, "
+                   "\"wl_vs_exact_pct\": %.3f, "
                    "\"fallback_rate\": %.4f, \"inserted_points\": %zu, "
                    "\"widths_bit_identical\": %s}%s\n",
-                   row.cells, row.nets, row.exact_s, row.batched_s, speedup, row.pd_s,
-                   row.wl_exact, row.wl_batched, row.wl_pd,
-                   1e2 * (row.wl_batched / row.wl_exact - 1.0),
-                   1e2 * (row.wl_batched / row.wl_pd - 1.0), row.fallback_rate,
+                   row.cells, row.nets, row.exact_s, row.batched_s, speedup,
+                   row.wl_exact, row.wl_batched,
+                   1e2 * (row.wl_batched / row.wl_exact - 1.0), row.fallback_rate,
                    row.inserted_points, row.widths_identical ? "true" : "false",
                    i + 1 < rows.size() ? "," : "");
     }

@@ -129,14 +129,13 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
     // the same needs_grad mask). When the kernel writes the operand's whole
     // gradient tensor, the first accumulation of a replay can assign
     // `0.0 + x` instead of zero-then-accumulate (bit-identical, see
-    // run_backward); kernels that touch a subset (relu, gather_rows,
-    // segment_max, gather_frontiers) — or an operand the op uses twice,
-    // e.g. mul(x, x) — fall back to an explicit zeroing just before the op
-    // runs. dense writes every operand's gradient in full, parts, weights
-    // and bias alike, whatever its activation masks.
+    // run_backward); kernels that touch a subset (gather_rows, segment_max,
+    // gather_frontiers) — or an operand the op uses twice, e.g. mul(x, x) —
+    // fall back to an explicit zeroing just before the op runs. dense
+    // writes every operand's gradient in full, parts, weights and bias
+    // alike, whatever its activation masks.
     const auto code = tape_.ops_[idx].code;
-    const bool covers_fully = code != Tape::OpCode::kRelu &&
-                              code != Tape::OpCode::kGatherRows &&
+    const bool covers_fully = code != Tape::OpCode::kGatherRows &&
                               code != Tape::OpCode::kSegmentMax &&
                               code != Tape::OpCode::kGatherFrontiers;
     const int op_k = static_cast<int>(backward_schedule_.size()) - 1;
@@ -158,9 +157,9 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
   }
   fresh_.assign(n, 0);
 
-  // Gradient forwarding: where an add/sub/add_scalar/broadcast-add kernel
-  // would hand an operand an exact copy of the op's own gradient, and that
-  // operand receives no other contribution, the copy is pure memory traffic.
+  // Gradient forwarding: where an add/sub/add_scalar kernel would hand an
+  // operand an exact copy of the op's own gradient, and that operand
+  // receives no other contribution, the copy is pure memory traffic.
   // Redirect such operands to read the op's (physical) gradient slot
   // directly and suppress the kernel's write — clearing needs_grad_ for the
   // operand is safe precisely because this op was its sole contributor. An
@@ -178,23 +177,22 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
     for (std::size_t k = 0; k < backward_schedule_.size(); ++k) {
       const int idx = backward_schedule_[k];
       const auto& op = tape_.ops_[static_cast<std::size_t>(idx)];
-      const Tensor& out = tape_.nodes_[static_cast<std::size_t>(idx)].value;
       const int jb = bwd_input_offset_[k], je = bwd_input_offset_[k + 1];
       const int src =
           redirect_[static_cast<std::size_t>(idx)] >= 0 ? redirect_[static_cast<std::size_t>(idx)] : idx;
       const bool identity_code =
           op.code == Tape::OpCode::kAdd || op.code == Tape::OpCode::kSub ||
-          op.code == Tape::OpCode::kAddScalar || op.code == Tape::OpCode::kAddBroadcast;
+          op.code == Tape::OpCode::kAddScalar;
       std::size_t kept = 0;
       for (int j = jb; j < je; ++j) {
         const auto a = static_cast<std::size_t>(bwd_inputs_[static_cast<std::size_t>(j)]);
-        const Tensor& av = tape_.nodes_[a].value;
-        // Only the first operand of sub / add_scalar / broadcast-add sees
-        // the raw gradient; kAdd passes it to both sides. A duplicated
-        // operand (e.g. add(x, x)) has contrib >= 2 and is never forwarded.
+        // Every identity op is same-shape. Only the first operand of sub /
+        // add_scalar sees the raw gradient; kAdd passes it to both sides. A
+        // duplicated operand (e.g. add(x, x)) has contrib >= 2 and is never
+        // forwarded.
         const bool forward = identity_code &&
                              (op.code == Tape::OpCode::kAdd || bwd_inputs_[static_cast<std::size_t>(j)] == op.a) &&
-                             contrib[a] == 1 && av.rows() == out.rows() && av.cols() == out.cols();
+                             contrib[a] == 1;
         if (forward) {
           redirect_[a] = src;
           needs_grad_[a] = 0;  // sole contributor: no kernel may write this slot now

@@ -169,13 +169,8 @@ Value Tape::add(Value a, Value b) {
   OpRecord op;
   op.a = a.id;
   op.b = b.id;
-  if (tb.same_shape(ta)) {
-    op.code = OpCode::kAdd;
-  } else if (tb.rows() == 1 && tb.cols() == ta.cols()) {
-    op.code = OpCode::kAddBroadcast;
-  } else {
-    throw std::runtime_error("add: incompatible shapes");
-  }
+  if (!tb.same_shape(ta)) throw std::runtime_error("add: incompatible shapes");
+  op.code = OpCode::kAdd;
   const std::size_t rows = ta.rows(), cols = ta.cols();
   return push(rows, cols, std::move(op));
 }
@@ -218,24 +213,6 @@ Value Tape::add_scalar(Value a, double s) {
   op.code = OpCode::kAddScalar;
   op.a = a.id;
   op.s0 = s;
-  const std::size_t rows = ta.rows(), cols = ta.cols();
-  return push(rows, cols, std::move(op));
-}
-
-Value Tape::relu(Value a) {
-  const Tensor& ta = value(a);
-  OpRecord op;
-  op.code = OpCode::kRelu;
-  op.a = a.id;
-  const std::size_t rows = ta.rows(), cols = ta.cols();
-  return push(rows, cols, std::move(op));
-}
-
-Value Tape::tanh_op(Value a) {
-  const Tensor& ta = value(a);
-  OpRecord op;
-  op.code = OpCode::kTanh;
-  op.a = a.id;
   const std::size_t rows = ta.rows(), cols = ta.cols();
   return push(rows, cols, std::move(op));
 }
@@ -477,15 +454,6 @@ void Tape::run_forward(std::size_t i, const Binding& b) {
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] + tb[k]; });
       return;
     }
-    case OpCode::kAddBroadcast: {
-      const auto ta = in(r.a), tb = in(r.b);
-      parallel_for(0, ta.rows(), ta.cols(), [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t row = lo; row < hi; ++row) {
-          for (std::size_t c = 0; c < ta.cols(); ++c) vo.at(row, c) = ta.at(row, c) + tb.at(0, c);
-        }
-      });
-      return;
-    }
     case OpCode::kSub: {
       const auto ta = in(r.a), tb = in(r.b);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = ta[k] - tb[k]; });
@@ -511,16 +479,6 @@ void Tape::run_forward(std::size_t i, const Binding& b) {
     case OpCode::kDense:
       dense_forward(i, b, vo.p);
       return;
-    case OpCode::kRelu: {
-      const auto ta = in(r.a);
-      pointwise(vo.size(), [&](std::size_t k) { vo[k] = std::max(0.0, ta[k]); });
-      return;
-    }
-    case OpCode::kTanh: {
-      const auto ta = in(r.a);
-      pointwise(vo.size(), [&](std::size_t k) { vo[k] = std::tanh(ta[k]); });
-      return;
-    }
     case OpCode::kSigmoid: {
       const auto ta = in(r.a);
       pointwise(vo.size(), [&](std::size_t k) { vo[k] = 1.0 / (1.0 + std::exp(-ta[k])); });
@@ -697,27 +655,6 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       }
       return;
     }
-    case OpCode::kAddBroadcast: {
-      if (needed(r.a)) {
-        ensure_grad(va_v);
-        Tensor& ga = grad_ref(va_v);
-        accumulate_pointwise(fresh_dst(r.a), ga, g.size(),
-                             [&](std::size_t k) { return g[k]; });
-      }
-      if (needed(r.b)) {
-        ensure_grad(vb_v);
-        Tensor& gb = grad_ref(vb_v);
-        const bool fb = fresh_dst(r.b);
-        // Column-parallel so each gb slot accumulates rows in serial order.
-        parallel_for(0, g.cols(), g.rows(), [&](std::size_t clo, std::size_t chi) {
-          for (std::size_t c = clo; c < chi; ++c) {
-            if (fb) gb.at(0, c) = 0.0;
-            for (std::size_t row = 0; row < g.rows(); ++row) gb.at(0, c) += g.at(row, c);
-          }
-        });
-      }
-      return;
-    }
     case OpCode::kSub: {
       const bool na = needed(r.a), nb = needed(r.b);
       if (na) ensure_grad(va_v);
@@ -773,25 +710,6 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
     case OpCode::kDense:
       dense_backward(i, g, need, fresh);
       return;
-    case OpCode::kRelu: {
-      if (!needed(r.a)) return;
-      ensure_grad(va_v);
-      const Tensor& ta = nodes_[static_cast<std::size_t>(r.a)].value;
-      Tensor& ga = grad_ref(va_v);
-      pointwise(g.size(), [&](std::size_t k) {
-        if (ta[k] > 0.0) ga[k] += g[k];
-      });
-      return;
-    }
-    case OpCode::kTanh: {
-      if (!needed(r.a)) return;
-      ensure_grad(va_v);
-      const Tensor& vo = nodes_[i].value;
-      Tensor& ga = grad_ref(va_v);
-      accumulate_pointwise(fresh_dst(r.a), ga, g.size(),
-                           [&](std::size_t k) { return g[k] * (1.0 - vo[k] * vo[k]); });
-      return;
-    }
     case OpCode::kSigmoid: {
       if (!needed(r.a)) return;
       ensure_grad(va_v);
@@ -1221,14 +1139,11 @@ const char* Tape::op_name(OpCode code) {
   switch (code) {
     case OpCode::kLeaf: return "leaf";
     case OpCode::kAdd: return "add";
-    case OpCode::kAddBroadcast: return "add_broadcast";
     case OpCode::kSub: return "sub";
     case OpCode::kMul: return "mul";
     case OpCode::kScale: return "scale";
     case OpCode::kAddScalar: return "add_scalar";
     case OpCode::kDense: return "dense";
-    case OpCode::kRelu: return "relu";
-    case OpCode::kTanh: return "tanh";
     case OpCode::kSigmoid: return "sigmoid";
     case OpCode::kAbs: return "abs";
     case OpCode::kSmoothAbs: return "smooth_abs";

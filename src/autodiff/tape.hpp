@@ -69,14 +69,12 @@ class Tape {
   bool set_leaf(Value v, const std::vector<double>& column);
 
   // --- elementwise / linear ops -------------------------------------------
-  Value add(Value a, Value b);        ///< same shape, or b a 1xC row broadcast
+  Value add(Value a, Value b);        ///< same-shape elementwise
   Value sub(Value a, Value b);        ///< same-shape elementwise
   Value mul(Value a, Value b);        ///< same-shape elementwise
   Value scale(Value a, double s);
   Value add_scalar(Value a, double s);
   Value neg(Value a) { return scale(a, -1.0); }
-  Value relu(Value a);
-  Value tanh_op(Value a);
   Value sigmoid(Value a);
   Value abs_op(Value a);
   /// Smooth absolute value sqrt(x^2 + delta^2) - delta: zero at the origin,
@@ -150,14 +148,11 @@ class Tape {
   enum class OpCode : std::uint8_t {
     kLeaf,
     kAdd,            // same-shape elementwise
-    kAddBroadcast,   // b is a 1xC row broadcast
     kSub,
     kMul,
     kScale,          // s0 = factor
     kAddScalar,      // s0 = addend
     kDense,          // inputs = parts..., weights..., bias; indices = term part offsets
-    kRelu,
-    kTanh,
     kSigmoid,
     kAbs,
     kSmoothAbs,      // s0 = delta
@@ -231,7 +226,8 @@ class Tape {
   /// preserves the `0.0 + -0.0 == +0.0` normalization a real accumulation
   /// performs) while skipping the clear pass and the first read of the
   /// destination. Only TapeProgram sets it, and never for kernels that
-  /// write a subset of the operand (relu, gather_rows, segment_max).
+  /// write a subset of the operand (gather_rows, segment_max,
+  /// gather_frontiers).
   /// `grad_from` >= 0 reads the incoming gradient from that node's slot
   /// instead of node i's own — TapeProgram points it at the physical slot
   /// when i's gradient was forwarded through dropped identity ops.

@@ -8,6 +8,14 @@
 // track-assignment conflict detection on every gcell edge, pin-access
 // checking per gcell, and an iterative local-diffusion repair loop whose
 // work is proportional to the number of outstanding violations.
+//
+// Track assignment (the stage the paper's refs [8], [9] operate at): every
+// maximal straight run of a routed connection becomes an interval on its
+// row (horizontal) or column (vertical). Within a row, overlapping intervals
+// need distinct tracks; with `k` tracks available the greedy interval
+// partitioning (sweep by left end, free a track once its last run ends) is
+// optimal. Runs that cannot be colored are track violations — the
+// surrogate's primary DRV source.
 #pragma once
 
 #include <vector>
@@ -37,6 +45,7 @@ struct DetailedRouteResult {
   long long repair_work = 0;  ///< abstract work units (drives runtime)
 };
 
+/// One-shot surrogate: `DetailedRouteState(&design, options).full(gr)`.
 DetailedRouteResult detailed_route(const Design& design, const SteinerForest& forest,
                                    const GlobalRouteResult& gr,
                                    const DrouteOptions& options = {});
@@ -46,40 +55,30 @@ DetailedRouteResult detailed_route(const Design& design, const SteinerForest& fo
 /// computes it once per design/grid and reuses it.
 long long pin_access_violations(const Design& design, const GridGraph& grid);
 
-/// Everything the repair/metrics stage consumes. Both the one-shot surrogate
-/// and DetailedRouteState feed this into `finalize_droute`, so the two paths
-/// run the identical float-op sequence on identical inputs — the basis of
-/// the incremental path's bit-exactness.
-struct DrouteRepairInputs {
-  std::vector<double> h_viol;  ///< per-row track violations (integer-valued)
-  std::vector<double> v_viol;  ///< per-column track violations
-  std::vector<double> h_used;  ///< wire gcells per row (integer-valued)
-  std::vector<double> v_used;  ///< wire gcells per column
-  double h_row_capacity = 0.0;
-  double v_col_capacity = 0.0;
-  std::size_t num_runs = 0;
-  long long pin_access_viol = 0;
-  long long vias = 0;
-  double gr_wirelength_dbu = 0.0;
-  std::size_t num_connections = 0;
+/// One maximal straight run of a connection's gcell path.
+struct WireRun {
+  bool horizontal = true;
+  int row = 0;  ///< gcell y for horizontal runs, x for vertical
+  int lo = 0;   ///< inclusive gcell range along the run
+  int hi = 0;
 };
 
-/// Repair loop + final metrics (mutates its by-value inputs).
-DetailedRouteResult finalize_droute(DrouteRepairInputs in, const DrouteOptions& options);
+/// Append the maximal straight runs of one gcell path to `out`, in path
+/// order; together they cover every path step exactly once.
+void decompose_path_runs(const std::vector<GCell>& path, std::vector<WireRun>& out);
 
-/// Incremental detailed-route surrogate for repeated sign-off on a design
-/// whose routes change a few connections at a time.
+/// The detailed-route surrogate, kept incremental for repeated sign-off on a
+/// design whose routes change a few connections at a time.
 ///
-/// `full` runs the surrogate and caches per-connection wire runs, per-row
-/// run lists, utilization sums and via counts. `update` replaces the runs of
-/// just the changed connections, recolors only the touched rows/columns, and
-/// re-runs the (cheap) repair/metrics stage on the maintained aggregates.
-/// Results are bit-identical to `detailed_route` on the same inputs: row run
-/// lists are maintained in the exact (lo, connection, sequence) order full
-/// assignment's stable sort produces — so recoloring a row is a single
-/// sort-free greedy sweep over the maintained list — utilization sums are
-/// integer-valued (order-independent), and the finalize stage is shared
-/// code.
+/// `full` decomposes every connection into wire runs, files them in per-row
+/// lists, colors each row and runs the repair/metrics stage. `update`
+/// replaces the runs of just the changed connections, recolors only the
+/// touched rows/columns, and re-runs the (cheap) repair/metrics stage on the
+/// maintained aggregates. Results are bit-identical to `full` on the same
+/// inputs: the greedy coloring is order-sensitive at equal `lo`, so every
+/// row list is kept in (lo, connection, sequence) order — `full` builds it
+/// with one stable sort per row, `update` splices with `lower_bound` — and
+/// utilization sums are integer-valued (order-independent).
 class DetailedRouteState {
  public:
   DetailedRouteState(const Design* design, const DrouteOptions& options);
@@ -90,34 +89,26 @@ class DetailedRouteState {
   const DetailedRouteResult& update(const GlobalRouteResult& gr,
                                     const std::vector<int>& changed_conns);
   const DetailedRouteResult& result() const { return result_; }
-  /// Rows + columns recolored by the last update (instrumentation).
-  long long last_recolored_rows() const { return last_recolored_; }
 
  private:
-  struct StoredRun {
-    bool horizontal = true;
-    int row = 0;
-    int seq = 0;  ///< run index within its connection's path decomposition
-    int lo = 0;
-    int hi = 0;
-  };
   struct RowRef {
     int conn = -1;
-    int seq = 0;
+    int seq = 0;  ///< run index within its connection's decomposition
     int lo = 0;
     int hi = 0;
   };
 
   void rebuild_from(const GlobalRouteResult& gr);
-  /// Violation count of one row list already in (lo, conn, seq) order —
-  /// the exact sequence color_row_runs' stable sort would feed the greedy.
-  long long recolor(const std::vector<RowRef>& list, int tracks) const;
+  /// Violation count of one row list in (lo, conn, seq) order.
+  static long long recolor(const std::vector<RowRef>& list, int tracks);
+  /// Recolor the listed rows (horizontal) and columns (vertical).
+  void recolor_rows(const std::vector<int>& rows, const std::vector<int>& cols);
   DetailedRouteResult finalize(const GlobalRouteResult& gr) const;
 
   const Design* design_ = nullptr;
   DrouteOptions options_;
   DetailedRouteResult result_;
-  std::vector<std::vector<StoredRun>> conn_runs_;
+  std::vector<std::vector<WireRun>> conn_runs_;  ///< per connection, path order
   std::vector<long long> conn_vias_;
   std::vector<std::vector<RowRef>> h_rows_;  ///< per row, (lo, conn, seq)-ordered
   std::vector<std::vector<RowRef>> v_cols_;
@@ -130,7 +121,6 @@ class DetailedRouteState {
   int h_tracks_ = 0;
   int v_tracks_ = 0;
   long long pin_access_viol_ = 0;
-  long long last_recolored_ = 0;
   bool built_ = false;
 };
 

@@ -23,7 +23,6 @@ class Adam {
     }
   }
 
-  void set_lr(double lr) { lr_ = lr; }
   double lr() const { return lr_; }
 
   /// One update with the given gradients (same shapes as the parameters).

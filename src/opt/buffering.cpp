@@ -262,8 +262,9 @@ std::vector<int> apply_buffering(Design& design, const BufferingPlan& plan,
     if (!found) throw std::runtime_error("buffer position does not match the tree");
   }
 
-  const Net& net = design.net(tree.net);
-  const int original_net = net.id;
+  // Copies, not a reference: add_net below may reallocate the net array.
+  const int original_net = design.net(tree.net).id;
+  const int driver_pin = design.net(tree.net).driver_pin;
   // Walk the expanded tree from the driver, tracking the current net; at
   // buffer nodes insert the cell and switch to its output net.
   struct Visit {
@@ -283,7 +284,7 @@ std::vector<int> apply_buffering(Design& design, const BufferingPlan& plan,
       inserted.push_back(cell);
     }
     const int pin = x.pin[static_cast<std::size_t>(v.node)];
-    if (pin >= 0 && pin != net.driver_pin && current_net != original_net) {
+    if (pin >= 0 && pin != driver_pin && current_net != original_net) {
       design.disconnect_sink(original_net, pin);
       design.connect_sink(current_net, pin);
     }

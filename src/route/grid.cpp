@@ -31,11 +31,6 @@ GCell GridGraph::gcell_at(PointF p) const {
                          static_cast<std::int64_t>(std::llround(p.y))});
 }
 
-PointI GridGraph::gcell_center(GCell g) const {
-  return {die_.lo.x + static_cast<std::int64_t>(g.x) * gcell_size_ + gcell_size_ / 2,
-          die_.lo.y + static_cast<std::int64_t>(g.y) * gcell_size_ + gcell_size_ / 2};
-}
-
 void GridGraph::set_capacities(double h_cap, double v_cap) {
   if (!(h_cap > 0.0 && v_cap > 0.0) || !std::isfinite(h_cap) || !std::isfinite(v_cap)) {
     throw std::invalid_argument("GridGraph::set_capacities: capacities must be positive and finite");
@@ -52,13 +47,6 @@ void GridGraph::clear_usage() {
 void GridGraph::clear_history() {
   std::fill(h_hist_.begin(), h_hist_.end(), 0.0);
   std::fill(v_hist_.begin(), v_hist_.end(), 0.0);
-}
-
-void GridGraph::reset_routing_state() {
-  clear_usage();
-  clear_history();
-  h_cap_ = 1.0;
-  v_cap_ = 1.0;
 }
 
 double GridGraph::total_overflow() const {

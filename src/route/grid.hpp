@@ -36,8 +36,6 @@ class GridGraph {
 
   GCell gcell_at(PointI p) const;
   GCell gcell_at(PointF p) const;
-  /// Center of a gcell in DBU.
-  PointI gcell_center(GCell g) const;
 
   // -- edge indexing -------------------------------------------------------
   // Horizontal edge h(x, y): between gcells (x,y) and (x+1,y); x in
@@ -51,8 +49,6 @@ class GridGraph {
     return static_cast<std::size_t>(y) * static_cast<std::size_t>(nx_) +
            static_cast<std::size_t>(x);
   }
-  std::size_t num_h_edges() const { return h_usage_.size(); }
-  std::size_t num_v_edges() const { return v_usage_.size(); }
 
   /// Usage of every horizontal / vertical edge, in h_index / v_index order.
   const std::vector<double>& h_usages() const { return h_usage_; }
@@ -69,10 +65,6 @@ class GridGraph {
   double v_history(int x, int y) const { return v_hist_[v_index(x, y)]; }
   void add_h_history(int x, int y, double delta) { h_hist_[h_index(x, y)] += delta; }
   void add_v_history(int x, int y, double delta) { v_hist_[v_index(x, y)] += delta; }
-  /// Exact overwrite (incremental replay resets charged edges to the
-  /// fresh-start value; an additive undo could leave float residue).
-  void set_h_history(int x, int y, double value) { h_hist_[h_index(x, y)] = value; }
-  void set_v_history(int x, int y, double value) { v_hist_[v_index(x, y)] = value; }
 
   /// Set uniform capacities (resource calibration happens in the router).
   /// Throws std::invalid_argument unless both are positive and finite.
@@ -80,10 +72,6 @@ class GridGraph {
 
   void clear_usage();
   void clear_history();
-  /// Restore the freshly-constructed state (zero usage/history, unit
-  /// capacities) so a routing pass can be replayed on an existing grid and
-  /// produce bit-identical results to routing on a new GridGraph.
-  void reset_routing_state();
 
   /// Total overflow: sum over edges of max(0, usage - capacity).
   double total_overflow() const;

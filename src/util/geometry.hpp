@@ -50,12 +50,6 @@ inline double manhattan(const PointF& a, const PointF& b) {
   return std::fabs(a.x - b.x) + std::fabs(a.y - b.y);
 }
 
-inline double euclidean(const PointF& a, const PointF& b) {
-  const double dx = a.x - b.x;
-  const double dy = a.y - b.y;
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 /// Closed axis-aligned rectangle [lo.x, hi.x] x [lo.y, hi.y].
 struct RectI {
   PointI lo;

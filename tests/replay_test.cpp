@@ -630,7 +630,7 @@ TEST(Replay, TapeReserveAndStats) {
   tape.reserve(8);
   const Value a = tape.leaf(Tensor::column({1.0, -2.0, 3.0}), /*requires_grad=*/true);
   const Value b = tape.leaf(Tensor::column({0.5, 0.5, 0.5}));
-  const Value root = tape.sum_all(tape.mul(tape.relu(a), b));
+  const Value root = tape.sum_all(tape.mul(tape.sigmoid(a), b));
   const Tape::Stats cold = tape.stats();
   EXPECT_EQ(cold.num_nodes, 5u);
   EXPECT_EQ(cold.num_leaves, 2u);
