@@ -8,26 +8,23 @@
 
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/ops.hpp"
 #include "tsteiner/refine.hpp"
 #include "util/log.hpp"
-#include "util/parallel.hpp"
 
 namespace tsteiner::serve {
 
 namespace {
 
 /// Set by SIGTERM handlers through notify_sigterm(); polled (never waited
-/// on) by the acceptor and dispatcher, because nothing heavier than an
-/// atomic store is async-signal-safe.
+/// on) by the acceptor, because nothing heavier than an atomic store is
+/// async-signal-safe.
 std::atomic<bool> g_sigterm{false};
 
 bool fail(std::string* error, const std::string& message) {
@@ -97,8 +94,6 @@ const char* handle_span_name(RequestType type) {
 struct ServeMetrics {
   std::array<obs::HistogramMetric*, kNumRequestTypes> latency_ms{};
   std::array<obs::HistogramMetric*, kNumRequestTypes> queue_wait_ms{};
-  obs::Gauge* batch_size = nullptr;
-  obs::Gauge* queue_depth = nullptr;
   obs::Gauge* in_flight = nullptr;
   obs::Counter* bytes_in = nullptr;
   obs::Counter* bytes_out = nullptr;
@@ -118,8 +113,6 @@ ServeMetrics& serve_metrics() {
       sm->queue_wait_ms[i] =
           &reg.histogram(std::string("serve.queue_wait_ms.") + op, 0.0, 1000.0, 50);
     }
-    sm->batch_size = &reg.gauge("serve.batch_size");
-    sm->queue_depth = &reg.gauge("serve.queue_depth");
     sm->in_flight = &reg.gauge("serve.in_flight");
     sm->bytes_in = &reg.counter("serve.bytes_in");
     sm->bytes_out = &reg.counter("serve.bytes_out");
@@ -243,7 +236,6 @@ bool Server::start(std::string* error) {
   }
   started_.store(true);
   acceptor_ = std::thread([this] { accept_loop(); });
-  dispatcher_ = std::thread([this] { dispatch_loop(); });
   if (!options_.unix_socket.empty()) {
     TS_INFO("serve: listening on unix socket %s", options_.unix_socket.c_str());
   } else {
@@ -254,22 +246,25 @@ bool Server::start(std::string* error) {
 
 void Server::request_shutdown() {
   if (draining_.exchange(true)) return;
-  TS_INFO("serve: draining (no new connections; queued requests finish)");
-  cv_.notify_all();
+  TS_INFO("serve: draining (no new connections; requests already read finish)");
 }
 
 void Server::stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
   request_shutdown();
   if (acceptor_.joinable()) acceptor_.join();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  close_all_connections();
-  // Join readers after their fds are closed so blocked read()s return.
+  // Answer every request a reader has already read; from then on readers run
+  // nothing more, so closing the connections cuts off no request.
   std::vector<std::shared_ptr<Connection>> conns;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    conns = connections_;
-    connections_.clear();
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return in_flight_ == 0; });
+    closing_ = true;
+    conns.swap(connections_);
+  }
+  // Join readers after their sockets are shut down so blocked read()s return.
+  for (auto& conn : conns) {
+    if (!conn->closed.exchange(true)) ::shutdown(conn->fd, SHUT_RDWR);
   }
   for (auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
@@ -280,13 +275,6 @@ void Server::stop() {
   }
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
   TS_INFO("serve: stopped");
-}
-
-void Server::close_all_connections() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& conn : connections_) {
-    if (!conn->closed.exchange(true)) ::shutdown(conn->fd, SHUT_RDWR);
-  }
 }
 
 void Server::accept_loop() {
@@ -328,6 +316,15 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       send_error(conn, 0, "malformed frame: " + decoder.error());
       break;
     }
+    if (frames.empty()) continue;
+    {
+      // Count the frames in flight before running any, so stop() waits for
+      // their answers; once stop() is closing, run nothing more.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closing_) break;
+      in_flight_ += frames.size();
+      serve_metrics().in_flight->set(static_cast<double>(in_flight_));
+    }
     bool drop = false;
     for (const Frame& frame : frames) {
       if (frame.kind != FrameKind::kRequest) {
@@ -344,102 +341,47 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
         send_error(conn, 0, parse_error);
         continue;
       }
-      const std::string trace_tag = request->trace;
-      std::uint64_t uid = 0;
-      std::uint64_t t1 = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        Pending pend{conn, std::move(*request)};
-        uid = pend.uid = next_request_++;
-        pend.recv_ns = t0;
-        t1 = timed ? obs::trace_clock_ns() : 0;
-        pend.enqueue_ns = t1;
-        queue_.push_back(std::move(pend));
-        serve_metrics().queue_depth->set(static_cast<double>(queue_.size()));
-        cv_.notify_all();
-      }
+      const Pending pend{conn, std::move(*request), next_request_.fetch_add(1), t0,
+                         timed ? obs::trace_clock_ns() : 0};
       if (obs::trace_enabled()) {
-        obs::emit_span("serve.decode", "serve", t0, t1, uid,
-                       trace_tag.empty() ? nullptr : &trace_tag);
+        obs::emit_span("serve.decode", "serve", pend.recv_ns, pend.decoded_ns, pend.uid,
+                       pend.request.trace.empty() ? nullptr : &pend.request.trace);
       }
+      execute(pend);
     }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      in_flight_ -= frames.size();
+      serve_metrics().in_flight->set(static_cast<double>(in_flight_));
+    }
+    cv_.notify_all();
     if (drop) break;
   }
   if (!conn->closed.exchange(true)) ::shutdown(conn->fd, SHUT_RDWR);
 }
 
-std::vector<Server::Pending> Server::take_batch() {
-  // Head-of-line selection: walk the queue in arrival order and take at most
-  // one request per session. A session's second queued request stays behind
-  // until its first completes (batches are barriers), so per-session order is
-  // FIFO while distinct sessions interleave within one pool batch.
-  std::vector<Pending> batch;
-  std::set<std::string> sessions_in_batch;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    const std::string& key = it->request.session;
-    if (!key.empty() && !sessions_in_batch.insert(key).second) {
-      ++it;
-      continue;
-    }
-    batch.push_back(std::move(*it));
-    it = queue_.erase(it);
-  }
-  return batch;
-}
-
-void Server::dispatch_loop() {
-  for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(100),
-                   [this] { return !queue_.empty() || draining_.load(); });
-      if (g_sigterm.load() && !draining_.load()) {
-        lock.unlock();
-        request_shutdown();
-        lock.lock();
-      }
-      if (queue_.empty()) {
-        if (draining_.load() && in_flight_ == 0) return;
-        continue;
-      }
-      batch = take_batch();
-      in_flight_ += batch.size();
-      ++stats_.batches;
-      serve_metrics().batch_size->set(static_cast<double>(batch.size()));
-      serve_metrics().in_flight->set(static_cast<double>(in_flight_));
-      serve_metrics().queue_depth->set(static_cast<double>(queue_.size()));
-    }
-    // One pool job per batch, one chunk per request (each request is a full
-    // chunk of work): nested parallelism inside flow code runs serially, and
-    // the pool's determinism contract keeps every response bit-identical to
-    // a direct call at any thread width.
-    {
-      TS_TRACE_SPAN_CAT("serve.dispatch_batch", "serve");
-      parallel_for(0, batch.size(), kChunkWork, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) execute(batch[i]);
-      });
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      in_flight_ -= batch.size();
-      serve_metrics().in_flight->set(static_cast<double>(in_flight_));
-      cv_.notify_all();
-    }
-  }
-}
-
 void Server::execute(const Pending& p) {
-  ScopedLogTag tag(p.request.session.empty() ? "c" + std::to_string(p.conn->id)
-                                             : p.request.session);
+  // Session requests log under the session id; the rest keep the reader's
+  // connection tag.
+  ScopedLogTag tag(p.request.session.empty() ? log_tag() : p.request.session);
+  // A request on an open session holds the session's mutex for its whole
+  // run, so the session's forest and incremental state never see two
+  // requests at once, even from two connections. The handler still checks
+  // the fingerprint through SessionManager::find.
+  std::shared_ptr<Session> session;
+  std::unique_lock<std::mutex> session_lock;
+  if (!p.request.session.empty()) {
+    session = sessions_.peek(p.request.session);
+    if (session != nullptr) session_lock = std::unique_lock<std::mutex>(session->mu);
+  }
   const bool timed = p.recv_ns != 0;
   const std::size_t op = static_cast<std::size_t>(p.request.type);
   double queue_ms = 0.0;
   if (timed) {
     const std::uint64_t now = obs::trace_clock_ns();
-    queue_ms = static_cast<double>(now - p.enqueue_ns) * 1e-6;
+    queue_ms = static_cast<double>(now - p.decoded_ns) * 1e-6;
     serve_metrics().queue_wait_ms[op]->observe(queue_ms);
-    obs::emit_async_span("serve.queue_wait", "serve", p.enqueue_ns, now, p.uid);
+    obs::emit_async_span("serve.queue_wait", "serve", p.decoded_ns, now, p.uid);
   }
   try {
     obs::TraceSpan span(handle_span_name(p.request.type), "serve", p.uid);
@@ -460,9 +402,10 @@ void Server::execute(const Pending& p) {
     serve_metrics().requests->add();
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.requests;
+    ++stats_.batches;
   } catch (const std::exception& e) {
-    // The pool rethrows escaped exceptions at the batch barrier, which would
-    // take down every request in the batch; contain the failure here.
+    // An exception escaping the reader thread would end the process; contain
+    // the failure to its own request.
     send_error(p.conn, p.request.id, std::string("internal error: ") + e.what(), p.uid);
   }
   double e2e_ms = 0.0;
@@ -475,17 +418,13 @@ void Server::execute(const Pending& p) {
                queue_ms);
     }
   }
-  if (!p.request.session.empty()) {
-    // Closed sessions drop out of the table before this lookup; their final
-    // (close) request is simply not aggregated.
-    if (auto session = sessions_.peek(p.request.session)) {
-      std::lock_guard<std::mutex> lk(session->telem.mu);
-      ++session->telem.requests;
-      if (timed) {
-        ++session->telem.timed;
-        session->telem.latency_ms_sum += e2e_ms;
-        if (e2e_ms > session->telem.latency_ms_max) session->telem.latency_ms_max = e2e_ms;
-      }
+  if (session != nullptr) {
+    std::lock_guard<std::mutex> lk(session->telem.mu);
+    ++session->telem.requests;
+    if (timed) {
+      ++session->telem.timed;
+      session->telem.latency_ms_sum += e2e_ms;
+      if (e2e_ms > session->telem.latency_ms_max) session->telem.latency_ms_max = e2e_ms;
     }
   }
 }
@@ -688,7 +627,8 @@ void Server::handle_refine(const Pending& p) {
   }
   if (session->loaded->model == nullptr) {
     send_error(p.conn, p.request.id,
-               "snapshot '" + session->loaded->path + "' embeds no model; refine unavailable");
+               "snapshot '" + session->loaded->path + "' embeds no model; refine unavailable",
+               p.uid);
     return;
   }
   RefineOptions opts;
@@ -785,7 +725,8 @@ void Server::handle_wirelength(const Pending& p) {
   if (session->loaded->steiner_model == nullptr) {
     send_error(p.conn, p.request.id,
                "snapshot '" + session->loaded->path +
-                   "' embeds no steiner predictor; wirelength unavailable");
+                   "' embeds no steiner predictor; wirelength unavailable",
+               p.uid);
     return;
   }
   const BatchBuildOptions batch = wirelength_batch_options(session->loaded->flow->options());

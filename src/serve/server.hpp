@@ -1,4 +1,4 @@
-// tsteiner_serve core: a long-running multi-tenant batch server.
+// tsteiner_serve core: a long-running multi-tenant server.
 //
 // Transport: a unix-domain or loopback-TCP listener; each connection speaks
 // the length-prefixed frame protocol (serve/framing.hpp) carrying schema-v1
@@ -6,25 +6,25 @@
 // connection; malformed requests get a clean kError frame and the connection
 // stays usable.
 //
-// Threading model: one reader thread per connection parses and enqueues
-// requests; a single dispatcher thread repeatedly takes a head-of-line batch
-// (at most one request per session, preserving each session's FIFO order)
-// and executes it across the deterministic worker pool via parallel_for.
-// Sessions therefore interleave freely while a session's requests never
-// reorder, and — because the pool's chunking is width-invariant and nested
-// parallelism runs serially — every response is bit-identical to the same
-// call made directly on Flow / IncrementalSignoff, at any thread width.
+// Threading model: one reader thread per connection parses the requests it
+// reads and runs them itself, in order. A request that names an open session
+// holds that session's mutex for its whole run, so one session's requests
+// never overlap even when several connections drive it, while distinct
+// sessions run concurrently. Readers are not pool threads: a request's
+// nested parallel_for gets the whole pool, and concurrent requests' pool jobs
+// queue at the pool like those of any other outside callers. Because the
+// pool's chunking is width-invariant, every response is bit-identical to the
+// same call made directly on Flow / IncrementalSignoff, at any thread width.
 //
 // Shutdown: request_shutdown() (or a SIGTERM handler calling the
-// async-signal-safe notify_sigterm()) stops the acceptor, drains queued and
-// in-flight requests, then closes connections. stop() additionally joins all
-// threads; the destructor calls stop().
+// async-signal-safe notify_sigterm()) stops the acceptor; stop() then waits
+// until every request a reader has read is answered, closes connections and
+// joins all threads. The destructor calls stop().
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,7 +53,7 @@ struct ServerStats {
   std::uint64_t requests = 0;     ///< well-formed requests executed
   std::uint64_t errors = 0;       ///< kError frames sent (parse + execution)
   std::uint64_t progress_frames = 0;
-  std::uint64_t batches = 0;  ///< dispatcher batches executed
+  std::uint64_t batches = 0;  ///< one per executed request (tsbench serve.batches)
 };
 
 class Server {
@@ -63,9 +63,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind + listen + start acceptor/dispatcher threads.
+  /// Bind + listen + start the acceptor thread.
   bool start(std::string* error);
-  /// Graceful: stop accepting, drain queued and in-flight requests, close
+  /// Graceful: stop accepting, answer every request already read, close
   /// connections, join every thread. Idempotent.
   void stop();
   /// Begin the drain without blocking (the shutdown request handler and the
@@ -78,7 +78,7 @@ class Server {
   ServerStats stats() const;
 
   /// Async-signal-safe (a plain atomic store): SIGTERM handlers call this;
-  /// the acceptor and dispatcher poll it and begin a graceful drain.
+  /// the acceptor polls it and begins a graceful drain.
   static void notify_sigterm();
 
  private:
@@ -100,19 +100,16 @@ class Server {
     /// (tracing, metrics, or the slow-request log); 0 otherwise so the fully
     /// disabled path never reads the clock.
     std::uint64_t recv_ns = 0;     ///< before the request payload was parsed
-    std::uint64_t enqueue_ns = 0;  ///< when the request entered the queue
+    std::uint64_t decoded_ns = 0;  ///< after it was parsed
   };
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
-  void dispatch_loop();
-  std::vector<Pending> take_batch();  ///< head-of-line selection under mu_
   void execute(const Pending& pending);
   void send_frame(const std::shared_ptr<Connection>& conn, FrameKind kind,
                   const std::string& payload, std::uint64_t req = 0);
   void send_error(const std::shared_ptr<Connection>& conn, std::uint64_t id,
                   const std::string& message, std::uint64_t req = 0);
-  void close_all_connections();
 
   void handle_ping(const Pending& p);
   void handle_open(const Pending& p);
@@ -133,18 +130,19 @@ class Server {
   std::string unix_path_;  ///< unlinked on stop when non-empty
 
   std::thread acceptor_;
-  std::thread dispatcher_;
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopped_{false};
 
-  mutable std::mutex mu_;  ///< queue + connections + stats
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
+  mutable std::mutex mu_;  ///< in-flight count + connections + stats
+  std::condition_variable cv_;  ///< signalled when in_flight_ drops
+  /// Request frames read whose answers are not all sent; stop() waits for 0.
   std::size_t in_flight_ = 0;
+  /// Set by stop() once nothing is in flight: readers then run no more.
+  bool closing_ = false;
   std::vector<std::shared_ptr<Connection>> connections_;
   std::uint64_t next_connection_ = 1;
-  std::uint64_t next_request_ = 1;  ///< request uid allocator (under mu_)
+  std::atomic<std::uint64_t> next_request_{1};  ///< request uid allocator
   ServerStats stats_;
 };
 

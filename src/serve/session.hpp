@@ -71,6 +71,9 @@ std::shared_ptr<LoadedDesign> load_session_design(const std::string& path,
 
 /// One tenant's mutable state.
 struct Session {
+  /// Held by the server for the whole run of each request on this session,
+  /// so requests from several connections never touch the state below at once.
+  std::mutex mu;
   std::string id;
   std::shared_ptr<LoadedDesign> loaded;
   SteinerForest forest;  ///< private working copy (starts at the snapshot forest)
@@ -123,8 +126,9 @@ class SessionManager {
   std::shared_ptr<Session> find(const std::string& id, const std::string& fingerprint,
                                 std::string* error);
 
-  /// Fingerprint-free lookup for telemetry bookkeeping (null when the
-  /// session does not exist / was closed). Never use for request dispatch.
+  /// Fingerprint-free lookup (null when the session does not exist / was
+  /// closed). The server uses it only to take the session's request lock and
+  /// to book telemetry; handlers must go through find().
   std::shared_ptr<Session> peek(const std::string& id) const;
 
   /// Per-session telemetry snapshot for the `stats` op, in open order.

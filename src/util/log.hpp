@@ -40,7 +40,7 @@ void set_log_tag(const std::string& tag);
 std::string log_tag();
 
 /// RAII tag scope: installs `tag` for the calling thread, restores the
-/// previous tag on destruction. Used by the serve dispatcher so every line a
+/// previous tag on destruction. Used by the serve readers so every line a
 /// request logs — including from code deep inside the flow — carries its
 /// session id.
 class ScopedLogTag {

@@ -654,16 +654,12 @@ std::string oracle_keep_best(OracleContext& ctx) {
 
 // --- oracle: batched Steiner construction vs lone-net reference -------------
 
-/// Bit-compare two trees built over the same pin set.
-std::string compare_trees_bitwise(const SteinerTree& a, const SteinerTree& b) {
-  if (a.nodes.size() != b.nodes.size()) {
-    return "node count " + std::to_string(a.nodes.size()) + " vs " +
-           std::to_string(b.nodes.size());
-  }
-  if (a.edges.size() != b.edges.size()) {
-    return "edge count " + std::to_string(a.edges.size()) + " vs " +
-           std::to_string(b.edges.size());
-  }
+/// Bit-level tree equality (positions, pins, edges, driver, net).
+std::string compare_tree_bits(const SteinerTree& a, const SteinerTree& b) {
+  if (a.net != b.net) return "net id differs";
+  if (a.driver_node != b.driver_node) return "driver node differs";
+  if (a.nodes.size() != b.nodes.size()) return "node count differs";
+  if (a.edges.size() != b.edges.size()) return "edge count differs";
   for (std::size_t i = 0; i < a.nodes.size(); ++i) {
     if (std::memcmp(&a.nodes[i].pos.x, &b.nodes[i].pos.x, sizeof(double)) != 0 ||
         std::memcmp(&a.nodes[i].pos.y, &b.nodes[i].pos.y, sizeof(double)) != 0 ||
@@ -711,7 +707,7 @@ std::string oracle_steiner_batch(OracleContext& ctx) {
       return "net " + std::to_string(net_ids[i]) +
              ": fallback decision depends on batch composition";
     }
-    const std::string msg = compare_trees_bitwise(batched[i], lone[0]);
+    const std::string msg = compare_tree_bits(batched[i], lone[0]);
     if (!msg.empty()) {
       return "net " + std::to_string(net_ids[i]) + " vs lone-net reference: " + msg;
     }
@@ -725,7 +721,7 @@ std::string oracle_steiner_batch(OracleContext& ctx) {
       return "net " + std::to_string(net_ids[i]) + ": small net skipped the exact path";
     }
     const SteinerTree exact = build_rsmt_points(pin_sets[i], batch.fallback);
-    std::string msg = compare_trees_bitwise(batched[i], exact);
+    std::string msg = compare_tree_bits(batched[i], exact);
     if (!msg.empty()) {
       return "net " + std::to_string(net_ids[i]) + " vs exact small-net path: " + msg;
     }
@@ -761,27 +757,6 @@ std::string compare_response_double(const obs::JsonValue& body, const std::strin
 }
 
 // --- oracle: topology edit ops vs rebuilt-from-scratch forests --------------
-
-/// Bit-level tree equality (positions, pins, edges, driver, net).
-std::string compare_tree_bits(const SteinerTree& a, const SteinerTree& b) {
-  if (a.net != b.net) return "net id differs";
-  if (a.driver_node != b.driver_node) return "driver node differs";
-  if (a.nodes.size() != b.nodes.size()) return "node count differs";
-  if (a.edges.size() != b.edges.size()) return "edge count differs";
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    if (std::memcmp(&a.nodes[i].pos.x, &b.nodes[i].pos.x, sizeof(double)) != 0 ||
-        std::memcmp(&a.nodes[i].pos.y, &b.nodes[i].pos.y, sizeof(double)) != 0 ||
-        a.nodes[i].pin != b.nodes[i].pin) {
-      return "node " + std::to_string(i) + " differs";
-    }
-  }
-  for (std::size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].a != b.edges[i].a || a.edges[i].b != b.edges[i].b) {
-      return "edge " + std::to_string(i) + " differs";
-    }
-  }
-  return {};
-}
 
 /// The incrementally-maintained forest (replace_tree patching the movable
 /// index in place) against one rebuilt from scratch.

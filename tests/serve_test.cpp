@@ -1,8 +1,9 @@
 // tsteiner_serve coverage: frame codec round-trips and strict rejection
 // (truncation, oversize, bit flips), schema-v1 request parsing, the session
 // LRU (byte-budget eviction, warm re-restore, fingerprint-mismatch
-// rejection), and an end-to-end differential test pinning server responses
-// bit-for-bit to the direct Flow / IncrementalSignoff API.
+// rejection), an end-to-end differential test pinning server responses
+// bit-for-bit to the direct Flow / IncrementalSignoff API, and the request
+// scheduling (one session from two connections, pipelining, pool use).
 #include <gtest/gtest.h>
 
 #include "testutil.hpp"
@@ -13,11 +14,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flow/flow.hpp"
@@ -48,8 +51,8 @@ bool bits_eq(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) ==
 
 /// Write a serve snapshot for fuzz case `seed` and return its path.
 std::string write_snapshot(std::uint64_t seed, const char* name, bool with_model = false,
-                           bool with_steiner = true) {
-  const verify::FuzzCase c = verify::make_case(seed, "tiny");
+                           bool with_steiner = true, const char* scale = "tiny") {
+  const verify::FuzzCase c = verify::make_case(seed, scale);
   Design design = c.design;
   const Flow flow(&design);
   BenchmarkSpec spec;
@@ -435,6 +438,38 @@ struct RawConn {
   }
 };
 
+struct OpenedSession {
+  std::string id, fingerprint;
+};
+
+OpenedSession open_session(serve::ServeClient& client, const std::string& snap) {
+  const auto opened = client.open(snap);
+  EXPECT_TRUE(opened.ok) << opened.error;
+  const obs::JsonValue* session = opened.body.find_string("session");
+  const obs::JsonValue* fingerprint = opened.body.find_string("fingerprint");
+  if (session == nullptr || fingerprint == nullptr) return {};
+  return {session->str, fingerprint->str};
+}
+
+serve::Request session_request(serve::RequestType type, const OpenedSession& s) {
+  serve::Request req;
+  req.type = type;
+  req.session = s.id;
+  req.fingerprint = s.fingerprint;
+  return req;
+}
+
+void expect_signoff_bits(const obs::JsonValue& body, const SignoffMetrics& ref,
+                         const std::string& what) {
+  double got = 0.0;
+  ASSERT_TRUE(serve::read_double_field(body, "wns_ns", &got)) << what;
+  EXPECT_TRUE(bits_eq(got, ref.wns_ns)) << what;
+  ASSERT_TRUE(serve::read_double_field(body, "tns_ns", &got)) << what;
+  EXPECT_TRUE(bits_eq(got, ref.tns_ns)) << what;
+  ASSERT_TRUE(serve::read_double_field(body, "wirelength_dbu", &got)) << what;
+  EXPECT_TRUE(bits_eq(got, ref.wirelength_dbu)) << what;
+}
+
 TEST(Server, MalformedRequestGetsErrorFrameConnectionSurvives) {
   serve::ServeOptions opts;
   opts.tcp_port = 0;
@@ -661,6 +696,7 @@ TEST(Server, WirelengthWithoutPredictorIsCleanError) {
   EXPECT_FALSE(reply.ok);
   EXPECT_NE(reply.error.find("embeds no steiner predictor"), std::string::npos)
       << reply.error;
+  EXPECT_GE(reply.body.number_or("req", 0.0), 1.0);
 
   // The error is per-request: the same connection and session stay usable.
   EXPECT_TRUE(client.ping().ok);
@@ -671,6 +707,31 @@ TEST(Server, WirelengthWithoutPredictorIsCleanError) {
   EXPECT_TRUE(client.call(signoff).ok);
 
   client.close_session(session->str);
+  server.stop();
+}
+
+TEST(Server, RefineWithoutModelIsCleanError) {
+  const std::string snap = write_snapshot(33, "nomodel.tsdb");
+
+  serve::ServeOptions opts;
+  opts.tcp_port = 0;
+  serve::Server server(opts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  serve::ServeClient client;
+  ASSERT_TRUE(client.connect_tcp(server.bound_tcp_port(), &error)) << error;
+  const OpenedSession s = open_session(client, snap);
+  ASSERT_FALSE(s.id.empty());
+  serve::Request refine = session_request(serve::RequestType::kRefine, s);
+  refine.iterations = 1;
+  const auto reply = client.call(refine);
+  EXPECT_FALSE(reply.ok);
+  EXPECT_NE(reply.error.find("embeds no model"), std::string::npos) << reply.error;
+  EXPECT_GE(reply.body.number_or("req", 0.0), 1.0);
+  EXPECT_TRUE(client.ping().ok);
+
+  client.close_session(s.id);
   server.stop();
 }
 
@@ -886,6 +947,150 @@ TEST(Server, GracefulDrainFinishesQueuedRequests) {
   EXPECT_FALSE(late.connect_tcp(server.bound_tcp_port(), &error));
 }
 
+// --- scheduling: each connection runs its own requests ----------------------
+
+TEST(Server, OneSessionFromTwoConnectionsRunsOneRequestAtATime) {
+  const std::string snap = write_snapshot(41, "two_conn.tsdb");
+  serve::ServeOptions opts;
+  opts.tcp_port = 0;
+  serve::Server server(opts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  serve::ServeClient a, b;
+  ASSERT_TRUE(a.connect_tcp(server.bound_tcp_port(), &error)) << error;
+  ASSERT_TRUE(b.connect_tcp(server.bound_tcp_port(), &error)) << error;
+  const OpenedSession s = open_session(a, snap);
+  ASSERT_FALSE(s.id.empty());
+
+  auto loaded = serve::load_session_design(snap, FlowOptions{}, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  IncrementalSignoff inc(loaded->design.get(), loaded->flow->options());
+  const SignoffMetrics ref = inc.full(loaded->flow->initial_forest()).metrics;
+
+  // Both connections send sign-offs on the one session at once; the session
+  // lock must keep its IncrementalSignoff to one request at a time (TSan
+  // reports the race otherwise), and every reply keeps the direct bits.
+  constexpr int kCalls = 4;
+  std::atomic<int> ready{0};
+  using Replies = std::vector<serve::ServeClient::Reply>;
+  Replies replies[2];
+  const auto drive = [&](serve::ServeClient* client, Replies* out) {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int i = 0; i < kCalls; ++i) {
+      out->push_back(client->call(session_request(serve::RequestType::kSignoff, s)));
+    }
+  };
+  std::thread ta(drive, &a, &replies[0]);
+  std::thread tb(drive, &b, &replies[1]);
+  ta.join();
+  tb.join();
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_EQ(replies[c].size(), static_cast<std::size_t>(kCalls));
+    for (int i = 0; i < kCalls; ++i) {
+      const std::string what = "connection " + std::to_string(c) + " call " + std::to_string(i);
+      ASSERT_TRUE(replies[c][i].ok) << what << ": " << replies[c][i].error;
+      expect_signoff_bits(replies[c][i].body, ref, what);
+    }
+  }
+  a.close_session(s.id);
+  server.stop();
+}
+
+TEST(Server, PipelinedRequestsAnswerInOrderWithDirectBits) {
+  const std::string snap = write_snapshot(42, "pipeline.tsdb");
+  serve::ServeOptions opts;
+  opts.tcp_port = 0;
+  serve::Server server(opts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  serve::ServeClient opener;
+  ASSERT_TRUE(opener.connect_tcp(server.bound_tcp_port(), &error)) << error;
+  const OpenedSession s = open_session(opener, snap);
+  ASSERT_FALSE(s.id.empty());
+
+  auto loaded = serve::load_session_design(snap, FlowOptions{}, &error);
+  ASSERT_NE(loaded, nullptr) << error;
+  SteinerForest cur = loaded->flow->initial_forest();
+  IncrementalSignoff inc(loaded->design.get(), loaded->flow->options());
+  std::vector<int> nets;
+  for (const SteinerTree& tree : cur.trees) {
+    if (tree.num_steiner_nodes() > 0) nets.push_back(tree.net);
+  }
+  ASSERT_FALSE(nets.empty());
+  const double dist = static_cast<double>(loaded->design->die().width()) / 20.0;
+
+  // whatif x3 then signoff, written back to back before any reply is read.
+  Rng rng(4242);
+  std::vector<std::uint8_t> bytes;
+  std::vector<SignoffMetrics> refs;
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    serve::Request req = session_request(
+        id < 4 ? serve::RequestType::kWhatIf : serve::RequestType::kSignoff, s);
+    req.id = id;
+    if (id < 4) {
+      req.moves.push_back(
+          {nets[rng.index(nets.size())], rng.uniform(-dist, dist), rng.uniform(-dist, dist)});
+      std::vector<int> dirty;
+      serve::apply_whatif_moves(&cur, *loaded->design, req.moves, &dirty);
+      refs.push_back(inc.update(cur, dirty).metrics);
+    } else {
+      refs.push_back(inc.full(cur).metrics);
+    }
+    const std::vector<std::uint8_t> frame =
+        serve::encode_frame({FrameKind::kRequest, serve::encode_request(req)});
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  RawConn conn(server.bound_tcp_port());
+  ASSERT_GE(conn.fd, 0);
+  conn.send(bytes);
+  while (conn.frames.size() < 4) ASSERT_TRUE(conn.read_frame());
+  ASSERT_EQ(conn.frames.size(), 4u);
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    const Frame& frame = conn.frames[id - 1];
+    ASSERT_EQ(frame.kind, FrameKind::kResponse) << frame.payload;
+    const auto body = obs::parse_json(frame.payload, &error);
+    ASSERT_TRUE(body.has_value()) << error;
+    EXPECT_EQ(body->number_or("id", 0.0), static_cast<double>(id));
+    expect_signoff_bits(*body, refs[id - 1], "reply " + std::to_string(id));
+  }
+  opener.close_session(s.id);
+  server.stop();
+}
+
+TEST(Server, LoneSignoffKeepsPoolParallelism) {
+  const std::string snap = write_snapshot(43, "lone.tsdb", /*with_model=*/false,
+                                          /*with_steiner=*/true, "small");
+  set_parallel_threads(4);
+  {
+    serve::ServeOptions opts;
+    opts.tcp_port = 0;
+    serve::Server server(opts);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    serve::ServeClient client;
+    ASSERT_TRUE(client.connect_tcp(server.bound_tcp_port(), &error)) << error;
+    const OpenedSession s = open_session(client, snap);
+    ASSERT_FALSE(s.id.empty());
+    auto loaded = serve::load_session_design(snap, FlowOptions{}, &error);
+    ASSERT_NE(loaded, nullptr) << error;
+    IncrementalSignoff direct(loaded->design.get(), loaded->flow->options());
+    std::uint64_t jobs0 = parallel_jobs();
+    direct.full(loaded->flow->initial_forest());
+    const std::uint64_t direct_jobs = parallel_jobs() - jobs0;
+    ASSERT_GT(direct_jobs, 0u);
+    // The reader that runs the request is not a pool thread, so the flow's
+    // nested parallel_for calls reach the pool exactly as a direct call's do.
+    jobs0 = parallel_jobs();
+    const auto reply = client.call(session_request(serve::RequestType::kSignoff, s));
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_EQ(parallel_jobs() - jobs0, direct_jobs) << "a lone signoff lost its pool jobs";
+    client.close_session(s.id);
+    server.stop();
+  }
+  set_parallel_threads(0);
+}
+
 // --- serve telemetry --------------------------------------------------------
 
 TEST(Protocol, TraceTagRoundTripAndStrictness) {
@@ -1077,7 +1282,6 @@ void run_serve_trace_workload(int width) {
   for (const TestSpan& s : spans) {
     if (s.cat != "serve") continue;
     ++serve_count;
-    if (s.name == "serve.dispatch_batch") continue;
     EXPECT_GE(s.req, 1.0) << s.name << " lacks a request id";
     if (s.name.rfind("serve.handle.", 0) == 0) ++handle_count;
     if (s.name == "serve.handle.sta") {

@@ -3,7 +3,7 @@
 // Subcommands:
 //   mksnap   write a self-contained serve snapshot (deterministic fuzz-case
 //            design + Flow calibration, optionally an embedded model)
-//   serve    run the multi-tenant batch server until SIGTERM / a shutdown
+//   serve    run the multi-tenant server until SIGTERM / a shutdown
 //            request (graceful drain either way)
 //   client   drive a running server from a JSONL request script
 //   selftest in-process end-to-end gate: N concurrent sessions of mixed

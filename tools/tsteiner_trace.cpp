@@ -274,9 +274,7 @@ int serve_trace_report(const JsonValue& doc) {
   for (const SpanView& s : *spans) {
     if (s.cat != "serve") continue;
     ++serve_spans;
-    // Every serve span is attributable to one request, except the
-    // batch-level dispatch span that covers many.
-    if (s.name == "serve.dispatch_batch") continue;
+    // Every serve span is attributable to one request.
     if (s.req == 0) {
       return fail("serve span \"%s\" at ts %.3f lacks a request id (args.req)",
                   s.name.c_str(), s.ts);
