@@ -58,7 +58,6 @@ bool bit_identical(const SuiteObservation& a, const SuiteObservation& b) {
 int main() {
   SuiteOptions opts = bench::default_suite_options();
   opts.train.epochs = env_epochs(6);  // restore skips training entirely anyway
-  opts.model_cache_dir.clear();       // isolate from the shared model cache
 
   const char* db_path = "bench_db_snapshot.tsdb";
   std::remove(db_path);

@@ -24,8 +24,7 @@
 namespace tsteiner::db {
 
 /// META: the first chunk of every container the system writes. `kind` names
-/// the writer ("suite", "serve", "fuzz-case", "model-cache",
-/// "steiner-cache"); `design_count` bounds the per-design chunk indices.
+/// the writer ("suite", "serve", "fuzz-case", "steiner-cache"); `design_count` bounds the per-design chunk indices.
 struct Meta {
   std::string kind;
   std::string tag;

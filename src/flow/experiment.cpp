@@ -1,10 +1,8 @@
 #include "flow/experiment.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "flow/snapshot.hpp"
-#include "gnn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -63,15 +61,16 @@ TrainedSuite build_and_train_suite(const SuiteOptions& options) {
   TS_TRACE_SPAN_CAT("experiment.build_suite", "flow");
   static obs::Counter& m_suite_hit = obs::metrics().counter("db.suite_snapshot_hit");
   static obs::Counter& m_suite_miss = obs::metrics().counter("db.suite_snapshot_miss");
-  static obs::Counter& m_model_hit = obs::metrics().counter("db.model_cache_hit");
-  static obs::Counter& m_model_miss = obs::metrics().counter("db.model_cache_miss");
   if (obs::run_report_enabled()) {
     obs::run_report().set_option("suite_options", suite_options_tag(options));
   }
   // Whole-suite snapshot: a warm run restores designs, labels and the trained
-  // evaluator from one TSteinerDB container and skips the expensive pipeline.
-  std::string db_path;
-  if (const char* env = std::getenv("TSTEINER_DB")) db_path = env;
+  // evaluator from one TSteinerDB container and skips the expensive pipeline,
+  // so bench binaries with identical suite options build the suite once.
+  std::string db_path = std::getenv("TSTEINER_NO_CACHE") != nullptr ? "" : kSuiteCacheFile;
+  if (const char* env = std::getenv("TSTEINER_DB"); env != nullptr && *env != '\0') {
+    db_path = env;
+  }
   if (!db_path.empty()) {
     if (auto restored = load_suite_snapshot(db_path, options)) {
       TS_INFO("restored trained suite from %s", db_path.c_str());
@@ -89,34 +88,12 @@ TrainedSuite build_and_train_suite(const SuiteOptions& options) {
     suite.designs.push_back(prepare_design(*suite.lib, spec, options.scale, options.flow));
   }
 
-  // Base-sample labels are needed by every bench (baseline metrics and
-  // Table III evaluation) regardless of whether training is cached.
+  // Base-sample labels: baseline metrics and Table III evaluation read them
+  // for every design, training designs or not.
   for (PreparedDesign& pd : suite.designs) {
     TS_TRACE_SPAN_CAT("experiment.label_design", "flow");
     TS_INFO("labeling %s ...", pd.spec.name.c_str());
     suite.base_samples.push_back(make_training_sample(pd, pd.flow->initial_forest()));
-  }
-
-  // Model cache: bench binaries with identical suite options share one
-  // trained evaluator instead of each re-training.
-  std::string cache_path;
-  std::string cache_tag;
-  if (!options.model_cache_dir.empty() && std::getenv("TSTEINER_NO_CACHE") == nullptr) {
-    char tag[160];
-    std::snprintf(tag, sizeof(tag), "scale=%.4f epochs=%d perturb=%d lr=%g seed=%llu",
-                  options.scale, options.train.epochs, options.perturb_per_design,
-                  options.train.lr, static_cast<unsigned long long>(options.seed));
-    cache_tag = tag;
-    cache_path = options.model_cache_dir + "/tsteiner_model_cache.bin";
-    if (auto cached =
-            load_model(cache_path, options.gnn, suite.lib->num_types(), cache_tag)) {
-      TS_INFO("loaded trained evaluator from %s", cache_path.c_str());
-      m_model_hit.add();
-      suite.model = std::make_unique<TimingGnn>(std::move(*cached));
-      if (!db_path.empty()) save_suite_snapshot(suite, options, db_path);
-      return suite;
-    }
-    m_model_miss.add();
   }
 
   // Perturbed variants (same topology) expose the model to the region
@@ -146,11 +123,6 @@ TrainedSuite build_and_train_suite(const SuiteOptions& options) {
     suite.final_train_loss = trainer.fit(train_samples);
   }
   TS_INFO("final training loss %.6f", suite.final_train_loss);
-  if (!cache_path.empty()) {
-    if (save_model(*suite.model, cache_path, cache_tag)) {
-      TS_INFO("cached trained evaluator at %s", cache_path.c_str());
-    }
-  }
   if (!db_path.empty()) {
     if (save_suite_snapshot(suite, options, db_path)) {
       TS_INFO("saved suite snapshot to %s", db_path.c_str());

@@ -7,7 +7,9 @@
 //
 // The environment variable TSTEINER_SCALE (default 0.12) shrinks every
 // design proportionally so the full pipeline runs in workstation minutes;
-// set it to 1.0 to reproduce the paper's design sizes.
+// set it to 1.0 to reproduce the paper's design sizes. Bench binaries that
+// share suite options build the suite once: the first run writes a suite
+// snapshot that later runs restore (see build_and_train_suite).
 #pragma once
 
 #include <memory>
@@ -45,10 +47,6 @@ struct SuiteOptions {
   TrainOptions train;
   FlowOptions flow;
   std::uint64_t seed = 2023;
-  /// When non-empty, look for / store a trained-model cache file in this
-  /// directory (keyed by scale/epochs/config) so bench binaries sharing a
-  /// configuration train once. Set TSTEINER_NO_CACHE=1 to disable.
-  std::string model_cache_dir = ".";
 };
 
 struct TrainedSuite {
@@ -60,14 +58,20 @@ struct TrainedSuite {
   double final_train_loss = 0.0;
 };
 
+/// Default suite snapshot file, in the working directory.
+inline constexpr char kSuiteCacheFile[] = "tsteiner_suite_cache.tsdb";
+
 /// Full pipeline: prepare all ten designs, label, train. Deterministic for a
 /// fixed SuiteOptions.
 ///
-/// When the TSTEINER_DB environment variable names a file, the suite is
-/// restored from that TSteinerDB snapshot if it exists and matches the
-/// options fingerprint (skipping generation, placement, labeling and
-/// training, with bit-identical results); otherwise the suite is built cold
-/// and the snapshot is written there for the next run.
+/// The suite has one cache: a TSteinerDB suite snapshot (flow/snapshot.hpp)
+/// at the path the TSTEINER_DB environment variable names, or at
+/// kSuiteCacheFile in the working directory when TSTEINER_DB is unset or
+/// empty. TSTEINER_NO_CACHE turns the default file off; it does not affect
+/// an explicit TSTEINER_DB. The suite is restored from the snapshot when it
+/// exists and matches suite_options_tag(options) (skipping generation,
+/// placement, labeling and training, with bit-identical results); otherwise
+/// it is built cold and the snapshot is written there for the next run.
 TrainedSuite build_and_train_suite(const SuiteOptions& options);
 
 /// TSTEINER_SCALE env var (default `fallback`).

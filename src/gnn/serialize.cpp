@@ -1,7 +1,5 @@
 #include "gnn/serialize.hpp"
 
-#include "db/codecs.hpp"
-
 namespace tsteiner {
 
 void encode_tensors(db::ByteWriter& w, const std::vector<Tensor>& params) {
@@ -97,27 +95,6 @@ std::optional<TimingGnn> decode_model_payload(const std::uint8_t* data, std::siz
 std::optional<TimingGnn> decode_model_payload_any(const std::uint8_t* data, std::size_t size,
                                                   int num_cell_types, std::string* tag_out) {
   return decode_model_common(data, size, nullptr, num_cell_types, nullptr, tag_out);
-}
-
-bool save_model(const TimingGnn& model, const std::string& path, const std::string& tag) {
-  db::Meta meta;
-  meta.kind = "model-cache";
-  meta.tag = tag;
-  meta.has_model = true;
-  db::DbWriter writer;
-  return writer.open(path) && writer.add_chunk(db::kChunkMeta, db::encode_meta(meta)) &&
-         writer.add_chunk(db::kChunkModel, encode_model_payload(model, tag)) &&
-         writer.finish();
-}
-
-std::optional<TimingGnn> load_model(const std::string& path, const GnnConfig& config,
-                                    int num_cell_types, const std::string& tag) {
-  db::DbReader reader;
-  if (!reader.open(path)) return std::nullopt;
-  const db::ChunkInfo* chunk = reader.find(db::kChunkModel);
-  if (chunk == nullptr) return std::nullopt;
-  return decode_model_payload(reader.payload(*chunk), static_cast<std::size_t>(chunk->size),
-                              config, num_cell_types, tag);
 }
 
 }  // namespace tsteiner

@@ -1,12 +1,9 @@
-// Model parameter serialization: lets a trained evaluator be cached on disk
-// and shared across bench binaries (training dominates suite runtime).
-//
-// The on-disk format is a TSteinerDB container (src/db) holding a META chunk
-// (kind "model-cache") and one MODL chunk — binary, integrity-checked, and
-// rejected with a clean nullopt on truncation, corruption or any file that
-// is not a container. Loading validates config, tag and tensor shapes, so a
-// stale cache (different architecture / training setup) is rejected rather
-// than misloaded.
+// Model parameter serialization: the MODL chunk payload a trained evaluator
+// travels in inside TSteinerDB containers (src/db) — the suite snapshot
+// (flow/snapshot) and serve session snapshots (serve/session). The
+// container supplies integrity (CRCs); the strict decode validates config,
+// tag and tensor shapes, so a payload written under another architecture or
+// training setup is rejected with a clean nullopt rather than misloaded.
 #pragma once
 
 #include <cstdint>
@@ -25,18 +22,10 @@ void encode_tensors(db::ByteWriter& w, const std::vector<Tensor>& params);
 /// Reads a list into `params`, whose count and shapes it must match.
 bool decode_tensors(db::ByteReader& r, std::vector<Tensor>& params);
 
-/// Write the model's configuration and parameters as a TSteinerDB container.
-/// `tag` is an arbitrary caller string (e.g. encoding training scale/epochs)
-/// validated on load.
-bool save_model(const TimingGnn& model, const std::string& path, const std::string& tag);
-
-/// Load parameters into a freshly constructed model. Returns nullopt if the
-/// file is missing, not a container, malformed, corrupted, or its
-/// config/tag does not match.
-std::optional<TimingGnn> load_model(const std::string& path, const GnnConfig& config,
-                                    int num_cell_types, const std::string& tag);
-
-/// MODL chunk payload codec, shared with the suite snapshot (flow/snapshot).
+/// MODL chunk payload codec. `tag` is an arbitrary caller string (the suite
+/// snapshot stores its options tag) that the strict decode validates; the
+/// decode returns nullopt when the payload is malformed or its config or tag
+/// does not match.
 std::vector<std::uint8_t> encode_model_payload(const TimingGnn& model, const std::string& tag);
 std::optional<TimingGnn> decode_model_payload(const std::uint8_t* data, std::size_t size,
                                               const GnnConfig& config, int num_cell_types,

@@ -72,9 +72,9 @@ class SteinerPredictor {
 
   /// Process-wide cache of pretrained instances keyed by config, backed by
   /// an on-disk weight cache in the working directory (same discipline as
-  /// the evaluator's tsteiner_model_cache.bin: TSTEINER_NO_CACHE opts out,
-  /// a config tag guards against stale files), so the pretraining cost is
-  /// paid once per build directory rather than once per process.
+  /// the suite snapshot cache: TSTEINER_NO_CACHE opts out, a config tag
+  /// guards against stale files), so the pretraining cost is paid once per
+  /// build directory rather than once per process.
   static std::shared_ptr<const SteinerPredictor> shared_pretrained(
       const SteinerPredictorConfig& config = {});
 

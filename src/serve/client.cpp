@@ -17,19 +17,6 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::write(fd, data + sent, size - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 bool ServeClient::connect_unix(const std::string& path, std::string* error) {
@@ -98,7 +85,7 @@ ServeClient::Reply ServeClient::call(Request request) {
   if (request.id == 0) request.id = next_id_++;
   const std::vector<std::uint8_t> bytes =
       encode_frame(Frame{FrameKind::kRequest, encode_request(request)});
-  if (!write_all(fd_, bytes.data(), bytes.size())) {
+  if (!send_all(fd_, bytes)) {
     reply.error = "write failed";
     return reply;
   }

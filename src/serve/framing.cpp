@@ -1,5 +1,8 @@
 #include "serve/framing.hpp"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "db/crc32.hpp"
@@ -48,6 +51,19 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
                       frame.payload.size()));
   std::memcpy(out.data() + kFrameHeaderBytes, frame.payload.data(), frame.payload.size());
   return out;
+}
+
+bool send_all(int fd, const std::vector<std::uint8_t>& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 bool parse_frame_header(const std::uint8_t header[kFrameHeaderBytes],

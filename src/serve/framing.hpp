@@ -49,6 +49,11 @@ struct Frame {
 /// Serialize one frame (header + payload).
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
+/// Write all of `bytes` to the socket `fd`, retrying on EINTR. Sends with
+/// MSG_NOSIGNAL, so a peer that hung up yields false (EPIPE) instead of a
+/// process-killing SIGPIPE. The one write path of server and client.
+bool send_all(int fd, const std::vector<std::uint8_t>& bytes);
+
 /// Incremental strict decoder. Feed bytes as they arrive; completed frames
 /// are appended to `out`. After any error the decoder stays poisoned:
 /// feed() keeps returning false and error() keeps its first message.

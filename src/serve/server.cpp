@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
@@ -30,19 +31,6 @@ std::atomic<bool> g_sigterm{false};
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::write(fd, data + sent, size - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 void encode_signoff_fields(JsonBuilder& b, const SignoffMetrics& m) {
@@ -189,6 +177,10 @@ Server::Server(const ServeOptions& options)
 
 Server::~Server() { stop(); }
 
+Server::Connection::~Connection() {
+  if (fd >= 0) ::close(fd);
+}
+
 bool Server::start(std::string* error) {
   if (started_.load()) return fail(error, "server already started");
   if (!options_.unix_socket.empty()) {
@@ -269,6 +261,7 @@ void Server::stop() {
   for (auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
   }
+  reap_finished();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -277,10 +270,22 @@ void Server::stop() {
   TS_INFO("serve: stopped");
 }
 
+void Server::reap_finished() {
+  std::vector<std::shared_ptr<Connection>> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    done.swap(finished_);
+  }
+  // The joins drop each reader's own reference; `done` holds the last one,
+  // whose destructor closes the fd.
+  for (auto& conn : done) conn->reader.join();
+}
+
 void Server::accept_loop() {
   for (;;) {
     if (g_sigterm.load()) request_shutdown();
     if (draining_.load()) return;
+    reap_finished();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready <= 0) continue;
@@ -358,6 +363,14 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
     if (drop) break;
   }
   if (!conn->closed.exchange(true)) ::shutdown(conn->fd, SHUT_RDWR);
+  // Leave the running set for the acceptor to join. Once stop() has taken
+  // the set, this reader is no longer in it and stop() joins it instead.
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = std::find(connections_.begin(), connections_.end(), conn);
+  if (it != connections_.end()) {
+    finished_.push_back(std::move(*it));
+    connections_.erase(it);
+  }
 }
 
 void Server::execute(const Pending& p) {
@@ -445,7 +458,7 @@ void Server::send_frame(const std::shared_ptr<Connection>& conn, FrameKind kind,
   const auto write_locked = [&] {
     std::lock_guard<std::mutex> lock(conn->write_mu);
     if (conn->closed.load()) return;
-    if (!write_all(conn->fd, bytes.data(), bytes.size())) {
+    if (!send_all(conn->fd, bytes)) {
       conn->closed.store(true);
       ::shutdown(conn->fd, SHUT_RDWR);
     }

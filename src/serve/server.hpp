@@ -20,6 +20,10 @@
 // async-signal-safe notify_sigterm()) stops the acceptor; stop() then waits
 // until every request a reader has read is answered, closes connections and
 // joins all threads. The destructor calls stop().
+//
+// A connection whose peer hangs up ends its reader; the acceptor joins that
+// reader and closes the fd within one poll interval. A reply to a peer that
+// is gone fails with EPIPE (never SIGPIPE) and only ends that connection.
 #pragma once
 
 #include <atomic>
@@ -82,7 +86,11 @@ class Server {
   static void notify_sigterm();
 
  private:
+  /// One accepted socket. The fd is closed only by the destructor, once no
+  /// reference remains, so a shutdown() through a live reference can never
+  /// hit a reused fd number.
   struct Connection {
+    ~Connection();
     int fd = -1;
     std::uint64_t id = 0;
     std::thread reader;
@@ -105,6 +113,8 @@ class Server {
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
+  /// Join the readers that finished and drop their connections.
+  void reap_finished();
   void execute(const Pending& pending);
   void send_frame(const std::shared_ptr<Connection>& conn, FrameKind kind,
                   const std::string& payload, std::uint64_t req = 0);
@@ -140,7 +150,9 @@ class Server {
   std::size_t in_flight_ = 0;
   /// Set by stop() once nothing is in flight: readers then run no more.
   bool closing_ = false;
-  std::vector<std::shared_ptr<Connection>> connections_;
+  std::vector<std::shared_ptr<Connection>> connections_;  ///< readers running
+  /// Readers that returned, waiting for the acceptor (or stop()) to join them.
+  std::vector<std::shared_ptr<Connection>> finished_;
   std::uint64_t next_connection_ = 1;
   std::atomic<std::uint64_t> next_request_{1};  ///< request uid allocator
   ServerStats stats_;

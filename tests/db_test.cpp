@@ -481,15 +481,31 @@ TEST(Codecs, IndexedChunksMustCoverEachIndexExactlyOnce) {
   EXPECT_FALSE(db::collect_indexed(reader, db::kChunkForest, 1).has_value());
 }
 
+/// The model in the MODL chunk of the container at `path`, read the way the
+/// suite snapshot reads it; nullopt when the container or the payload is
+/// rejected.
+std::optional<TimingGnn> read_model_chunk(const std::string& path, const GnnConfig& cfg,
+                                          const std::string& tag) {
+  db::DbReader reader;
+  if (!reader.open(path)) return std::nullopt;
+  const db::ChunkInfo* chunk = reader.find(db::kChunkModel);
+  if (chunk == nullptr) return std::nullopt;
+  return decode_model_payload(reader.payload(*chunk), static_cast<std::size_t>(chunk->size),
+                              cfg, lib().num_types(), tag);
+}
+
 TEST(ModelSerialize, ContainerRoundTripAndMismatchRejection) {
   GnnConfig cfg;
   cfg.hidden = 12;
   cfg.type_embed = 6;
   TimingGnn model(cfg, lib().num_types());
   const std::string path = temp_path("model_rt.tsdb");
-  ASSERT_TRUE(save_model(model, path, "tag-a"));
+  db::DbWriter writer;
+  ASSERT_TRUE(writer.open(path));
+  ASSERT_TRUE(writer.add_chunk(db::kChunkModel, encode_model_payload(model, "tag-a")));
+  ASSERT_TRUE(writer.finish());
 
-  const auto loaded = load_model(path, cfg, lib().num_types(), "tag-a");
+  const auto loaded = read_model_chunk(path, cfg, "tag-a");
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->parameters().size(), model.parameters().size());
   for (std::size_t p = 0; p < model.parameters().size(); ++p) {
@@ -500,27 +516,30 @@ TEST(ModelSerialize, ContainerRoundTripAndMismatchRejection) {
   }
 
   // Wrong tag or wrong architecture must be rejected.
-  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "tag-b").has_value());
+  EXPECT_FALSE(read_model_chunk(path, cfg, "tag-b").has_value());
   GnnConfig other = cfg;
   other.hidden = 16;
-  EXPECT_FALSE(load_model(path, other, lib().num_types(), "tag-a").has_value());
+  EXPECT_FALSE(read_model_chunk(path, other, "tag-a").has_value());
 
   // Corrupt the file: the container CRC catches it.
   std::vector<std::uint8_t> bytes = read_file(path);
   bytes[bytes.size() / 2] ^= 0x10;
   write_file(path, bytes);
-  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "tag-a").has_value());
+  EXPECT_FALSE(read_model_chunk(path, cfg, "tag-a").has_value());
 }
 
 TEST(ModelSerialize, PlainTextFileIsRejected) {
   // Starts like the retired plain-text model format, with a matching tag:
-  // only the container format loads.
+  // neither the container reader nor the payload decode accepts it.
   GnnConfig cfg;
   cfg.hidden = 10;
   const std::string path = temp_path("model_legacy.txt");
   const std::string text = "tsteiner-model-v1\ntag legacy-tag\ncfg 10\n0\n";
-  write_file(path, std::vector<std::uint8_t>(text.begin(), text.end()));
-  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "legacy-tag").has_value());
+  const std::vector<std::uint8_t> bytes(text.begin(), text.end());
+  write_file(path, bytes);
+  EXPECT_FALSE(read_model_chunk(path, cfg, "legacy-tag").has_value());
+  EXPECT_FALSE(
+      decode_model_payload(bytes.data(), bytes.size(), cfg, lib().num_types(), "legacy-tag"));
 }
 
 TEST(Snapshot, SuiteOptionsTagPinned) {
@@ -592,6 +611,58 @@ TEST(Snapshot, SuiteRoundTripRestoresEverything) {
   bytes[bytes.size() / 3] ^= 0x01;
   write_file(path, bytes);
   EXPECT_FALSE(load_suite_snapshot(path, options).has_value());
+}
+
+/// Evaluator parameters of a suite, flattened for a bitwise comparison.
+std::vector<double> model_bits(const TrainedSuite& suite) {
+  std::vector<double> bits;
+  for (const Tensor& p : suite.model->parameters()) {
+    for (std::size_t i = 0; i < p.size(); ++i) bits.push_back(p[i]);
+  }
+  return bits;
+}
+
+/// Runs a test body in its own working directory with TSTEINER_DB and
+/// TSTEINER_NO_CACHE unset; restores the working directory afterwards.
+struct SuiteCacheSandbox {
+  std::filesystem::path old_cwd = std::filesystem::current_path();
+  explicit SuiteCacheSandbox(const std::string& dir) {
+    unsetenv("TSTEINER_DB");
+    unsetenv("TSTEINER_NO_CACHE");
+    std::filesystem::current_path(dir);
+  }
+  ~SuiteCacheSandbox() {
+    std::filesystem::current_path(old_cwd);
+    unsetenv("TSTEINER_NO_CACHE");
+  }
+};
+
+TEST(Snapshot, SuiteCacheNeverServesAnotherSuitesModel) {
+  // Two suites that differ only in a router knob share the default cache
+  // file of one working directory. The second is keyed apart and rebuilt,
+  // so its evaluator bit-equals an uncached build rather than the first
+  // suite's; a third build restores it from the cache, training loss too.
+  SuiteCacheSandbox sandbox(testutil::test_tmp_dir());
+  SuiteOptions first;
+  first.scale = 0.005;
+  first.perturb_per_design = 1;
+  first.train.epochs = 1;
+  SuiteOptions second = first;
+  second.flow.router.capacity_factor *= 0.5;
+
+  const TrainedSuite a = build_and_train_suite(first);
+  ASSERT_TRUE(std::filesystem::exists(kSuiteCacheFile));
+  const TrainedSuite b = build_and_train_suite(second);
+  setenv("TSTEINER_NO_CACHE", "1", 1);
+  const TrainedSuite fresh = build_and_train_suite(second);
+  unsetenv("TSTEINER_NO_CACHE");
+  ASSERT_NE(model_bits(a), model_bits(fresh)) << "the knob must change the labels";
+  EXPECT_EQ(model_bits(b), model_bits(fresh));
+
+  const TrainedSuite warm = build_and_train_suite(second);
+  EXPECT_EQ(model_bits(warm), model_bits(fresh));
+  EXPECT_NE(fresh.final_train_loss, 0.0);
+  EXPECT_EQ(warm.final_train_loss, fresh.final_train_loss);
 }
 
 }  // namespace

@@ -15,8 +15,9 @@
 #include "testutil.hpp"
 #include "db/bytes.hpp"
 #include "db/codecs.hpp"
+#include "flow/experiment.hpp"
 #include "flow/flow.hpp"
-#include "gnn/serialize.hpp"
+#include "flow/snapshot.hpp"
 #include "serve/session.hpp"
 #include "verify/case_gen.hpp"
 
@@ -75,6 +76,29 @@ std::string make_serve_snapshot(const std::string& dir, bool with_models) {
   return path;
 }
 
+/// A two-design suite snapshot with an untrained evaluator, as
+/// build_and_train_suite writes it.
+std::string make_suite_snapshot(const std::string& dir) {
+  const std::string path = dir + "/suite.tsdb";
+  const SuiteOptions options;
+  TrainedSuite suite;
+  suite.lib = std::make_unique<CellLibrary>(CellLibrary::make_default());
+  BenchmarkSpec spec;
+  spec.target_cells = 120;
+  spec.endpoints = 12;
+  for (std::uint64_t seed : {21, 22}) {
+    spec.name = "tool_suite_" + std::to_string(seed);
+    spec.seed = seed;
+    suite.designs.push_back(prepare_design(*suite.lib, spec, 1.0, options.flow));
+  }
+  for (PreparedDesign& pd : suite.designs) {
+    suite.base_samples.push_back(make_training_sample(pd, pd.flow->initial_forest()));
+  }
+  suite.model = std::make_unique<TimingGnn>(options.gnn, suite.lib->num_types());
+  EXPECT_TRUE(save_suite_snapshot(suite, options, path));
+  return path;
+}
+
 using Chunk = std::pair<std::uint32_t, std::vector<std::uint8_t>>;
 
 /// Copy the container at `src` to `dst` chunk by chunk (CRCs recomputed),
@@ -103,11 +127,7 @@ TEST(DbTool, VerifyPassesEveryContainerKind) {
   EXPECT_EQ(run_tool("verify " + make_snapshot(dir)), 0);             // fuzz-case
   EXPECT_EQ(run_tool("verify " + make_serve_snapshot(dir, false)), 0);  // serve
   EXPECT_EQ(run_tool("verify " + make_serve_snapshot(dir, true)), 0);   // serve + models
-  const std::string model_cache = dir + "/model_cache.bin";
-  GnnConfig cfg;
-  cfg.hidden = 6;
-  ASSERT_TRUE(save_model(TimingGnn(cfg, verify::fuzz_library().num_types()), model_cache, "t"));
-  EXPECT_EQ(run_tool("verify " + model_cache), 0);
+  EXPECT_EQ(run_tool("verify " + make_suite_snapshot(dir)), 0);     // suite
 }
 
 TEST(DbTool, VerifyAndServeRejectDesignIndexBeyondCount) {

@@ -311,11 +311,11 @@ TEST(Serialize, SaveLoadRoundTrip) {
   GnnConfig cfg;
   cfg.hidden = 6;
   TimingGnn model(cfg, lib().num_types());
-  // Nudge a weight so the file is not all-initializer values.
+  // Nudge a weight so the payload is not all-initializer values.
   model.parameters()[0].at(0, 0) = 0.123456789;
-  const std::string path = testutil::test_tmp_dir() + "/tsteiner_model_test.txt";
-  ASSERT_TRUE(save_model(model, path, "unit-test"));
-  const auto loaded = load_model(path, cfg, lib().num_types(), "unit-test");
+  const std::vector<std::uint8_t> payload = encode_model_payload(model, "unit-test");
+  const auto loaded =
+      decode_model_payload(payload.data(), payload.size(), cfg, lib().num_types(), "unit-test");
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->parameters().size(), model.parameters().size());
   for (std::size_t p = 0; p < model.parameters().size(); ++p) {
@@ -330,13 +330,17 @@ TEST(Serialize, RejectsMismatchedTagOrConfig) {
   GnnConfig cfg;
   cfg.hidden = 6;
   TimingGnn model(cfg, lib().num_types());
-  const std::string path = testutil::test_tmp_dir() + "/tsteiner_model_test2.txt";
-  ASSERT_TRUE(save_model(model, path, "tag-a"));
-  EXPECT_FALSE(load_model(path, cfg, lib().num_types(), "tag-b").has_value());
+  const std::vector<std::uint8_t> payload = encode_model_payload(model, "tag-a");
+  const int types = lib().num_types();
+  EXPECT_FALSE(decode_model_payload(payload.data(), payload.size(), cfg, types, "tag-b"));
   GnnConfig other = cfg;
   other.hidden = 8;
-  EXPECT_FALSE(load_model(path, other, lib().num_types(), "tag-a").has_value());
-  EXPECT_FALSE(load_model("/nonexistent/file", cfg, lib().num_types(), "tag-a").has_value());
+  EXPECT_FALSE(decode_model_payload(payload.data(), payload.size(), other, types, "tag-a"));
+  // A short or overlong payload is rejected too.
+  EXPECT_FALSE(decode_model_payload(payload.data(), payload.size() - 1, cfg, types, "tag-a"));
+  std::vector<std::uint8_t> longer = payload;
+  longer.push_back(0);
+  EXPECT_FALSE(decode_model_payload(longer.data(), longer.size(), cfg, types, "tag-a"));
 }
 
 TEST(Serialize, LoadedModelPredictsIdentically) {
@@ -344,9 +348,9 @@ TEST(Serialize, LoadedModelPredictsIdentically) {
   GnnConfig cfg;
   cfg.hidden = 6;
   TimingGnn model(cfg, lib().num_types());
-  const std::string path = testutil::test_tmp_dir() + "/tsteiner_model_test3.txt";
-  ASSERT_TRUE(save_model(model, path, "pred"));
-  const auto loaded = load_model(path, cfg, lib().num_types(), "pred");
+  const std::vector<std::uint8_t> payload = encode_model_payload(model, "pred");
+  const auto loaded =
+      decode_model_payload(payload.data(), payload.size(), cfg, lib().num_types(), "pred");
   ASSERT_TRUE(loaded.has_value());
   auto run = [&](const TimingGnn& m) {
     Tape tape;

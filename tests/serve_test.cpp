@@ -11,12 +11,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -945,6 +948,87 @@ TEST(Server, GracefulDrainFinishesQueuedRequests) {
   // connection attempt must fail once the listener is gone.
   serve::ServeClient late;
   EXPECT_FALSE(late.connect_tcp(server.bound_tcp_port(), &error));
+}
+
+/// Entries of a /proc/self directory: open fds ("fd") or live threads ("task").
+std::size_t proc_self_entries(const char* dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(std::string("/proc/self/") + dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// Wait up to 5 s for the count of proc_self_entries(dir) to drop to `target`.
+std::size_t settle_to(const char* dir, std::size_t target) {
+  std::size_t now = proc_self_entries(dir);
+  for (int waited_ms = 0; now > target && waited_ms < 5000; waited_ms += 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = proc_self_entries(dir);
+  }
+  return now;
+}
+
+TEST(Server, ClientsThatHangUpBeforeTheirReplyLeaveTheServerUp) {
+  const std::string snap = write_snapshot(44, "hangup.tsdb");
+  serve::ServeOptions opts;
+  opts.unix_socket = temp_path("hangup.sock");
+  serve::Server server(opts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  serve::Request open;
+  open.type = serve::RequestType::kOpen;
+  open.id = 1;
+  open.snapshot = snap;
+  const std::vector<std::uint8_t> frame =
+      serve::encode_frame({FrameKind::kRequest, serve::encode_request(open)});
+  constexpr std::uint64_t kClients = 20;
+  for (std::uint64_t i = 0; i < kClients; ++i) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, opts.unix_socket.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::write(fd, frame.data(), frame.size()), static_cast<ssize_t>(frame.size()));
+    ::close(fd);  // hang up before the reply
+  }
+  // Every reply goes to a closed socket. Wait until all were attempted: a
+  // write that raised SIGPIPE would have ended this process by then.
+  for (int waited_ms = 0; server.stats().requests < kClients && waited_ms < 10000;
+       waited_ms += 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(server.stats().requests, kClients);
+
+  serve::ServeClient client;
+  ASSERT_TRUE(client.connect_unix(opts.unix_socket, &error)) << error;
+  const auto pong = client.ping();
+  EXPECT_TRUE(pong.ok) << pong.error;
+  server.stop();
+}
+
+TEST(Server, FinishedConnectionsReleaseTheirFdAndThread) {
+  serve::ServeOptions opts;
+  opts.tcp_port = 0;
+  serve::Server server(opts);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  const std::size_t fds = proc_self_entries("fd");
+  const std::size_t threads = proc_self_entries("task");
+  for (int i = 0; i < 20; ++i) {
+    serve::ServeClient client;
+    ASSERT_TRUE(client.connect_tcp(server.bound_tcp_port(), &error)) << error;
+    const auto pong = client.ping();
+    ASSERT_TRUE(pong.ok) << pong.error;
+  }
+  // Each hang-up ends its reader; the acceptor joins it and closes its fd
+  // within a poll interval.
+  EXPECT_EQ(settle_to("fd", fds), fds);
+  EXPECT_EQ(settle_to("task", threads), threads);
+  server.stop();
 }
 
 // --- scheduling: each connection runs its own requests ----------------------

@@ -143,6 +143,28 @@ TEST(TraceTool, NonMonotoneKeepBestFailsVerify) {
   EXPECT_EQ(run_tool("verify " + report), 1);
 }
 
+TEST(TraceTool, ReportBestTnsRegressionFailsVerify) {
+  // The report's embedded iterations get the same per-record check as the
+  // JSONL stream: best_tns may not regress within a run either.
+  const std::string dir = testutil::test_tmp_dir();
+  const auto write_report = [&dir](const char* file, double second_best_tns) {
+    obs::RunReport report;
+    obs::RefineRunRecord run;
+    run.design = "d1";
+    run.iterations = 2;
+    run.iters.push_back(make_iter(0, -1.2));  // best_tns -5
+    obs::RefineIterationRecord second = make_iter(1, -1.0);
+    second.best_tns = second_best_tns;
+    run.iters.push_back(second);
+    report.add_refine(run);
+    const std::string path = dir + "/" + file;
+    EXPECT_TRUE(report.write(path));
+    return path;
+  };
+  EXPECT_EQ(run_tool("verify " + write_report("kept.json", -4.0)), 0);
+  EXPECT_EQ(run_tool("verify " + write_report("regressed.json", -6.0)), 1);
+}
+
 /// Two refine runs of one design in one stream: the second restarts at iter 0
 /// from a worse best_wns (-1.4) and ends at `second_best`.
 std::string make_two_run_jsonl(const std::string& dir, double second_best) {

@@ -504,6 +504,68 @@ std::optional<JsonValue> load_metrics_snapshot(const char* path) {
   return doc;
 }
 
+// --- refine iteration records ------------------------------------------------
+
+/// The keep-best state one iteration record leaves for the next one.
+struct KeepBest {
+  double iter = 0.0;
+  double best_wns = 0.0;
+  double best_tns = 0.0;
+};
+
+KeepBest keep_best_of(const JsonValue& rec) {
+  return {rec.number_or("iter", 0.0), rec.number_or("best_wns", 0.0),
+          rec.number_or("best_tns", 0.0)};
+}
+
+/// Check one record written by append_iteration_json, as it appears both in
+/// the refine JSONL stream and in a run report's refine[].iters: the full
+/// key set, all-or-nothing sign-off probe fields, and, when `prev` is the
+/// record before it in the same run, that best_wns and best_tns never
+/// regress. Failures name the record by `where`.
+int check_iteration(const JsonValue& rec, const KeepBest* prev, const char* where) {
+  static const char* const kNumberKeys[] = {"iter",      "wns",      "tns",
+                                            "best_wns",  "best_tns", "theta",
+                                            "grad_norm", "max_move", "lambda_w",
+                                            "lambda_t",  "wall_s"};
+  if (rec.find_string("design") == nullptr) return fail("%s lacks a design string", where);
+  for (const char* key : kNumberKeys) {
+    if (rec.find_number(key) == nullptr) return fail("%s lacks numeric \"%s\"", where, key);
+  }
+  const JsonValue* accept = rec.find("accept");
+  if (accept == nullptr || !accept->is_bool()) {
+    return fail("%s lacks boolean \"accept\"", where);
+  }
+  // Optional sign-off probe fields: all-or-nothing per record, dirty
+  // fraction a valid fraction, incremental flag a boolean.
+  const JsonValue* so_wns = rec.find("signoff_wns");
+  const JsonValue* so_tns = rec.find("signoff_tns");
+  const JsonValue* so_frac = rec.find("signoff_dirty_frac");
+  const JsonValue* so_inc = rec.find("signoff_incremental");
+  if (so_wns || so_tns || so_frac || so_inc) {
+    if (so_wns == nullptr || !so_wns->is_number() || so_tns == nullptr ||
+        !so_tns->is_number() || so_frac == nullptr || !so_frac->is_number()) {
+      return fail("%s has a partial sign-off probe record", where);
+    }
+    if (so_inc == nullptr || !so_inc->is_bool()) {
+      return fail("%s lacks boolean \"signoff_incremental\"", where);
+    }
+    const double frac = so_frac->number;
+    if (!(frac >= 0.0 && frac <= 1.0)) {
+      return fail("%s: signoff_dirty_frac %g outside [0,1]", where, frac);
+    }
+  }
+  if (prev == nullptr) return 0;
+  const KeepBest now = keep_best_of(rec);
+  if (now.best_wns + 1e-12 < prev->best_wns) {
+    return fail("%s: best_wns regressed (%.6f -> %.6f)", where, prev->best_wns, now.best_wns);
+  }
+  if (now.best_tns + 1e-12 < prev->best_tns) {
+    return fail("%s: best_tns regressed (%.6f -> %.6f)", where, prev->best_tns, now.best_tns);
+  }
+  return 0;
+}
+
 // --- run reports -------------------------------------------------------------
 
 int verify_report(const JsonValue& doc) {
@@ -530,19 +592,14 @@ int verify_report(const JsonValue& doc) {
       return fail("refine[%zu] lacks design/iterations/iters", i);
     }
     const JsonValue* iters = r.find_array("iters");
-    double best = -std::numeric_limits<double>::infinity();
+    KeepBest run;
     for (std::size_t k = 0; k < iters->array.size(); ++k) {
-      const JsonValue& it = iters->array[k];
-      if (it.find_number("iter") == nullptr || it.find_number("wns") == nullptr ||
-          it.find_number("best_wns") == nullptr) {
-        return fail("refine[%zu].iters[%zu] lacks iter/wns/best_wns", i, k);
+      const std::string where =
+          "refine[" + std::to_string(i) + "].iters[" + std::to_string(k) + "]";
+      if (check_iteration(iters->array[k], k == 0 ? nullptr : &run, where.c_str()) != 0) {
+        return 1;
       }
-      const double b = it.number_or("best_wns", 0.0);
-      if (b + 1e-12 < best) {
-        return fail("refine[%zu].iters[%zu]: best_wns regressed (%.6f -> %.6f)", i, k,
-                    best, b);
-      }
-      best = b;
+      run = keep_best_of(iters->array[k]);
     }
   }
   if (doc.find_object("metrics") == nullptr) {
@@ -609,16 +666,7 @@ struct JsonlStats {
 /// so a stream holding several runs verifies run by run. Populates `stats`
 /// for summarize.
 int verify_jsonl(const std::string& text, JsonlStats* stats) {
-  static const char* const kNumberKeys[] = {"iter",      "wns",      "tns",
-                                            "best_wns",  "best_tns", "theta",
-                                            "grad_norm", "max_move", "lambda_w",
-                                            "lambda_t",  "wall_s"};
-  struct RunState {
-    double iter = 0.0;
-    double best_wns = 0.0;
-    double best_tns = 0.0;
-  };
-  std::map<std::string, RunState> runs;  // design -> its current run
+  std::map<std::string, KeepBest> runs;  // design -> its current run
   std::size_t line_no = 0, pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
@@ -634,55 +682,17 @@ int verify_jsonl(const std::string& text, JsonlStats* stats) {
     }
     const JsonValue* design = doc->find_string("design");
     if (design == nullptr) return fail("line %zu lacks a design string", line_no);
-    for (const char* key : kNumberKeys) {
-      if (doc->find_number(key) == nullptr) {
-        return fail("line %zu lacks numeric \"%s\"", line_no, key);
-      }
-    }
-    const JsonValue* accept = doc->find("accept");
-    if (accept == nullptr || !accept->is_bool()) {
-      return fail("line %zu lacks boolean \"accept\"", line_no);
-    }
-    // Optional sign-off probe fields: all-or-nothing per line, dirty
-    // fraction a valid fraction, incremental flag a boolean.
-    const JsonValue* so_wns = doc->find("signoff_wns");
-    const JsonValue* so_tns = doc->find("signoff_tns");
-    const JsonValue* so_frac = doc->find("signoff_dirty_frac");
-    const JsonValue* so_inc = doc->find("signoff_incremental");
-    const bool any_signoff = so_wns || so_tns || so_frac || so_inc;
-    if (any_signoff) {
-      if (so_wns == nullptr || !so_wns->is_number() || so_tns == nullptr ||
-          !so_tns->is_number() || so_frac == nullptr || !so_frac->is_number()) {
-        return fail("line %zu has a partial sign-off probe record", line_no);
-      }
-      if (so_inc == nullptr || !so_inc->is_bool()) {
-        return fail("line %zu lacks boolean \"signoff_incremental\"", line_no);
-      }
-      const double frac = so_frac->number;
-      if (!(frac >= 0.0 && frac <= 1.0)) {
-        return fail("line %zu: signoff_dirty_frac %g outside [0,1]", line_no, frac);
-      }
-    }
-    const double iter = doc->number_or("iter", 0.0);
-    const double bw = doc->number_or("best_wns", 0.0);
-    const double bt = doc->number_or("best_tns", 0.0);
-    auto [it, fresh] = runs.emplace(design->str, RunState{iter, bw, bt});
-    if (!fresh && iter > it->second.iter) {
-      if (bw + 1e-12 < it->second.best_wns) {
-        return fail("line %zu: best_wns for %s regressed (%.6f -> %.6f)", line_no,
-                    design->str.c_str(), it->second.best_wns, bw);
-      }
-      if (bt + 1e-12 < it->second.best_tns) {
-        return fail("line %zu: best_tns for %s regressed (%.6f -> %.6f)", line_no,
-                    design->str.c_str(), it->second.best_tns, bt);
-      }
-    }
-    it->second = RunState{iter, bw, bt};
+    const KeepBest now = keep_best_of(*doc);
+    const auto it = runs.find(design->str);
+    const bool same_run = it != runs.end() && now.iter > it->second.iter;
+    const std::string where = "line " + std::to_string(line_no) + " (" + design->str + ")";
+    if (check_iteration(*doc, same_run ? &it->second : nullptr, where.c_str()) != 0) return 1;
+    runs[design->str] = now;
     if (stats != nullptr) {
       ++stats->lines;
       auto [sit, first] = stats->design_range.emplace(
-          design->str, std::make_pair(doc->number_or("wns", 0.0), bw));
-      if (!first) sit->second.second = bw;
+          design->str, std::make_pair(doc->number_or("wns", 0.0), now.best_wns));
+      if (!first) sit->second.second = now.best_wns;
     }
   }
   return 0;
