@@ -1,15 +1,19 @@
 // Micro-benchmarks (google-benchmark) of the computational kernels under
 // TSteiner: RSMT construction, the tape's dense-layer kernel (forward and
-// backward), golden STA, and global routing throughput. Evaluator record and
-// replay timings live in tsbench's `tape.*` layer metrics.
+// backward), golden STA, global routing throughput, and a timing-evaluator
+// fit at a given pool width. Evaluator record and replay timings live in
+// tsbench's `tape.*` layer metrics.
 #include <benchmark/benchmark.h>
 
 #include "autodiff/tape.hpp"
 #include "flow/flow.hpp"
+#include "gnn/trainer.hpp"
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
 #include "sta/sta.hpp"
 #include "steiner/rsmt.hpp"
+#include "tsteiner/random_move.hpp"
+#include "util/parallel.hpp"
 
 namespace tsteiner {
 namespace {
@@ -105,6 +109,47 @@ BENCHMARK(BM_TapeDense)
     ->ArgsProduct({{1000, 10000, 50000},
                    {static_cast<int>(Tape::Act::kRelu), static_cast<int>(Tape::Act::kTanh)}})
     ->Unit(benchmark::kMicrosecond);
+
+/// Trainer::fit, 6 epochs, on a 1k-cell design and two random_disturb
+/// variants of it, each labeled by pre-routing STA; range(0) is the pool
+/// width. Reports process CPU next to wall time (training at width 4 should
+/// cost no more CPU than at width 1) and the pool jobs one fit dispatches.
+void BM_TrainerFit(benchmark::State& state) {
+  set_parallel_threads(static_cast<std::size_t>(state.range(0)));
+  Prepared p = prepare(1000);
+  const auto cache = build_graph_cache(p.design, p.forest);
+  std::vector<TrainingSample> samples;
+  for (std::uint64_t seed : {0, 1, 2}) {
+    const SteinerForest f =
+        seed == 0 ? p.forest : random_disturb(p.forest, p.design.die(), 20.0, seed);
+    const StaResult sta = run_sta(p.design, f, nullptr);
+    TrainingSample s;
+    s.cache = cache;
+    s.xs = f.gather_x();
+    s.ys = f.gather_y();
+    s.arrival_label = sta.arrival;
+    s.endpoint_pins = sta.endpoints;
+    samples.push_back(std::move(s));
+  }
+  TrainOptions topt;
+  topt.epochs = 6;
+  const std::uint64_t jobs0 = parallel_jobs();
+  for (auto _ : state) {
+    TimingGnn model(GnnConfig{}, lib().num_types());
+    Trainer trainer(&model, topt);
+    benchmark::DoNotOptimize(trainer.fit(samples));
+  }
+  state.counters["pool_jobs"] = benchmark::Counter(static_cast<double>(parallel_jobs() - jobs0),
+                                                   benchmark::Counter::kAvgIterations);
+  set_parallel_threads(0);
+}
+BENCHMARK(BM_TrainerFit)
+    ->ArgName("width")
+    ->Arg(1)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tsteiner

@@ -88,30 +88,12 @@ void TapeProgram::finalize(Value root, const std::vector<Value>& mutable_leaves,
   // Backward pruning. needs_grad: the node lies on a path *to* a gradient
   // target (bottom-up). An op executes in reverse only when it also lies on
   // a path *from* the root (top-down) — gradient can actually arrive there.
-  needs_grad_.assign(n, 0);
-  if (grad_targets.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (tape_.is_leaf(i) && tape_.nodes_[i].requires_grad) needs_grad_[i] = 1;
-    }
-  } else {
-    for (Value v : grad_targets) {
-      if (!v.valid() || static_cast<std::size_t>(v.id) >= n) {
-        throw std::runtime_error("TapeProgram: invalid gradient target");
-      }
-      needs_grad_[static_cast<std::size_t>(v.id)] = 1;
+  for (Value v : grad_targets) {
+    if (!v.valid() || static_cast<std::size_t>(v.id) >= n) {
+      throw std::runtime_error("TapeProgram: invalid gradient target");
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tape_.is_leaf(i) || needs_grad_[i]) continue;
-    ins.clear();
-    tape_.append_inputs(i, ins);
-    for (int a : ins) {
-      if (needs_grad_[static_cast<std::size_t>(a)]) {
-        needs_grad_[i] = 1;
-        break;
-      }
-    }
-  }
+  needs_grad_ = tape_.grad_need(grad_targets);
 
   std::vector<std::uint8_t> reach(n, 0);
   reach[static_cast<std::size_t>(root.id)] = 1;

@@ -12,16 +12,18 @@ namespace tsteiner {
 
 namespace {
 
-// Parallelization policy for the dense kernels. Every loop below writes
-// disjoint slots per parallel index (rows for dense/gather, columns for
-// scatter-style accumulation, weight rows for the dense weight gradient),
-// and within each slot iterates in the same order as the serial code — so
-// results are bit-identical for any pool width. Each loop states its work
-// per index (a row's columns, a column's rows); util/parallel sizes the
-// chunks and runs small tensors inline.
-// Scalar whole-tensor folds (sum_all, log_sum_exp, mse) stay serial: they
-// are O(n) with a tiny constant and exact parity with the historical
-// element order matters more than their share of the runtime.
+// Parallelization policy for the kernels. Every parallel loop below writes
+// disjoint rows per parallel index and within each row iterates in the same
+// order as the serial code — so results are bit-identical for any pool
+// width. Each loop states its work per index (a row's columns); util/parallel
+// sizes the chunks and runs small tensors inline.
+// Serial by design: accumulations with repeated destinations (scatter_add /
+// segment_sum and segment_max forward, gather_rows and gather_frontiers
+// backward, the dense bias and weight gradients) and the scalar
+// whole-tensor folds (sum_all, log_sum_exp, mse). Splitting the former by
+// columns or weight rows cost 2.5-4.5x their serial CPU at width 4 for no
+// wall gain on GNN-sized tensors (docs/parallelism.md); the latter are O(n)
+// with a tiny constant.
 
 template <class Fn>
 void pointwise(std::size_t n, Fn&& fn) {
@@ -42,22 +44,6 @@ void accumulate_pointwise(bool fresh, Tensor& dst, std::size_t n, Expr&& expr) {
   } else {
     pointwise(n, [&](std::size_t k) { dst[k] += expr(k); });
   }
-}
-
-/// Weight rows per parallel index of the dense weight gradient.
-constexpr std::size_t kDwBlock = 4;
-
-/// Doubles per cache line, and a weight-gradient row's stride in the dense
-/// scratch: whole lines.
-constexpr std::size_t kLineDoubles = 64 / sizeof(double);
-std::size_t dense_row_stride(std::size_t cols) {
-  return (cols + kLineDoubles - 1) / kLineDoubles * kLineDoubles;
-}
-
-/// First cache-line boundary at or after p.
-double* cache_line_aligned(double* p) {
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  return p + ((64 - addr % 64) % 64) / sizeof(double);
 }
 
 }  // namespace
@@ -281,7 +267,7 @@ Value Tape::dense(const std::vector<DenseTerm>& terms, Value bias, Act act) {
   }
   for (const DenseTerm& t : terms) op.inputs.push_back(t.weight.id);
   op.inputs.push_back(bias.id);
-  const std::size_t scratch = rows * cols + k_max * dense_row_stride(cols) + kLineDoubles;
+  const std::size_t scratch = (rows + k_max) * cols;
   if (dense_scratch_.size() < scratch) {
     dense_scratch_.resize(scratch);
     ++allocations_;
@@ -521,12 +507,10 @@ void Tape::run_forward(std::size_t i, const Binding& b) {
       const auto ta = in(r.a);
       const std::vector<int>& idx = r.indices;
       std::fill(vo.begin(), vo.end(), 0.0);
-      parallel_for(0, ta.cols(), idx.size(), [&](std::size_t clo, std::size_t chi) {
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          const auto dst = static_cast<std::size_t>(idx[k]);
-          for (std::size_t c = clo; c < chi; ++c) vo.at(dst, c) += ta.at(k, c);
-        }
-      });
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        const auto dst = static_cast<std::size_t>(idx[k]);
+        for (std::size_t c = 0; c < ta.cols(); ++c) vo.at(dst, c) += ta.at(k, c);
+      }
       return;
     }
     case OpCode::kSegmentMax: {
@@ -539,24 +523,20 @@ void Tape::run_forward(std::size_t i, const Binding& b) {
         ++allocations_;
       }
       // argmax row per (segment, col) for the backward pass (a trial pass
-      // writes its own buffer, which no backward reads). Column-parallel:
-      // each (s, c) cell is owned by exactly one column chunk, and rows are
-      // visited in serial order, so ties resolve identically to the serial
-      // code.
+      // writes its own buffer, which no backward reads). Rows in order: the
+      // first of tied rows wins.
       int* const am = b.mask != nullptr ? b.argmax : r.argmax.data();
       std::fill(am, am + scratch, -1);
-      parallel_for(0, ta.cols(), seg.size(), [&](std::size_t clo, std::size_t chi) {
-        for (std::size_t k = 0; k < seg.size(); ++k) {
-          const auto s = static_cast<std::size_t>(seg[k]);
-          for (std::size_t c = clo; c < chi; ++c) {
-            const std::size_t cell = s * ta.cols() + c;
-            if (am[cell] < 0 || ta.at(k, c) > vo.at(s, c)) {
-              vo.at(s, c) = ta.at(k, c);
-              am[cell] = static_cast<int>(k);
-            }
+      for (std::size_t k = 0; k < seg.size(); ++k) {
+        const auto s = static_cast<std::size_t>(seg[k]);
+        for (std::size_t c = 0; c < ta.cols(); ++c) {
+          const std::size_t cell = s * ta.cols() + c;
+          if (am[cell] < 0 || ta.at(k, c) > vo.at(s, c)) {
+            vo.at(s, c) = ta.at(k, c);
+            am[cell] = static_cast<int>(k);
           }
         }
-      });
+      }
       return;
     }
     case OpCode::kGatherFrontiers: {
@@ -755,15 +735,11 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
       ensure_grad(va_v);
       Tensor& ga = grad_ref(va_v);
       const std::vector<int>& idx = r.indices;
-      // Scatter with repeats: column-parallel, rows in serial order per
-      // column, so each destination accumulates in the same order as the
-      // serial code.
-      parallel_for(0, g.cols(), idx.size(), [&](std::size_t clo, std::size_t chi) {
-        for (std::size_t k = 0; k < idx.size(); ++k) {
-          const auto dst = static_cast<std::size_t>(idx[k]);
-          for (std::size_t c = clo; c < chi; ++c) ga.at(dst, c) += g.at(k, c);
-        }
-      });
+      // A scatter with repeats: rows in order.
+      for (std::size_t k = 0; k < idx.size(); ++k) {
+        const auto dst = static_cast<std::size_t>(idx[k]);
+        for (std::size_t c = 0; c < g.cols(); ++c) ga.at(dst, c) += g.at(k, c);
+      }
       return;
     }
     case OpCode::kScatterAddRows: {
@@ -1042,14 +1018,10 @@ void Tape::dense_backward(std::size_t i, const Tensor& g, const std::vector<std:
   if (needed(bias_id)) {
     ensure_grad(Value{bias_id});
     Tensor& gb = grad_ref(Value{bias_id});
-    const bool fb = fresh_dst(bias_id);
-    parallel_for(0, cols, rows, [&](std::size_t clo, std::size_t chi) {
-      for (std::size_t c = clo; c < chi; ++c) {
-        double s = fb ? 0.0 : gb[c];
-        for (std::size_t row = 0; row < rows; ++row) s += dpre[row * cols + c];
-        gb[c] = s;
-      }
-    });
+    if (fresh_dst(bias_id)) std::fill(gb.data().begin(), gb.data().end(), 0.0);
+    for (std::size_t row = 0; row < rows; ++row) {
+      for (std::size_t c = 0; c < cols; ++c) gb[c] += dpre[row * cols + c];
+    }
   }
 
   // Terms last to first, as the unfused chain's matmuls ran in reverse.
@@ -1093,45 +1065,31 @@ void Tape::dense_backward(std::size_t i, const Tensor& g, const std::vector<std:
       });
     }
 
-    // dW = X^T * dpre, parallel over blocks of kDwBlock weight rows. Each
-    // block accumulates its partial sums row-major (for each input row, for
-    // each k, for each c), so every element still sums over input rows in
-    // order from +0.0, and adds the sum onto the slot once. A block reuses
-    // each dpre row for all its k. Each weight row's partial sums start on
-    // their own cache line, so blocks on different workers never write one
-    // line.
+    // dW = X^T * dpre. The partial sums accumulate row-major (for each
+    // input row, for each k, for each c), so every element sums over input
+    // rows in order from +0.0, and the sum is added onto the slot once.
     if (!needed(wid)) continue;
     ensure_grad(Value{wid});
     Tensor& gw = grad_ref(Value{wid});
     const bool fw = fresh_dst(wid);
-    const std::size_t ld = dense_row_stride(cols);
-    double* const acc = cache_line_aligned(dpre + n);
-    const std::size_t blocks = (k_rows + kDwBlock - 1) / kDwBlock;
-    parallel_for(0, blocks, kDwBlock * rows * cols, [&](std::size_t blo, std::size_t bhi) {
-      const std::size_t klo = blo * kDwBlock, khi = std::min(k_rows, bhi * kDwBlock);
-      for (std::size_t k = klo; k < khi; ++k) std::fill(acc + k * ld, acc + k * ld + cols, 0.0);
-      std::size_t k0 = 0;
-      for (std::size_t j = jb; j < je; ++j) {
-        const Tensor& x = nodes_[static_cast<std::size_t>(r.inputs[j])].value;
-        const std::size_t pc = x.cols();
-        const std::size_t lo = std::max(klo, k0), hi = std::min(khi, k0 + pc);
-        for (std::size_t row = 0; lo < hi && row < rows; ++row) {
-          const double* gr = dpre + row * cols;
-          const double* xr = x.data().data() + row * pc;
-          for (std::size_t k = lo; k < hi; ++k) {
-            const double av = xr[k - k0];
-            double* const a = acc + k * ld;
-            for (std::size_t c = 0; c < cols; ++c) a[c] += av * gr[c];
-          }
-        }
-        k0 += pc;
-      }
-      for (std::size_t k = klo; k < khi; ++k) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          gw[k * cols + c] = (fw ? 0.0 : gw[k * cols + c]) + acc[k * ld + c];
+    double* const acc = dpre + n;
+    std::fill(acc, acc + k_rows * cols, 0.0);
+    std::size_t k0 = 0;
+    for (std::size_t j = jb; j < je; ++j) {
+      const Tensor& x = nodes_[static_cast<std::size_t>(r.inputs[j])].value;
+      const std::size_t pc = x.cols();
+      for (std::size_t row = 0; row < rows; ++row) {
+        const double* gr = dpre + row * cols;
+        const double* xr = x.data().data() + row * pc;
+        for (std::size_t k = 0; k < pc; ++k) {
+          const double av = xr[k];
+          double* const a = acc + (k0 + k) * cols;
+          for (std::size_t c = 0; c < cols; ++c) a[c] += av * gr[c];
         }
       }
-    });
+      k0 += pc;
+    }
+    for (std::size_t k = 0; k < k_rows * cols; ++k) gw[k] = (fw ? 0.0 : gw[k]) + acc[k];
   }
 }
 
@@ -1188,17 +1146,43 @@ void Tape::reset_grad(std::size_t i) {
   }
 }
 
+std::vector<std::uint8_t> Tape::grad_need(const std::vector<Value>& targets) const {
+  const std::size_t n = nodes_.size();
+  std::vector<std::uint8_t> need(n, 0);
+  if (targets.empty()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (is_leaf(i) && nodes_[i].requires_grad) need[i] = 1;
+    }
+  } else {
+    for (Value v : targets) need[static_cast<std::size_t>(v.id)] = 1;
+  }
+  // Operands precede their ops, so one ascending sweep closes the mask.
+  std::vector<int> ins;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (is_leaf(i) || need[i]) continue;
+    ins.clear();
+    append_inputs(i, ins);
+    need[i] = std::any_of(ins.begin(), ins.end(),
+                          [&](int a) { return need[static_cast<std::size_t>(a)] != 0; });
+  }
+  return need;
+}
+
 void Tape::backward(Value root) {
   Node& r = nodes_[static_cast<std::size_t>(root.id)];
   if (r.value.size() != 1) throw std::runtime_error("backward: root must be scalar");
   for (std::size_t i = 0; i < nodes_.size(); ++i) reset_grad(i);
   grad_ref(root)[0] = 1.0;
-  // Node order stays sequential (the tape is a dependency chain); each
-  // node's backward kernel parallelizes internally.
+  // Only ops on a path to a requires_grad leaf run, and they accumulate only
+  // into such operands: every other gradient would be computed and never
+  // read. A needed node's consumers are all needed, so its gradient bits are
+  // those of the unpruned pass. Node order stays sequential (the tape is a
+  // dependency chain); each node's backward kernel parallelizes internally.
+  const std::vector<std::uint8_t> need = grad_need({});
   for (int i = root.id; i >= 0; --i) {
     const auto idx = static_cast<std::size_t>(i);
-    if (is_leaf(idx)) continue;
-    if (grad_nonzero(idx)) run_backward(idx, nullptr);
+    if (is_leaf(idx) || !need[idx]) continue;
+    if (grad_nonzero(idx)) run_backward(idx, &need);
   }
 }
 

@@ -139,7 +139,11 @@ class Tape {
   /// Mean squared error against a constant target (no grad to target).
   Value mse(Value prediction, const Tensor& target);
 
-  /// Reverse pass from a 1x1 root with seed gradient 1.
+  /// Reverse pass from a 1x1 root with seed gradient 1. Every gradient slot
+  /// is reset, but only ops on a path to a requires_grad leaf run, and only
+  /// into operands on such a path: grad() of a requires_grad leaf, or of an
+  /// interior node that depends on one, holds its full gradient; any other
+  /// node's reads zeros.
   void backward(Value root);
 
  private:
@@ -234,6 +238,10 @@ class Tape {
   void run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
                     const std::vector<std::uint8_t>* fresh = nullptr, int grad_from = -1);
   void append_inputs(std::size_t i, std::vector<int>& out) const;
+  /// By node id: 1 where the node lies on a path to a gradient target —
+  /// `targets`, or every requires_grad leaf when it is empty. The `need`
+  /// filter of both backward passes (eager and TapeProgram's replay).
+  std::vector<std::uint8_t> grad_need(const std::vector<Value>& targets) const;
   bool is_leaf(std::size_t i) const { return ops_[i].code == OpCode::kLeaf; }
   bool grad_nonzero(std::size_t i) const;
   /// Allocate-or-zero one node's gradient buffer.
@@ -253,7 +261,7 @@ class Tape {
   std::vector<OpRecord> ops_;
   /// Shared dense-op scratch: a rows x C block (a later term's partial
   /// products in the forward, the pre-activation gradient in the backward)
-  /// followed by K line-padded rows of C (weight-gradient partial sums).
+  /// followed by K rows of C (weight-gradient partial sums).
   /// Grown at record time to the largest dense op; kernels never allocate.
   std::vector<double> dense_scratch_;
   /// A trial pass's per-row reuse flags for one dense op, sized at record

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autodiff/program.hpp"
@@ -615,8 +617,8 @@ Tensor sparse_randn(Rng& rng, std::size_t rows, std::size_t cols) {
 }
 
 TEST(Tape, DenseMatchesUnfusedChainBits) {
-  // Sizes past one chunk in every loop, so the pool splits rows in the
-  // forward and dX, and weight rows in dW.
+  // Sizes past one chunk in the row-parallel loops, so the pool splits
+  // rows in the forward and dX.
   constexpr std::size_t kRows = 3000, kCols = 12;
   Rng rng(61);
   const std::vector<std::vector<Tensor>> parts = {
@@ -712,6 +714,136 @@ TEST(TapeGrad, ComposedMlpBlock) {
             t.softplus(t.dense({{{hidden}, t.leaf(w2)}}, t.leaf(b2), Tape::Act::kNone)));
       },
       make_input(), 1e-5);
+}
+
+
+/// Values on a quarter grid (many ties) with exact and negative zeros.
+Tensor tied_signed_zeros(Rng& rng, std::size_t rows, std::size_t cols) {
+  Tensor t(rows, cols);
+  for (double& v : t.data()) {
+    const std::size_t pick = rng.index(8);
+    v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : std::round(4.0 * rng.normal()) / 4.0;
+  }
+  return t;
+}
+
+TEST(Tape, RepeatedDestinationKernelsBitIdenticalAcrossWidths) {
+  // The serial accumulation sites — scatter_add_rows / segment_sum and
+  // segment_max forward, gather_rows backward, the dense bias and weight
+  // gradients — at sizes that used to split them over the pool, and where
+  // the graph's row-parallel kernels still do. Repeated destinations,
+  // segment_max ties, an empty segment and +-0.0 in values and seeds.
+  constexpr std::size_t kRows = 6144, kCols = 12, kSegs = kRows / 8;
+  Rng rng(97);
+  const Tensor x = tied_signed_zeros(rng, kRows, kCols);
+  std::vector<int> dst(kRows), src(kRows);
+  for (std::size_t k = 0; k < kRows; ++k) {
+    dst[k] = static_cast<int>(rng.index(kSegs - 1));  // segment kSegs - 1 stays empty
+    src[k] = static_cast<int>(rng.index(kRows / 4));  // every source row read ~4 times
+  }
+  const Tensor w = Tensor::randn(rng, kCols, kCols, 0.3);
+  const Tensor bias = Tensor::randn(rng, 1, kCols, 0.2);
+  const Tensor seed_seg = tied_signed_zeros(rng, kSegs, kCols);
+  const Tensor seed_rows = tied_signed_zeros(rng, kRows, kCols);
+
+  std::vector<std::vector<Tensor>> runs;
+  for (std::size_t width = 1; width <= 4; ++width) {
+    set_parallel_threads(width);
+    const std::uint64_t jobs0 = parallel_jobs();
+    Tape t;
+    const Value vx = t.leaf(x, true);
+    const Value vw = t.leaf(w, true);
+    const Value vb = t.leaf(bias, true);
+    const Value scatter = t.scatter_add_rows(vx, dst, kSegs);
+    const Value seg_sum = t.segment_sum(t.scale(vx, 0.5), dst, kSegs);
+    const Value seg_max = t.segment_max(vx, dst, kSegs, -1.0);
+    const Value layer = t.dense({{{t.gather_rows(vx, src)}, vw}}, vb, Tape::Act::kTanh);
+    const Value root = t.add(
+        t.add(t.sum_all(t.mul(scatter, t.leaf(seed_seg))),
+              t.sum_all(t.mul(t.add(seg_sum, seg_max), t.leaf(seed_seg)))),
+        t.sum_all(t.mul(layer, t.leaf(seed_rows))));
+    t.backward(root);
+    runs.push_back({t.value(scatter), t.value(seg_sum), t.value(seg_max), t.value(layer),
+                    t.grad(vx), t.grad(vw), t.grad(vb)});
+    if (width == 1) {
+      EXPECT_EQ(parallel_jobs(), jobs0);
+    } else {
+      EXPECT_GT(parallel_jobs(), jobs0) << "width " << width << " never used the pool";
+    }
+  }
+  set_parallel_threads(0);
+  EXPECT_EQ(runs[0][2].at(kSegs - 1, 0), -1.0) << "the empty segment takes the fill";
+  const char* const names[] = {"scatter_add_rows", "segment_sum", "segment_max", "dense",
+                               "dX", "dW", "dbias"};
+  for (std::size_t width = 2; width <= 4; ++width) {
+    for (std::size_t k = 0; k < runs[0].size(); ++k) {
+      EXPECT_TRUE(same_bits(runs[width - 1][k], runs[0][k]))
+          << names[k] << ": width " << width << " differs from width 1";
+    }
+  }
+}
+
+TEST(Tape, PrunedBackwardMatchesAllLeavesRequiringGrad) {
+  // The trainer's shape: constant coordinates run through gather,
+  // smooth_abs and scatter into features, which meet a constant feature
+  // column and the weights in a dense layer. Marking the constants
+  // requires_grad adds backward work on their paths but must not move a
+  // weight-gradient bit; unmarked, their grad() reads zeros.
+  constexpr std::size_t kRows = 2000;
+  Rng rng(101);
+  const Tensor coords = tied_signed_zeros(rng, kRows, 1);
+  const Tensor feature = tied_signed_zeros(rng, kRows, 3);
+  std::vector<int> from(kRows), to(kRows);
+  for (std::size_t k = 0; k < kRows; ++k) {
+    from[k] = static_cast<int>(rng.index(kRows));
+    to[k] = static_cast<int>(rng.index(kRows));
+  }
+  const Tensor w1 = Tensor::randn(rng, 4, 8, 0.5);
+  const Tensor b1 = Tensor::randn(rng, 1, 8, 0.1);
+  const Tensor w2 = Tensor::randn(rng, 8, 1, 0.5);
+  const Tensor b2 = Tensor::randn(rng, 1, 1, 0.1);
+  const Tensor target = tied_signed_zeros(rng, kRows, 1);
+
+  struct Run {
+    std::vector<Tensor> weight_grads;
+    Tensor coord_grad, feature_grad, length_grad;
+  };
+  const auto run = [&](bool all_leaves) {
+    Tape t;
+    const Value c = t.leaf(coords, all_leaves);
+    const Value f = t.leaf(feature, all_leaves);
+    const std::vector<Value> params = {t.leaf(w1, true), t.leaf(b1, true), t.leaf(w2, true),
+                                       t.leaf(b2, true)};
+    const Value length =
+        t.smooth_abs(t.sub(t.gather_rows(c, from), t.gather_rows(c, to)), 0.25);
+    const Value spread = t.scatter_add_rows(length, to, kRows);
+    const Value hidden = t.dense({{{spread, f}, params[0]}}, params[1], Tape::Act::kRelu);
+    const Value pred = t.softplus(t.dense({{{hidden}, params[2]}}, params[3], Tape::Act::kNone));
+    t.backward(t.mse(pred, target));
+    Run r;
+    for (Value p : params) r.weight_grads.push_back(t.grad(p));
+    r.coord_grad = t.grad(c);
+    r.feature_grad = t.grad(f);
+    r.length_grad = t.grad(length);
+    return r;
+  };
+  const Run full = run(true);
+  const Run pruned = run(false);
+  for (std::size_t k = 0; k < full.weight_grads.size(); ++k) {
+    EXPECT_TRUE(same_bits(pruned.weight_grads[k], full.weight_grads[k])) << "param " << k;
+  }
+  const auto nonzero = [](const Tensor& g) {
+    return std::any_of(g.data().begin(), g.data().end(), [](double v) { return v != 0.0; });
+  };
+  ASSERT_TRUE(nonzero(full.coord_grad) && nonzero(full.feature_grad) &&
+              nonzero(full.length_grad))
+      << "the unpruned pass must reach the constants";
+  for (const auto& [g, size] : {std::pair{&pruned.coord_grad, kRows},
+                                 std::pair{&pruned.feature_grad, 3 * kRows},
+                                 std::pair{&pruned.length_grad, kRows}}) {
+    ASSERT_EQ(g->size(), size);
+    EXPECT_FALSE(nonzero(*g)) << "a pruned node's grad() reads zeros";
+  }
 }
 
 }  // namespace
