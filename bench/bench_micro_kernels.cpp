@@ -83,16 +83,19 @@ BENCHMARK(BM_GlobalRoute)->Arg(200)->Arg(1000)->Arg(4000)->Unit(benchmark::kMill
 
 /// One GNN-shaped layer, act([x1 | x2 | x3] W + b) with 12 + 12 + 1 input
 /// columns (the broadcast message's shape), recorded and back-propagated;
-/// range(1) picks the activation (1 = relu, 2 = tanh).
+/// range(1) picks the activation (1 = relu, 2 = tanh) and range(2) the
+/// output width (1: a head's last layer, 12: the hidden width, 16: the
+/// delay heads' width).
 void BM_TapeDense(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto act = static_cast<Tape::Act>(state.range(1));
+  const auto cols = static_cast<std::size_t>(state.range(2));
   Rng rng(3);
   const Tensor x1 = Tensor::randn(rng, n, 12, 1.0);
   const Tensor x2 = Tensor::randn(rng, n, 12, 1.0);
   const Tensor x3 = Tensor::randn(rng, n, 1, 1.0);
-  const Tensor w = Tensor::randn(rng, 25, 12, 0.3);
-  const Tensor b = Tensor::randn(rng, 1, 12, 0.1);
+  const Tensor w = Tensor::randn(rng, 25, cols, 0.3);
+  const Tensor b = Tensor::randn(rng, 1, cols, 0.1);
   for (auto _ : state) {
     Tape tape;
     const Value v1 = tape.leaf(x1, true);
@@ -105,9 +108,10 @@ void BM_TapeDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TapeDense)
-    ->ArgNames({"rows", "act"})
+    ->ArgNames({"rows", "act", "cols"})
     ->ArgsProduct({{1000, 10000, 50000},
-                   {static_cast<int>(Tape::Act::kRelu), static_cast<int>(Tape::Act::kTanh)}})
+                   {static_cast<int>(Tape::Act::kRelu), static_cast<int>(Tape::Act::kTanh)},
+                   {1, 12, 16}})
     ->Unit(benchmark::kMicrosecond);
 
 /// Trainer::fit, 6 epochs, on a 1k-cell design and two random_disturb

@@ -847,24 +847,135 @@ void Tape::run_backward(std::size_t i, const std::vector<std::uint8_t>* need,
 // docs/autodiff.md for the grouping and sign-of-zero rules. Operand layout:
 // term t's parts are inputs[indices[t] .. indices[t + 1]), then one weight
 // per term, then the bias.
+//
+// Each kernel keeps one output tile in registers across its whole reduction
+// and loads and stores it once. A tile is up to kTileCols columns held as
+// 2-double vectors. A vector lane runs the same separate multiplies and adds
+// in the same order as the scalar loop it replaces, and -ffp-contract=off
+// (src/util/CMakeLists.txt) keeps the compiler from fusing them, so every
+// bit is the scalar loop's at any -march.
 
 namespace {
 
-/// Four-chain dot product: the independent accumulators keep it off the
-/// FP-add latency chain, and the fixed combine order keeps it deterministic.
-double dot4(const double* a, const double* b, std::size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  std::size_t c = 0;
-  for (; c + 4 <= n; c += 4) {
-    s0 += a[c] * b[c];
-    s1 += a[c + 1] * b[c + 1];
-    s2 += a[c + 2] * b[c + 2];
-    s3 += a[c + 3] * b[c + 3];
-  }
-  double s = (s0 + s1) + (s2 + s3);
-  for (; c < n; ++c) s += a[c] * b[c];
-  return s;
+/// Two doubles in one SSE2 (or NEON) register; + and * act lane by lane.
+typedef double V2 __attribute__((vector_size(16)));
+
+V2 load2(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
+
+void store2(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
+
+/// Widest register tile: 8 vectors, half of the SSE2 register file, so the
+/// operands fit beside it. Wider 4-double vectors spill on the baseline
+/// x86-64 target and run slower.
+constexpr int kTileCols = 16;
+
+/// W consecutive doubles of one row in registers: W / 2 vectors and, for odd
+/// W, one scalar. Starts at +0.0.
+template <int W>
+struct Tile {
+  static constexpr int kV = W / 2;
+  V2 v[kV > 0 ? kV : 1] = {};
+  double s = 0.0;
+
+  void load(const double* p) {
+#pragma GCC unroll 8
+    for (int i = 0; i < kV; ++i) v[i] = load2(p + 2 * i);
+    if constexpr (W % 2 != 0) s = p[W - 1];
+  }
+  void store(double* p) const {
+#pragma GCC unroll 8
+    for (int i = 0; i < kV; ++i) store2(p + 2 * i, v[i]);
+    if constexpr (W % 2 != 0) p[W - 1] = s;
+  }
+  /// p[c] = p[c] + tile[c]: a later term's join onto the row.
+  void join(double* p) const {
+#pragma GCC unroll 8
+    for (int i = 0; i < kV; ++i) store2(p + 2 * i, load2(p + 2 * i) + v[i]);
+    if constexpr (W % 2 != 0) p[W - 1] = p[W - 1] + s;
+  }
+  /// tile[c] += p[c].
+  void add(const double* p) {
+#pragma GCC unroll 8
+    for (int i = 0; i < kV; ++i) v[i] += load2(p + 2 * i);
+    if constexpr (W % 2 != 0) s += p[W - 1];
+  }
+  /// tile[c] += a * p[c].
+  void add(double a, const double* p) {
+    const V2 b = {a, a};
+#pragma GCC unroll 8
+    for (int i = 0; i < kV; ++i) v[i] += b * load2(p + 2 * i);
+    if constexpr (W % 2 != 0) s += a * p[W - 1];
+  }
+};
+
+/// Four-column groups of a dX row held in registers.
+constexpr int kDotGroups = kTileCols / 4;
+
+/// One row g of the pre-activation gradient for dX, its first NG four-column
+/// groups in registers. dot(w) is the four-chain dot product of g and w: the
+/// lanes of (s0, s1) and (s2, s3) take columns 4q, 4q + 1 and 4q + 2, 4q + 3
+/// in q order, the chains combine as (s0 + s1) + (s2 + s3), and the cols % 4
+/// tail columns follow in order. Groups past NG (rows wider than kTileCols)
+/// are read from memory.
+template <int NG>
+struct DotRow {
+  V2 g[NG > 0 ? 2 * NG : 1] = {};
+  const double* row = nullptr;
+  std::size_t groups = 0, cols = 0;
+
+  void load(const double* p, std::size_t n) {
+    row = p;
+    cols = n;
+    groups = n / 4;
+#pragma GCC unroll 8
+    for (int i = 0; i < 2 * NG; ++i) g[i] = load2(p + 2 * i);
+  }
+  double dot(const double* w) const {
+    V2 lo = {}, hi = {};
+#pragma GCC unroll 4
+    for (int q = 0; q < NG; ++q) {
+      lo += g[2 * q] * load2(w + 4 * q);
+      hi += g[2 * q + 1] * load2(w + 4 * q + 2);
+    }
+    for (std::size_t q = NG; q < groups; ++q) {
+      lo += load2(row + 4 * q) * load2(w + 4 * q);
+      hi += load2(row + 4 * q + 2) * load2(w + 4 * q + 2);
+    }
+    double s = (lo[0] + lo[1]) + (hi[0] + hi[1]);
+    for (std::size_t c = 4 * groups; c < cols; ++c) s += row[c] * w[c];
+    return s;
+  }
+};
+
+/// Calls f(T<n>{}) for the runtime n in [Lo, Hi]: one kernel instance per
+/// tile width.
+template <template <int> class T, int Lo, int Hi, class F>
+void dispatch(std::size_t n, F&& f) {
+  if constexpr (Lo <= Hi) {
+    if (n == static_cast<std::size_t>(Lo)) {
+      f(T<Lo>{});
+    } else {
+      dispatch<T, Lo + 1, Hi>(n, f);
+    }
+  }
+}
+
+/// Calls f(Tile<w>{}, c0) for each column tile [c0, c0 + w) of a cols-wide row.
+template <class F>
+void for_each_tile(std::size_t cols, F&& f) {
+  for (std::size_t c0 = 0; c0 < cols; c0 += kTileCols) {
+    dispatch<Tile, 1, kTileCols>(std::min<std::size_t>(kTileCols, cols - c0),
+                                 [&](auto tile) { f(tile, c0); });
+  }
+}
+
+/// Rows of the weight gradient's blocks: the block's rows of dpre and X stay
+/// in L1 while every weight row sums over them.
+constexpr std::size_t kDwBlockRows = 64;
 
 }  // namespace
 
@@ -885,7 +996,6 @@ void Tape::dense_forward(std::size_t i, const Binding& b, double* out) {
     k_total += nodes_[static_cast<std::size_t>(weight_ids[t])].value.rows();
   }
   const double* bias = data(bias_id);
-  double* const partial = dense_scratch_.data();
   // A trial pass reuses rows. An output row reads only its own part rows, W
   // and b, and the main values hold the kept iterate (trial_forward refuses
   // to run with set_leaf changes pending), so where every live part row
@@ -900,8 +1010,9 @@ void Tape::dense_forward(std::size_t i, const Binding& b, double* out) {
   std::uint8_t* const reused = dense_reused_.data();
   const auto skip = [&](std::size_t row) { return kept != nullptr && reused[row] != 0; };
   // Row-parallel. Per output element the k order, the zero-input skip and
-  // the +0.0 start are the unfused matmul's; term 0 accumulates in place,
-  // later terms in the scratch block, then join left to right.
+  // the +0.0 start are the unfused matmul's. Each term's sum stays in a
+  // register tile across its whole k loop; term 0 stores it, later terms
+  // join it onto the row left to right.
   parallel_for(0, rows, k_total * cols, [&](std::size_t lo, std::size_t hi) {
     if (kept != nullptr) {
       for (std::size_t row = lo; row < hi; ++row) {
@@ -917,34 +1028,29 @@ void Tape::dense_forward(std::size_t i, const Binding& b, double* out) {
         reused[row] = same ? 1 : 0;
       }
     }
-    for (std::size_t t = 0; t < num_terms; ++t) {
-      double* const acc = t == 0 ? out : partial;
-      std::fill(acc + lo * cols, acc + hi * cols, 0.0);
-      const double* w = data(weight_ids[t]);
-      for (int j = r.indices[t]; j < r.indices[t + 1]; ++j) {
-        const int pid = r.inputs[static_cast<std::size_t>(j)];
-        const std::size_t pc = nodes_[static_cast<std::size_t>(pid)].value.cols();
-        const double* x = data(pid);
-        for (std::size_t row = lo; row < hi; ++row) {
-          if (skip(row)) continue;
-          double* const a = acc + row * cols;
-          const double* xr = x + row * pc;
-          for (std::size_t k = 0; k < pc; ++k) {
-            const double av = xr[k];
-            if (av == 0.0) continue;
-            const double* wr = w + k * cols;
-            for (std::size_t c = 0; c < cols; ++c) a[c] += av * wr[c];
+    for_each_tile(cols, [&](auto tile, std::size_t c0) {
+      for (std::size_t row = lo; row < hi; ++row) {
+        if (skip(row)) continue;
+        double* const o = out + row * cols + c0;
+        for (std::size_t t = 0; t < num_terms; ++t) {
+          auto acc = tile;
+          const double* w = data(weight_ids[t]) + c0;
+          for (int j = r.indices[t]; j < r.indices[t + 1]; ++j) {
+            const int pid = r.inputs[static_cast<std::size_t>(j)];
+            const std::size_t pc = nodes_[static_cast<std::size_t>(pid)].value.cols();
+            const double* xr = data(pid) + row * pc;
+            for (std::size_t k = 0; k < pc; ++k, w += cols) {
+              if (xr[k] != 0.0) acc.add(xr[k], w);
+            }
+          }
+          if (t == 0) {
+            acc.store(o);
+          } else {
+            acc.join(o);
           }
         }
-        w += pc * cols;
       }
-      if (t > 0) {
-        for (std::size_t row = lo; row < hi; ++row) {
-          if (skip(row)) continue;
-          for (std::size_t k = row * cols; k < (row + 1) * cols; ++k) out[k] += partial[k];
-        }
-      }
-    }
+    });
     for (std::size_t row = lo; row < hi; ++row) {
       double* const o = out + row * cols;
       if (skip(row)) {
@@ -1019,9 +1125,12 @@ void Tape::dense_backward(std::size_t i, const Tensor& g, const std::vector<std:
     ensure_grad(Value{bias_id});
     Tensor& gb = grad_ref(Value{bias_id});
     if (fresh_dst(bias_id)) std::fill(gb.data().begin(), gb.data().end(), 0.0);
-    for (std::size_t row = 0; row < rows; ++row) {
-      for (std::size_t c = 0; c < cols; ++c) gb[c] += dpre[row * cols + c];
-    }
+    for_each_tile(cols, [&](auto tile, std::size_t c0) {
+      double* const dst = gb.data().data() + c0;
+      tile.load(dst);
+      for (std::size_t row = 0; row < rows; ++row) tile.add(dpre + row * cols + c0);
+      tile.store(dst);
+    });
   }
 
   // Terms last to first, as the unfused chain's matmuls ran in reverse.
@@ -1035,7 +1144,8 @@ void Tape::dense_backward(std::size_t i, const Tensor& g, const std::vector<std:
     // concat's slot, which the concat then added into the part.
     const bool multi = je - jb > 1;
 
-    // dX = dpre * W^T, row-parallel.
+    // dX = dpre * W^T, row-parallel; the dpre row stays in registers across
+    // every weight row's dot product.
     bool any_part = false;
     for (std::size_t j = jb; j < je; ++j) {
       if (!needed(r.inputs[j])) continue;
@@ -1044,51 +1154,56 @@ void Tape::dense_backward(std::size_t i, const Tensor& g, const std::vector<std:
     }
     if (any_part) {
       parallel_for(0, rows, k_rows * cols, [&](std::size_t lo, std::size_t hi) {
-        std::size_t k0 = 0;
-        for (std::size_t j = jb; j < je; ++j) {
-          const int pid = r.inputs[j];
-          Node& part = nodes_[static_cast<std::size_t>(pid)];
-          const std::size_t pc = part.value.cols();
-          if (needed(pid)) {
-            const bool fp = fresh_dst(pid);
-            for (std::size_t row = lo; row < hi; ++row) {
-              const double* gr = dpre + row * cols;
-              double* const dst = part.grad.data().data() + row * pc;
-              for (std::size_t k = 0; k < pc; ++k) {
-                const double s = dot4(gr, w.data().data() + (k0 + k) * cols, cols);
-                dst[k] = (fp ? 0.0 : dst[k]) + (multi ? 0.0 + s : s);
+        dispatch<DotRow, 0, kDotGroups>(
+            std::min<std::size_t>(cols / 4, kDotGroups), [&](auto d) {
+              for (std::size_t row = lo; row < hi; ++row) {
+                d.load(dpre + row * cols, cols);
+                const double* wr = w.data().data();
+                for (std::size_t j = jb; j < je; ++j) {
+                  const int pid = r.inputs[j];
+                  Node& part = nodes_[static_cast<std::size_t>(pid)];
+                  const std::size_t pc = part.value.cols();
+                  if (needed(pid)) {
+                    const bool fp = fresh_dst(pid);
+                    double* const dst = part.grad.data().data() + row * pc;
+                    for (std::size_t k = 0; k < pc; ++k) {
+                      const double s = d.dot(wr + k * cols);
+                      dst[k] = (fp ? 0.0 : dst[k]) + (multi ? 0.0 + s : s);
+                    }
+                  }
+                  wr += pc * cols;
+                }
               }
-            }
-          }
-          k0 += pc;
-        }
+            });
       });
     }
 
-    // dW = X^T * dpre. The partial sums accumulate row-major (for each
-    // input row, for each k, for each c), so every element sums over input
-    // rows in order from +0.0, and the sum is added onto the slot once.
+    // dW = X^T * dpre. Every element sums over input rows in order from
+    // +0.0, and the sum is added onto the slot once. Rows go in blocks; per
+    // weight row k a register tile carries acc[k] across the block's rows.
     if (!needed(wid)) continue;
     ensure_grad(Value{wid});
     Tensor& gw = grad_ref(Value{wid});
     const bool fw = fresh_dst(wid);
     double* const acc = dpre + n;
     std::fill(acc, acc + k_rows * cols, 0.0);
-    std::size_t k0 = 0;
-    for (std::size_t j = jb; j < je; ++j) {
-      const Tensor& x = nodes_[static_cast<std::size_t>(r.inputs[j])].value;
-      const std::size_t pc = x.cols();
-      for (std::size_t row = 0; row < rows; ++row) {
-        const double* gr = dpre + row * cols;
-        const double* xr = x.data().data() + row * pc;
-        for (std::size_t k = 0; k < pc; ++k) {
-          const double av = xr[k];
-          double* const a = acc + (k0 + k) * cols;
-          for (std::size_t c = 0; c < cols; ++c) a[c] += av * gr[c];
+    for_each_tile(cols, [&](auto tile, std::size_t c0) {
+      for (std::size_t r0 = 0; r0 < rows; r0 += kDwBlockRows) {
+        const std::size_t r1 = std::min(rows, r0 + kDwBlockRows);
+        double* a = acc + c0;
+        for (std::size_t j = jb; j < je; ++j) {
+          const Tensor& x = nodes_[static_cast<std::size_t>(r.inputs[j])].value;
+          const std::size_t pc = x.cols();
+          for (std::size_t k = 0; k < pc; ++k, a += cols) {
+            tile.load(a);
+            for (std::size_t row = r0; row < r1; ++row) {
+              tile.add(x[row * pc + k], dpre + row * cols + c0);
+            }
+            tile.store(a);
+          }
         }
       }
-      k0 += pc;
-    }
+    });
     for (std::size_t k = 0; k < k_rows * cols; ++k) gw[k] = (fw ? 0.0 : gw[k]) + acc[k];
   }
 }

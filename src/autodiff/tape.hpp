@@ -246,7 +246,7 @@ class Tape {
   bool grad_nonzero(std::size_t i) const;
   /// Allocate-or-zero one node's gradient buffer.
   void reset_grad(std::size_t i);
-  /// The dense op's kernels; both work in dense_scratch_.
+  /// The dense op's kernels; the backward works in dense_scratch_.
   void dense_forward(std::size_t i, const Binding& b, double* out);
   void dense_backward(std::size_t i, const Tensor& g,
                       const std::vector<std::uint8_t>* need,
@@ -259,9 +259,9 @@ class Tape {
 
   std::vector<Node> nodes_;
   std::vector<OpRecord> ops_;
-  /// Shared dense-op scratch: a rows x C block (a later term's partial
-  /// products in the forward, the pre-activation gradient in the backward)
-  /// followed by K rows of C (weight-gradient partial sums).
+  /// Shared dense-op scratch for the backward: a rows x C block (the
+  /// pre-activation gradient) followed by K rows of C (weight-gradient
+  /// partial sums).
   /// Grown at record time to the largest dense op; kernels never allocate.
   std::vector<double> dense_scratch_;
   /// A trial pass's per-row reuse flags for one dense op, sized at record

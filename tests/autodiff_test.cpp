@@ -494,6 +494,14 @@ TEST(Tape, GatherFrontiersWarmReplayDoesNotAllocate) {
 
 // --- dense: bits of the unfused chain ------------------------------------------
 
+/// a * b rounded to a double. The volatile store keeps the compiler from
+/// fusing the product into the add that follows, so the reference below
+/// never contracts to an FMA, whatever flags the test is built with.
+double mul(double a, double b) {
+  volatile double p = a * b;
+  return p;
+}
+
 /// The chain dense() replaced, written out with the historical kernels'
 /// arithmetic: per term one matmul over the concatenated columns (k
 /// ascending, zero inputs skipped, from +0.0), the terms added left to
@@ -532,7 +540,7 @@ UnfusedDense unfused_dense(const std::vector<std::vector<Tensor>>& parts,
       for (std::size_t k = 0; k < xs[t].cols(); ++k) {
         const double av = xs[t].at(r, k);
         if (av == 0.0) continue;
-        for (std::size_t c = 0; c < cols; ++c) prod.at(r, c) += av * weights[t].at(k, c);
+        for (std::size_t c = 0; c < cols; ++c) prod.at(r, c) += mul(av, weights[t].at(k, c));
       }
     }
     if (t == 0) {
@@ -557,7 +565,7 @@ UnfusedDense unfused_dense(const std::vector<std::vector<Tensor>>& parts,
   for (std::size_t k = 0; k < pre.size(); ++k) {
     if (act == Tape::Act::kNone) dpre[k] += g[k];
     if (act == Tape::Act::kRelu && pre[k] > 0.0) dpre[k] += g[k];
-    if (act == Tape::Act::kTanh) dpre[k] += g[k] * (1.0 - u.out[k] * u.out[k]);
+    if (act == Tape::Act::kTanh) dpre[k] += mul(g[k], 1.0 - mul(u.out[k], u.out[k]));
   }
   u.d_bias = Tensor(1, cols, 0.0);
   for (std::size_t c = 0; c < cols; ++c) {
@@ -571,13 +579,13 @@ UnfusedDense unfused_dense(const std::vector<std::vector<Tensor>>& parts,
         double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
         std::size_t c = 0;
         for (; c + 4 <= cols; c += 4) {
-          s0 += dpre.at(r, c) * w.at(k, c);
-          s1 += dpre.at(r, c + 1) * w.at(k, c + 1);
-          s2 += dpre.at(r, c + 2) * w.at(k, c + 2);
-          s3 += dpre.at(r, c + 3) * w.at(k, c + 3);
+          s0 += mul(dpre.at(r, c), w.at(k, c));
+          s1 += mul(dpre.at(r, c + 1), w.at(k, c + 1));
+          s2 += mul(dpre.at(r, c + 2), w.at(k, c + 2));
+          s3 += mul(dpre.at(r, c + 3), w.at(k, c + 3));
         }
         double s = (s0 + s1) + (s2 + s3);
-        for (; c < cols; ++c) s += dpre.at(r, c) * w.at(k, c);
+        for (; c < cols; ++c) s += mul(dpre.at(r, c), w.at(k, c));
         dx.at(r, k) = 0.0 + s;
       }
     }
@@ -585,7 +593,7 @@ UnfusedDense unfused_dense(const std::vector<std::vector<Tensor>>& parts,
     for (std::size_t k = 0; k < w.rows(); ++k) {
       for (std::size_t c = 0; c < cols; ++c) {
         double s = 0.0;
-        for (std::size_t r = 0; r < rows; ++r) s += xs[t].at(r, k) * dpre.at(r, c);
+        for (std::size_t r = 0; r < rows; ++r) s += mul(xs[t].at(r, k), dpre.at(r, c));
         dw.at(k, c) = 0.0 + s;
       }
     }
@@ -616,19 +624,12 @@ Tensor sparse_randn(Rng& rng, std::size_t rows, std::size_t cols) {
   return t;
 }
 
-TEST(Tape, DenseMatchesUnfusedChainBits) {
-  // Sizes past one chunk in the row-parallel loops, so the pool splits
-  // rows in the forward and dX.
-  constexpr std::size_t kRows = 3000, kCols = 12;
-  Rng rng(61);
-  const std::vector<std::vector<Tensor>> parts = {
-      {sparse_randn(rng, kRows, 12), sparse_randn(rng, kRows, 12), sparse_randn(rng, kRows, 1)},
-      {sparse_randn(rng, kRows, 12)}};
-  const std::vector<Tensor> weights = {Tensor::randn(rng, 25, kCols, 0.3),
-                                       Tensor::randn(rng, 12, kCols, 0.3)};
-  const Tensor bias = Tensor::randn(rng, 1, kCols, 0.2);
-  const Tensor seed = sparse_randn(rng, kRows, kCols);
-
+/// Records one dense layer over `parts` and checks its output and every
+/// gradient against unfused_dense bit for bit, for each activation, at pool
+/// widths 1 and 4, eager and as a replayed retained program.
+void expect_dense_matches_unfused(const std::vector<std::vector<Tensor>>& parts,
+                                  const std::vector<Tensor>& weights, const Tensor& bias,
+                                  const Tensor& seed, const std::string& shape) {
   for (Tape::Act act : {Tape::Act::kNone, Tape::Act::kRelu, Tape::Act::kTanh}) {
     const UnfusedDense want = unfused_dense(parts, weights, bias, act, seed);
     for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
@@ -659,7 +660,7 @@ TEST(Tape, DenseMatchesUnfusedChainBits) {
         } else {
           t.backward(root);
         }
-        const std::string where = std::string("act ") + std::to_string(static_cast<int>(act)) +
+        const std::string where = shape + " act " + std::to_string(static_cast<int>(act)) +
                                   " width " + std::to_string(width) +
                                   (replay ? " replay" : " eager");
         EXPECT_TRUE(same_bits(program.value(out), want.out)) << where;
@@ -672,6 +673,96 @@ TEST(Tape, DenseMatchesUnfusedChainBits) {
           }
         }
       }
+    }
+  }
+  set_parallel_threads(0);
+}
+
+TEST(Tape, DenseMatchesUnfusedChainBits) {
+  // Sizes past one chunk in the row-parallel loops, so the pool splits
+  // rows in the forward and dX.
+  constexpr std::size_t kRows = 3000, kCols = 12;
+  Rng rng(61);
+  const std::vector<std::vector<Tensor>> parts = {
+      {sparse_randn(rng, kRows, 12), sparse_randn(rng, kRows, 12), sparse_randn(rng, kRows, 1)},
+      {sparse_randn(rng, kRows, 12)}};
+  const std::vector<Tensor> weights = {Tensor::randn(rng, 25, kCols, 0.3),
+                                       Tensor::randn(rng, 12, kCols, 0.3)};
+  const Tensor bias = Tensor::randn(rng, 1, kCols, 0.2);
+  const Tensor seed = sparse_randn(rng, kRows, kCols);
+  expect_dense_matches_unfused(parts, weights, bias, seed, "12 cols");
+}
+
+TEST(Tape, DenseTileWidthsMatchUnfusedChainBits) {
+  // Output widths below, at and past one register tile (odd widths leave a
+  // scalar lane, widths that are not a multiple of 4 leave dot-product tail
+  // columns), with multi-part and multi-term layers and single-column parts.
+  // Each shape has enough rows that the forward and every term's dX split
+  // into several pool chunks.
+  struct Shape {
+    std::size_t cols;
+    std::vector<std::vector<std::size_t>> part_cols;  // per term
+  };
+  const std::vector<Shape> shapes = {
+      {1, {{5, 1}}},        {3, {{4}, {1}}},       {6, {{6, 6, 1}}},
+      {12, {{1}, {12, 3}}}, {16, {{16}, {16}}},    {20, {{12, 1}, {3}}},
+  };
+  Rng rng(67);
+  for (const Shape& sh : shapes) {
+    std::size_t min_k = kChunkWork;
+    for (const auto& term : sh.part_cols) {
+      std::size_t k = 0;
+      for (std::size_t pc : term) k += pc;
+      min_k = std::min(min_k, k);
+    }
+    const std::size_t rows = 3 * kChunkWork / (min_k * sh.cols) + 7;
+    std::vector<std::vector<Tensor>> parts;
+    std::vector<Tensor> weights;
+    for (const auto& term : sh.part_cols) {
+      parts.emplace_back();
+      std::size_t k = 0;
+      for (std::size_t pc : term) {
+        parts.back().push_back(sparse_randn(rng, rows, pc));
+        k += pc;
+      }
+      weights.push_back(Tensor::randn(rng, k, sh.cols, 0.3));
+    }
+    const Tensor bias = Tensor::randn(rng, 1, sh.cols, 0.2);
+    const Tensor seed = sparse_randn(rng, rows, sh.cols);
+    expect_dense_matches_unfused(parts, weights, bias, seed,
+                                 std::to_string(sh.cols) + " cols");
+  }
+}
+
+TEST(Tape, DenseSkipsZeroInputsBeforeTheirWeights) {
+  // 0 * inf is NaN, so one infinite weight row shows whether the forward
+  // skips zero inputs as the unfused matmul did: rows whose input there is
+  // +-0.0 stay finite only with the skip. Output widths around one register
+  // tile, pool widths 1 and 4, eager and replayed.
+  constexpr std::size_t kRows = 3000, kIn = 6, kInfRow = 2;
+  Rng rng(71);
+  for (std::size_t cols : {1, 3, 12, 16, 20}) {
+    const Tensor x = sparse_randn(rng, kRows, kIn);
+    Tensor w = Tensor::randn(rng, kIn, cols, 0.3);
+    for (std::size_t c = 0; c < cols; ++c) w.at(kInfRow, c) = INFINITY;
+    const Tensor bias = Tensor::randn(rng, 1, cols, 0.2);
+    const Tensor want = unfused_dense({{x}}, {w}, bias, Tape::Act::kNone, Tensor(kRows, cols)).out;
+    std::size_t finite = 0;
+    for (double v : want.data()) finite += std::isfinite(v) ? 1 : 0;
+    ASSERT_GT(finite, 0u);
+    ASSERT_LT(finite, want.size());
+    for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      set_parallel_threads(width);
+      TapeProgram program;
+      Tape& t = program.tape();
+      const Value vx = t.leaf(x, true);
+      const Value out = t.dense({{{vx}, t.leaf(w)}}, t.leaf(bias), Tape::Act::kNone);
+      const std::string where = std::to_string(cols) + " cols width " + std::to_string(width);
+      EXPECT_TRUE(same_bits(t.value(out), want)) << where << " eager";
+      program.finalize(t.sum_all(out), {vx});
+      program.set_leaf(vx, x);
+      program.replay_forward();
+      EXPECT_TRUE(same_bits(program.value(out), want)) << where << " replay";
     }
   }
   set_parallel_threads(0);
