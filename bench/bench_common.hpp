@@ -2,10 +2,12 @@
 //
 // Every bench is a standalone executable that regenerates one table or
 // figure of the paper. Suite-wide knobs come from the environment:
-//   TSTEINER_SCALE   design-size multiplier vs Table I   (default 0.06)
-//   TSTEINER_EPOCHS  evaluator training epochs           (default 24)
+//   TSTEINER_SCALE   design-size multiplier vs Table I   (default 0.12)
+//   TSTEINER_EPOCHS  evaluator training epochs           (default 40)
 //   TSTEINER_LOG     0..3 verbosity
-// The gate benches read their own size knobs through env_int.
+// bench_incremental_signoff and bench_steiner_batch read their own size
+// knobs through env_int. Per-layer timing comes from tsbench, and the
+// bit-identity gates live in the gtest suites (docs/testing.md).
 // Absolute numbers differ from the paper (the substrate is a simulator, not
 // Innovus + SkyWater 130nm); the *shape* of each table is the target.
 #pragma once

@@ -19,7 +19,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -75,22 +74,7 @@ Design make_design(int comb) {
 bool forests_bit_identical(const SteinerForest& a, const SteinerForest& b) {
   if (a.trees.size() != b.trees.size()) return false;
   for (std::size_t t = 0; t < a.trees.size(); ++t) {
-    const SteinerTree& x = a.trees[t];
-    const SteinerTree& y = b.trees[t];
-    if (x.net != y.net || x.nodes.size() != y.nodes.size() ||
-        x.edges.size() != y.edges.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < x.nodes.size(); ++i) {
-      if (std::memcmp(&x.nodes[i].pos.x, &y.nodes[i].pos.x, sizeof(double)) != 0 ||
-          std::memcmp(&x.nodes[i].pos.y, &y.nodes[i].pos.y, sizeof(double)) != 0 ||
-          x.nodes[i].pin != y.nodes[i].pin) {
-        return false;
-      }
-    }
-    for (std::size_t i = 0; i < x.edges.size(); ++i) {
-      if (x.edges[i].a != y.edges[i].a || x.edges[i].b != y.edges[i].b) return false;
-    }
+    if (!bits_equal(a.trees[t], b.trees[t])) return false;
   }
   return true;
 }

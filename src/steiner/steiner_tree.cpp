@@ -1,6 +1,7 @@
 #include "steiner/steiner_tree.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <queue>
 
@@ -81,6 +82,24 @@ bool SteinerTree::is_valid_tree() const {
   const auto parent = parents_from_driver();
   for (int p : parent) {
     if (p == -2) return false;  // unreachable node -> disconnected (or cycle)
+  }
+  return true;
+}
+
+bool bits_equal(const SteinerTree& a, const SteinerTree& b) {
+  if (a.net != b.net || a.driver_node != b.driver_node || a.nodes.size() != b.nodes.size() ||
+      a.edges.size() != b.edges.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    if (a.nodes[i].pin != b.nodes[i].pin ||
+        std::memcmp(&a.nodes[i].pos.x, &b.nodes[i].pos.x, sizeof(double)) != 0 ||
+        std::memcmp(&a.nodes[i].pos.y, &b.nodes[i].pos.y, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.edges.size(); ++i) {
+    if (a.edges[i].a != b.edges[i].a || a.edges[i].b != b.edges[i].b) return false;
   }
   return true;
 }

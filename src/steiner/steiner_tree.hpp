@@ -53,6 +53,11 @@ class SteinerTree {
   bool is_valid_tree() const;
 };
 
+/// Bitwise tree equality: net, driver node, pins and edges, with every
+/// coordinate compared by its bits (memcmp), so +0.0 and -0.0 differ. The
+/// dirty-net contract (docs/incremental.md) is this diff.
+bool bits_equal(const SteinerTree& a, const SteinerTree& b);
+
 /// Reference to one movable Steiner point inside a forest.
 struct MovableRef {
   int tree = -1;

@@ -78,36 +78,22 @@ double improvement(const SignoffProbeResult& a, const SignoffProbeResult& b, dou
 
 double scale_of(double v) { return std::max(std::abs(v), 1e-9); }
 
-bool same_tree(const SteinerTree& a, const SteinerTree& b) {
-  if (a.nodes.size() != b.nodes.size() || a.edges.size() != b.edges.size()) return false;
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    if (a.nodes[i].pos.x != b.nodes[i].pos.x || a.nodes[i].pos.y != b.nodes[i].pos.y ||
-        a.nodes[i].pin != b.nodes[i].pin) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].a != b.edges[i].a || a.edges[i].b != b.edges[i].b) return false;
-  }
-  return true;
-}
-
 /// Dirty-net bookkeeping for one sign-off callback that keeps state across
 /// calls (IncrementalSignoff::update's dirty-net contract,
 /// docs/incremental.md): remembers the forest the callback last saw.
 class DirtyNetTracker {
  public:
-  /// The nets whose tree differs from the previous call's forest
-  /// (coordinates, pins or edges), in tree order; call it with exactly the
-  /// forest the callback is about to see. The first call declares every net
-  /// whose tree has a Steiner point, a sound superset when the callback's
-  /// state is anchored on an earlier forest of the same topology (iterative
-  /// rounds reuse one IncrementalSignoff).
+  /// The nets whose tree is not bits_equal to the previous call's forest,
+  /// in tree order; call it with exactly the forest the callback is about
+  /// to see. The first call declares every net whose tree has a Steiner
+  /// point, a sound superset when the callback's state is anchored on an
+  /// earlier forest of the same topology (iterative rounds reuse one
+  /// IncrementalSignoff).
   std::vector<int> dirty_nets(const SteinerForest& forest) {
     std::vector<int> dirty;
     for (std::size_t t = 0; t < forest.trees.size(); ++t) {
       const SteinerTree& tree = forest.trees[t];
-      const bool changed = seen_ ? t >= seen_->trees.size() || !same_tree(tree, seen_->trees[t])
+      const bool changed = seen_ ? t >= seen_->trees.size() || !bits_equal(tree, seen_->trees[t])
                                  : tree.num_steiner_nodes() > 0;
       if (changed) dirty.push_back(tree.net);
     }
@@ -671,14 +657,6 @@ double adaptive_theta(GradientEvaluator& evaluator, const std::vector<double>& x
   }
   if (dg2 <= 1e-24 || dx2 <= 1e-24) return 0.25;  // flat landscape: small safe step
   return std::sqrt(dx2) / std::sqrt(dg2);
-}
-
-double adaptive_theta(const TimingGnn& model, const GraphCache& cache, const Design& design,
-                      const std::vector<double>& xs, const std::vector<double>& ys,
-                      const PenaltyWeights& weights, double alpha) {
-  GradientEvaluator evaluator(model, cache, design, xs, ys, weights);
-  const GradientResult g0 = evaluator.gradients(xs, ys, weights);
-  return adaptive_theta(evaluator, xs, ys, weights, alpha, g0);
 }
 
 RefineResult refine_steiner_points(const Design& design, const SteinerForest& initial,

@@ -147,10 +147,4 @@ double adaptive_theta(GradientEvaluator& evaluator, const std::vector<double>& x
                       const std::vector<double>& ys, const PenaltyWeights& weights,
                       double alpha, const GradientResult& g0);
 
-/// One-shot convenience overload (tests, ablations): records a program for
-/// (design, forest-topology) and runs the probe on it.
-double adaptive_theta(const TimingGnn& model, const GraphCache& cache, const Design& design,
-                      const std::vector<double>& xs, const std::vector<double>& ys,
-                      const PenaltyWeights& weights, double alpha);
-
 }  // namespace tsteiner

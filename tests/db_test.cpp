@@ -623,7 +623,8 @@ std::vector<double> model_bits(const TrainedSuite& suite) {
 }
 
 /// Runs a test body in its own working directory with TSTEINER_DB and
-/// TSTEINER_NO_CACHE unset; restores the working directory afterwards.
+/// TSTEINER_NO_CACHE unset; restores the working directory and unsets both
+/// afterwards.
 struct SuiteCacheSandbox {
   std::filesystem::path old_cwd = std::filesystem::current_path();
   explicit SuiteCacheSandbox(const std::string& dir) {
@@ -633,6 +634,7 @@ struct SuiteCacheSandbox {
   }
   ~SuiteCacheSandbox() {
     std::filesystem::current_path(old_cwd);
+    unsetenv("TSTEINER_DB");
     unsetenv("TSTEINER_NO_CACHE");
   }
 };
@@ -642,6 +644,7 @@ TEST(Snapshot, SuiteCacheNeverServesAnotherSuitesModel) {
   // file of one working directory. The second is keyed apart and rebuilt,
   // so its evaluator bit-equals an uncached build rather than the first
   // suite's; a third build restores it from the cache, training loss too.
+  // A last leg checks an explicit TSTEINER_DB path.
   SuiteCacheSandbox sandbox(testutil::test_tmp_dir());
   SuiteOptions first;
   first.scale = 0.005;
@@ -663,6 +666,41 @@ TEST(Snapshot, SuiteCacheNeverServesAnotherSuitesModel) {
   EXPECT_EQ(model_bits(warm), model_bits(fresh));
   EXPECT_NE(fresh.final_train_loss, 0.0);
   EXPECT_EQ(warm.final_train_loss, fresh.final_train_loss);
+
+  // An explicit TSTEINER_DB takes the snapshot instead of the default file,
+  // and a warm run from it bit-equals the cold run in sign-off metrics,
+  // labels and evaluator parameters.
+  const std::string db = std::filesystem::absolute("explicit.tsdb").string();
+  setenv("TSTEINER_DB", db.c_str(), 1);
+  SuiteOptions third;
+  third.scale = 0.03;
+  third.perturb_per_design = 3;
+  third.train.epochs = 2;
+  third.train.lr = 1e-3;
+  const auto default_file_before = std::filesystem::last_write_time(kSuiteCacheFile);
+  const TrainedSuite cold3 = build_and_train_suite(third);
+  ASSERT_TRUE(load_suite_snapshot(db, third).has_value());
+  EXPECT_TRUE(std::filesystem::last_write_time(kSuiteCacheFile) == default_file_before);
+  const TrainedSuite warm3 = build_and_train_suite(third);
+  ASSERT_EQ(warm3.designs.size(), cold3.designs.size());
+  for (std::size_t i = 0; i < cold3.designs.size(); ++i) {
+    const Flow& fa = *cold3.designs[i].flow;
+    const Flow& fb = *warm3.designs[i].flow;
+    const SignoffMetrics ma = fa.run_signoff(fa.initial_forest()).metrics;
+    const SignoffMetrics mb = fb.run_signoff(fb.initial_forest()).metrics;
+    EXPECT_EQ(std::memcmp(&ma, &mb, sizeof(SignoffMetrics)), 0) << cold3.designs[i].spec.name;
+  }
+  ASSERT_EQ(warm3.base_samples.size(), cold3.base_samples.size());
+  for (std::size_t i = 0; i < cold3.base_samples.size(); ++i) {
+    const std::vector<double>& la = cold3.base_samples[i].arrival_label;
+    const std::vector<double>& lb = warm3.base_samples[i].arrival_label;
+    ASSERT_EQ(la.size(), lb.size());
+    EXPECT_EQ(std::memcmp(la.data(), lb.data(), la.size() * sizeof(double)), 0) << i;
+  }
+  const std::vector<double> pa = model_bits(cold3);
+  const std::vector<double> pb = model_bits(warm3);
+  ASSERT_EQ(pa.size(), pb.size());
+  EXPECT_EQ(std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(double)), 0);
 }
 
 }  // namespace

@@ -5,22 +5,29 @@
 //  * interleaved search+gradient refine: bit-identical WNS/TNS/forest at
 //    pool widths 1 vs 4 and across back-to-back runs, keep-best
 //    monotonicity with the full sign-off anchor wired, and byte-identity of
-//    the classic loop when the topology knob stays off.
+//    the classic loop when the topology knob stays off;
+//  * with a trained evaluator at an equal gradient budget, the search arm is
+//    deterministic, applies edits, signs off no worse than the initial
+//    forest and beats gradient-only refinement on WNS or TNS.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
 
+#include "flow/experiment.hpp"
 #include "flow/flow.hpp"
 #include "flow/incremental_signoff.hpp"
+#include "gnn/trainer.hpp"
 #include "netlist/design_generator.hpp"
 #include "place/placer.hpp"
 #include "search/mcts.hpp"
 #include "search/topo_edits.hpp"
 #include "steiner/rsmt.hpp"
+#include "tsteiner/random_move.hpp"
 #include "tsteiner/refine.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "testutil.hpp"
 #include "verify/invariants.hpp"
 
 namespace tsteiner {
@@ -72,32 +79,6 @@ SteinerTree make_star_tree() {
 }
 
 const RectI kDie{{0, 0}, {100, 100}};
-
-::testing::AssertionResult forests_bit_equal(const SteinerForest& a, const SteinerForest& b) {
-  if (a.trees.size() != b.trees.size()) {
-    return ::testing::AssertionFailure() << "tree count differs";
-  }
-  for (std::size_t t = 0; t < a.trees.size(); ++t) {
-    const SteinerTree& ta = a.trees[t];
-    const SteinerTree& tb = b.trees[t];
-    if (ta.nodes.size() != tb.nodes.size() || ta.edges.size() != tb.edges.size()) {
-      return ::testing::AssertionFailure() << "tree " << t << " shape differs";
-    }
-    for (std::size_t n = 0; n < ta.nodes.size(); ++n) {
-      if (std::memcmp(&ta.nodes[n].pos.x, &tb.nodes[n].pos.x, sizeof(double)) != 0 ||
-          std::memcmp(&ta.nodes[n].pos.y, &tb.nodes[n].pos.y, sizeof(double)) != 0 ||
-          ta.nodes[n].pin != tb.nodes[n].pin) {
-        return ::testing::AssertionFailure() << "tree " << t << " node " << n << " differs";
-      }
-    }
-    for (std::size_t e = 0; e < ta.edges.size(); ++e) {
-      if (ta.edges[e].a != tb.edges[e].a || ta.edges[e].b != tb.edges[e].b) {
-        return ::testing::AssertionFailure() << "tree " << t << " edge " << e << " differs";
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
 
 // --- edit-op semantics ------------------------------------------------------
 
@@ -334,9 +315,9 @@ TEST(TopologyRefine, BitIdenticalAcrossPoolWidthsAndReruns) {
 
   EXPECT_EQ(std::memcmp(&serial.best_wns, &wide.best_wns, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&serial.best_tns, &wide.best_tns, sizeof(double)), 0);
-  EXPECT_TRUE(forests_bit_equal(serial.forest, wide.forest));
+  EXPECT_TRUE(testutil::forests_bit_equal(serial.forest, wide.forest));
   EXPECT_EQ(std::memcmp(&wide.best_wns, &again.best_wns, sizeof(double)), 0);
-  EXPECT_TRUE(forests_bit_equal(wide.forest, again.forest));
+  EXPECT_TRUE(testutil::forests_bit_equal(wide.forest, again.forest));
   EXPECT_TRUE(verify::check_forest_invariants(f.design, serial.forest,
                                               /*require_min_degree=*/true)
                   .empty());
@@ -355,7 +336,7 @@ TEST(TopologyRefine, OffKnobKeepsClassicLoopBitIdentical) {
   EXPECT_EQ(std::memcmp(&a.best_wns, &b.best_wns, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&a.best_tns, &b.best_tns, sizeof(double)), 0);
   EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_TRUE(forests_bit_equal(a.forest, b.forest));
+  EXPECT_TRUE(testutil::forests_bit_equal(a.forest, b.forest));
 }
 
 TEST(TopologyRefine, KeepBestMonotoneWithSignoffAnchor) {
@@ -383,7 +364,7 @@ TEST(TopologyRefine, KeepBestMonotoneWithSignoffAnchor) {
   // The full sign-off anchors keep-best: the returned forest is either the
   // untouched input (pass-through guard) or strictly better under the
   // normalized WNS+TNS improvement the driver maximizes.
-  const bool passthrough = forests_bit_equal(result.forest, initial);
+  const bool passthrough = testutil::forests_bit_equal(result.forest, initial);
   const double sw = std::max(std::abs(before.metrics.wns_ns), 1e-9);
   const double st = std::max(std::abs(before.metrics.tns_ns), 1e-9);
   const double gain = (after.metrics.wns_ns - before.metrics.wns_ns) / sw +
@@ -393,6 +374,102 @@ TEST(TopologyRefine, KeepBestMonotoneWithSignoffAnchor) {
   EXPECT_TRUE(verify::check_forest_invariants(f.design, result.forest,
                                               /*require_min_degree=*/true)
                   .empty());
+}
+
+TEST(TopologyRefine, TrainedSearchDeterministicAndBeatsGradientOnly) {
+  // One 260-cell design with an evaluator trained on its own sign-off
+  // labels; 3 search rounds x 12 gradient iterations against 36
+  // gradient-only iterations, both signed off through the same Flow. The
+  // search arm wires the episodic reward and the full sign-off anchor as the
+  // serve layer does.
+  constexpr int kRounds = 3;
+  constexpr int kIters = 12;
+  BenchmarkSpec spec;
+  spec.name = "topo_search";
+  spec.target_cells = 260;
+  spec.endpoints = 65;
+  spec.is_training = true;
+  spec.seed = 4242;
+  const PreparedDesign pd = prepare_design(lib(), spec, 1.0);
+  const Flow& flow = *pd.flow;
+  const SteinerForest initial = flow.initial_forest();
+
+  std::vector<TrainingSample> samples{make_training_sample(pd, initial)};
+  Rng rng(77);
+  const double dist = 2.0 * static_cast<double>(flow.options().router.gcell_size);
+  for (int k = 0; k < 3; ++k) {
+    Rng child = rng.fork();
+    samples.push_back(
+        make_training_sample(pd, random_disturb(initial, pd.design->die(), dist, child)));
+  }
+  TimingGnn model(GnnConfig{}, lib().num_types());
+  TrainOptions topt;
+  topt.epochs = 40;
+  topt.lr = 1e-3;
+  Trainer(&model, topt).fit(samples);
+
+  RefineOptions gradient_only;
+  gradient_only.gcell_size = flow.options().router.gcell_size;
+  gradient_only.max_iterations = kRounds * kIters;
+  const auto search = [&] {
+    IncrementalSignoff episodic(pd.design.get(), flow.options());
+    RefineOptions o = gradient_only;
+    o.topology.enabled = true;
+    o.topology.rounds = kRounds;
+    o.topology.gradient_iterations = kIters;
+    o.topology.episodic_signoff = [&](const SteinerForest& forest,
+                                      const std::vector<int>& dirty) -> SignoffProbeResult {
+      const IncrementalSignoff::Result& r = episodic.update(forest, dirty);
+      return {r.metrics.wns_ns, r.metrics.tns_ns, r.incremental};
+    };
+    o.topology.full_signoff = [&](const SteinerForest& forest) -> SignoffProbeResult {
+      const FlowResult r = flow.run_signoff(forest);
+      return {r.metrics.wns_ns, r.metrics.tns_ns, false};
+    };
+    return refine_steiner_points(*pd.design, initial, model, o);
+  };
+
+  // Deterministic at pool widths 1 and 4 and on a rerun at the ambient width.
+  const std::size_t prev = parallel_threads();
+  const RefineResult rerun = search();
+  set_parallel_threads(1);
+  const RefineResult serial = search();
+  set_parallel_threads(4);
+  const RefineResult wide = search();
+  set_parallel_threads(prev);
+  EXPECT_TRUE(testutil::forests_bit_equal(serial.forest, wide.forest));
+  EXPECT_TRUE(testutil::forests_bit_equal(serial.forest, rerun.forest));
+  EXPECT_EQ(std::memcmp(&serial.best_wns, &wide.best_wns, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&serial.best_tns, &wide.best_tns, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&serial.best_wns, &rerun.best_wns, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&serial.best_tns, &rerun.best_tns, sizeof(double)), 0);
+
+  // Non-default topology knobs are inert while the enable flag stays off.
+  const RefineResult grad = refine_steiner_points(*pd.design, initial, model, gradient_only);
+  RefineOptions off = gradient_only;
+  off.topology.rounds = 9;
+  off.topology.rollouts = 5;
+  const RefineResult off_run = refine_steiner_points(*pd.design, initial, model, off);
+  EXPECT_TRUE(testutil::forests_bit_equal(off_run.forest, grad.forest));
+  EXPECT_EQ(std::memcmp(&off_run.best_wns, &grad.best_wns, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&off_run.best_tns, &grad.best_tns, sizeof(double)), 0);
+
+  // The search edits the forest, its sign-off is no worse than the initial
+  // forest's (the anchor's pass-through guarantee end to end), and it wins.
+  int edits_applied = 0;
+  for (const obs::RefineIterationRecord& rec : serial.iteration_log) {
+    edits_applied += rec.search_edits_applied;
+  }
+  EXPECT_GT(edits_applied, 0);
+  const SignoffMetrics s_init = flow.run_signoff(initial).metrics;
+  const SignoffMetrics s_grad = flow.run_signoff(grad.forest).metrics;
+  const SignoffMetrics s_search = flow.run_signoff(serial.forest).metrics;
+  const double tol = 1e-9;
+  EXPECT_GE(s_search.wns_ns, s_init.wns_ns - tol);
+  EXPECT_GE(s_search.tns_ns, s_init.tns_ns - tol);
+  EXPECT_TRUE(s_search.wns_ns > s_grad.wns_ns + tol || s_search.tns_ns > s_grad.tns_ns + tol)
+      << "search WNS " << s_search.wns_ns << " TNS " << s_search.tns_ns
+      << " vs gradient-only WNS " << s_grad.wns_ns << " TNS " << s_grad.tns_ns;
 }
 
 }  // namespace

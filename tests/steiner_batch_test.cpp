@@ -32,29 +32,6 @@ Design make_design(std::uint64_t seed, int cells = 360) {
   return d;
 }
 
-bool trees_identical(const SteinerTree& a, const SteinerTree& b) {
-  if (a.net != b.net || a.driver_node != b.driver_node) return false;
-  if (a.nodes.size() != b.nodes.size() || a.edges.size() != b.edges.size()) return false;
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    if (a.nodes[i].pin != b.nodes[i].pin) return false;
-    if (std::memcmp(&a.nodes[i].pos.x, &b.nodes[i].pos.x, sizeof(double)) != 0) return false;
-    if (std::memcmp(&a.nodes[i].pos.y, &b.nodes[i].pos.y, sizeof(double)) != 0) return false;
-  }
-  for (std::size_t i = 0; i < a.edges.size(); ++i) {
-    if (a.edges[i].a != b.edges[i].a || a.edges[i].b != b.edges[i].b) return false;
-  }
-  return true;
-}
-
-bool forests_identical(const SteinerForest& a, const SteinerForest& b) {
-  if (a.trees.size() != b.trees.size()) return false;
-  if (a.net_to_tree != b.net_to_tree) return false;
-  for (std::size_t i = 0; i < a.trees.size(); ++i) {
-    if (!trees_identical(a.trees[i], b.trees[i])) return false;
-  }
-  return true;
-}
-
 TEST(HananBatch, PackingIsDeterministicAndSlotsOnlyLargeNets) {
   const Design design = make_design(11);
   const std::vector<std::vector<PointF>> pin_sets = routable_pin_sets(design);
@@ -139,7 +116,8 @@ TEST(BuildForestBatched, BitIdenticalAcrossThreadWidths) {
   const std::uint64_t jobs0 = parallel_jobs();
   const SteinerForest b = build_forest_batched(design, *predictor, {});
   EXPECT_GT(parallel_jobs(), jobs0) << "width 4 never reached the pool";
-  EXPECT_TRUE(forests_identical(a, b));
+  EXPECT_EQ(a.net_to_tree, b.net_to_tree);
+  EXPECT_TRUE(testutil::forests_bit_equal(a, b));
 }
 
 TEST(BuildForestBatched, SmallNetsFallBackBitIdenticalToExact) {
@@ -159,7 +137,7 @@ TEST(BuildForestBatched, SmallNetsFallBackBitIdenticalToExact) {
     if (pins <= kSmallNetPinLimit) {
       EXPECT_TRUE(used_fallback[i]);
       const SteinerTree exact = build_rsmt(design, tree.net, opts.fallback);
-      EXPECT_TRUE(trees_identical(tree, exact)) << "net " << tree.net;
+      EXPECT_TRUE(bits_equal(tree, exact)) << "net " << tree.net;
       ++small_checked;
     }
   }
@@ -224,7 +202,7 @@ TEST(BuildBatchedTrees, MutationHookDropsAPredictedPointAndChangesTrees) {
       << "corpus must exercise the predicted path for the mutation to mean anything";
   bool any_diff = false;
   for (std::size_t i = 0; i < clean.size(); ++i) {
-    if (!trees_identical(clean[i], mutated[i])) any_diff = true;
+    if (!bits_equal(clean[i], mutated[i])) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
 }

@@ -143,6 +143,40 @@ TEST(SteinerTree, ValidityChecks) {
   EXPECT_TRUE(t.is_valid_tree());
 }
 
+TEST(SteinerTree, BitsEqualComparesCoordinateBits) {
+  Design d = make_star_net({{100, 0}, {50, 80}}, {0, 0});
+  const SteinerTree t = build_rsmt(d, 0);
+  ASSERT_GE(t.num_steiner_nodes(), 1);
+  ASSERT_GE(t.edges.size(), 2u);
+  const SteinerTree copy = t;
+  EXPECT_TRUE(bits_equal(t, copy));
+
+  // +0.0 and -0.0 compare equal under ==, but a sign flip is a move.
+  std::size_t s = 0;
+  while (!t.nodes[s].is_steiner()) ++s;
+  SteinerTree pos = t, neg = t;
+  pos.nodes[s].pos.x = 0.0;
+  neg.nodes[s].pos.x = -0.0;
+  ASSERT_EQ(pos.nodes[s].pos.x, neg.nodes[s].pos.x);
+  EXPECT_FALSE(bits_equal(pos, neg));
+
+  SteinerTree moved_pin = t;
+  moved_pin.nodes[static_cast<std::size_t>(t.driver_node)].pos.y += 1.0;
+  EXPECT_FALSE(bits_equal(t, moved_pin));
+  SteinerTree other_pin = t;
+  other_pin.nodes[static_cast<std::size_t>(t.driver_node)].pin += 1;
+  EXPECT_FALSE(bits_equal(t, other_pin));
+  SteinerTree moved_edge = t;
+  std::swap(moved_edge.edges[0], moved_edge.edges[1]);
+  EXPECT_FALSE(bits_equal(t, moved_edge));
+  SteinerTree other_net = t;
+  other_net.net += 1;
+  EXPECT_FALSE(bits_equal(t, other_net));
+  SteinerTree other_driver = t;
+  other_driver.driver_node = t.driver_node == 0 ? 1 : 0;
+  EXPECT_FALSE(bits_equal(t, other_driver));
+}
+
 TEST(Forest, MovableIndexGatherScatterRoundTrip) {
   GeneratorParams p;
   p.num_comb_cells = 150;

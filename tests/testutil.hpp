@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <string>
 
+#include "steiner/steiner_tree.hpp"
 #include "util/parallel.hpp"
 
 namespace tsteiner::testutil {
@@ -36,6 +37,20 @@ inline std::string test_tmp_dir() {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Every tree of `a` bits_equal to the same tree of `b`.
+inline ::testing::AssertionResult forests_bit_equal(const SteinerForest& a,
+                                                    const SteinerForest& b) {
+  if (a.trees.size() != b.trees.size()) {
+    return ::testing::AssertionFailure() << "tree count differs";
+  }
+  for (std::size_t t = 0; t < a.trees.size(); ++t) {
+    if (!bits_equal(a.trees[t], b.trees[t])) {
+      return ::testing::AssertionFailure() << "tree " << t << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace tsteiner::testutil

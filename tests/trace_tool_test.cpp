@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "netlist/design_generator.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "place/placer.hpp"
@@ -295,6 +298,84 @@ TEST(TraceTool, TopologyRefineWritesOneRunWithIncreasingIters) {
 
   EXPECT_EQ(run_tool("verify " + report), 0);
   EXPECT_EQ(run_tool("verify " + jsonl), 0);
+}
+
+TEST(TraceTool, TelemetryNeverMovesRefineBitsAndItsArtifactsVerify) {
+  // Refine a 300-cell design for 8 iterations, twice per telemetry mode:
+  // off, metrics-only, and full (trace + metrics + run report + JSONL).
+  // Every run must return the same bits, and the full mode's artifacts must
+  // pass the tool.
+  static const CellLibrary lib = CellLibrary::make_default();
+  GeneratorParams p;
+  p.num_comb_cells = 300;
+  p.num_registers = 30;
+  p.num_primary_inputs = 8;
+  p.num_primary_outputs = 8;
+  p.seed = 12;
+  Design design = generate_design(lib, p);
+  place_design(design);
+  const SteinerForest forest = build_forest(design);
+  design.set_clock_period(0.6 * run_sta(design, forest, nullptr).max_arrival);
+  const TimingGnn model(GnnConfig{}, lib.num_types());
+  RefineOptions opts;
+  opts.max_iterations = 8;
+  constexpr int kRepeats = 2;
+
+  const RefineResult ref = refine_steiner_points(design, forest, model, opts);
+  ASSERT_GT(ref.iterations, 0);
+  const auto run_mode = [&](const char* mode) {
+    for (int r = 0; r < kRepeats; ++r) {
+      const RefineResult res = refine_steiner_points(design, forest, model, opts);
+      EXPECT_EQ(std::memcmp(&res.best_wns, &ref.best_wns, sizeof(double)), 0) << mode;
+      EXPECT_EQ(std::memcmp(&res.best_tns, &ref.best_tns, sizeof(double)), 0) << mode;
+      EXPECT_EQ(res.iterations, ref.iterations) << mode;
+      EXPECT_TRUE(testutil::forests_bit_equal(res.forest, ref.forest)) << mode;
+    }
+  };
+
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::reset_trace();
+  obs::run_report().reset();
+  obs::set_metrics_enabled(false);
+  run_mode("off");
+  obs::set_metrics_enabled(true);
+  run_mode("metrics-only");
+
+  const std::string dir = testutil::test_tmp_dir();
+  const std::string trace = dir + "/obs_trace.json";
+  const std::string report = dir + "/tsteiner_run.json";
+  const std::string jsonl = dir + "/obs_refine.jsonl";
+  obs::enable_trace(trace);
+  obs::set_run_report_path(report);
+  obs::set_iteration_log_path(jsonl);
+  run_mode("full");
+  obs::disable_trace();
+  obs::set_iteration_log_path("");
+  EXPECT_TRUE(obs::flush_run_report());
+  obs::set_run_report_path("");
+  obs::set_metrics_enabled(metrics_were_on);
+  obs::reset_trace();
+  obs::run_report().reset();
+
+  const auto trace_doc = obs::parse_json(slurp(trace));
+  ASSERT_TRUE(trace_doc.has_value());
+  const obs::JsonValue* events = trace_doc->find_array("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_FALSE(events->array.empty());
+  const auto report_doc = obs::parse_json(slurp(report));
+  ASSERT_TRUE(report_doc.has_value());
+  const obs::JsonValue* refines = report_doc->find_array("refine");
+  ASSERT_NE(refines, nullptr);
+  EXPECT_EQ(refines->array.size(), static_cast<std::size_t>(kRepeats));
+  const std::string lines = slurp(jsonl);
+  EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), ref.iterations * kRepeats);
+  EXPECT_NE(lines.find("\"best_wns\""), std::string::npos);
+  EXPECT_NE(lines.find("\"accept\""), std::string::npos);
+
+  EXPECT_EQ(run_tool("verify " + trace), 0);
+  EXPECT_EQ(run_tool("verify " + report), 0);
+  EXPECT_EQ(run_tool("verify " + jsonl), 0);
+  EXPECT_EQ(run_tool("summarize " + report), 0);
 }
 
 TEST(TraceTool, UsageErrorsExitTwo) {

@@ -187,8 +187,11 @@ TEST(AdaptiveTheta, PositiveAndFinite) {
   cfg.hidden = 6;
   const TimingGnn model(cfg, lib().num_types());
   PenaltyWeights w;
-  const double theta = adaptive_theta(model, *f.cache, f.design, f.forest.gather_x(),
-                                      f.forest.gather_y(), w, 5.0);
+  const auto xs = f.forest.gather_x();
+  const auto ys = f.forest.gather_y();
+  GradientEvaluator evaluator(model, *f.cache, f.design, xs, ys, w);
+  const GradientResult g0 = evaluator.gradients(xs, ys, w);
+  const double theta = adaptive_theta(evaluator, xs, ys, w, 5.0, g0);
   EXPECT_GT(theta, 0.0);
   EXPECT_TRUE(std::isfinite(theta));
 }
